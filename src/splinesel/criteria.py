@@ -12,11 +12,14 @@ constants for p > 1 and are undefined at p = 1.  The classical trio is
 cp = (2, 1), gml = (1, 1), ee = (3/2, 3/2): all three are recovered exactly,
 up to positive-affine transforms that leave the minimizer unchanged.
 
-Selection minimizes the criterion over a degrees-of-freedom window with a
-coarse global grid followed by golden-section refinement in log lam.
+Selection minimizes the criterion over a degrees-of-freedom window: a coarse
+screen over a df-equispaced grid whose log-lam gaps are capped at
+MAX_LOG_GAP, then a safeguarded Newton solve for the root of the analytic
+slope in log lam next to the screen's winner.
 """
 
 from dataclasses import dataclass
+from functools import partial
 import math
 import re
 
@@ -30,9 +33,13 @@ from .spectrum import DesignSpectrum, SmootherWeights, df, lambda_for_df, smooth
 DF_WINDOW_LO = 2.1
 DF_WINDOW_MARGIN = 0.5
 COARSE_CANDIDATES = 201
+# Largest log-lam gap left between neighbouring window points: where the
+# df-equispaced grid is sparser (the smooth end), log-uniform points fill in.
+MAX_LOG_GAP = 0.25
+# A pick within 2 * REFINE_LOG_TOL (in log lam) of a window end is flagged.
 REFINE_LOG_TOL = 1e-6
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# The Newton solve stops once a step in log lam is smaller than this.
+NEWTON_STEP_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -103,37 +110,45 @@ def loss(c: Criterion, w: SmootherWeights, u) -> float:
     return float(np.sum(t**c.p * up - (c.p / (c.p - 1.0)) * (t ** (c.p - 1.0) - 1.0)))
 
 
+def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray,
+                lam: float) -> tuple[float, float]:
+    """First and second log-lam derivatives of the criterion, unchecked.
+
+    kp and up are the penalized eigenvalues and entries of u.  With
+    da/dlog lam = -ab, db/dlog lam = ab and t = c_q b^(1/q):
+
+        dl/dlog lam   = (p/q) [ sum a t^p u - sum a t^(p-1) ]
+        d2l/dlog lam2 = (p/q) [ sum a t^p ((p/q)a - b) u
+                                - sum a t^(p-1) (((p-1)/q)a - b) ]
+    """
+    p, q = c.p, c.q
+    denom = 1.0 + lam * kp
+    a = 1.0 / denom
+    b = lam * kp / denom
+    t = c.c_q * b ** (1.0 / q)
+    atp1 = a * t ** (p - 1.0)
+    atpu = atp1 * t * up
+    r = p / q
+    d1 = r * (float(atpu.sum()) - float(atp1.sum()))
+    d2 = r * (float(np.dot(atpu, r * a - b))
+              - float(np.dot(atp1, ((p - 1.0) / q) * a - b)))
+    return d1, d2
+
+
 def loss_derivs(c: Criterion, spec: DesignSpectrum, lam: float, u) -> tuple[float, float]:
     """First and second lam-derivatives of the criterion at lam > 0.
 
-    Closed forms follow from da/dlam = -ab/lam and db/dlam = ab/lam: with
-    t = c_q b^(1/q),
-
-        l'  = (p/(q lam)) [ sum a t^p u - sum a t^(p-1) ]
-        l'' = -l'/lam + (p/(q lam^2)) [ sum a t^p ((p/q)a - b) u
-                                        - sum a t^(p-1) (((p-1)/q)a - b) ]
+    From the log-lam derivatives d1, d2 of the shared kernel:
+    l' = d1 / lam and l'' = (d2 - d1) / lam^2.
     """
     if lam <= 0:
         raise ValueError(f"loss_derivs requires lam > 0, got {lam}")
     u = np.asarray(u, dtype=float)
     if u.shape != (spec.n,):
         raise ValueError(f"u must have length {spec.n}, got shape {u.shape}")
-    w = weights(spec, lam)
-    nd = w.null_dim
-    a = w.a[nd:]
-    b = w.b[nd:]
-    up = u[nd:]
-    p, q = c.p, c.q
-    t = c.c_q * b ** (1.0 / q)
-    atp = a * t**p
-    atp1 = a * t ** (p - 1.0)
-    s1 = float(np.sum(atp * up))
-    s2 = float(np.sum(atp1))
-    ld = p / (q * lam) * (s1 - s2)
-    s1d = float(np.sum(atp * ((p / q) * a - b) * up))
-    s2d = float(np.sum(atp1 * (((p - 1.0) / q) * a - b)))
-    ldd = -ld / lam + p / (q * lam * lam) * (s1d - s2d)
-    return ld, ldd
+    nd = spec.null_dim
+    d1, d2 = _log_derivs(c, spec.k[nd:], u[nd:], lam)
+    return d1 / lam, (d2 - d1) / (lam * lam)
 
 
 # --- search window ----------------------------------------------------------
@@ -143,15 +158,15 @@ def loss_derivs(c: Criterion, spec: DesignSpectrum, lam: float, u) -> tuple[floa
 class SelectionWindow:
     """Precomputed coarse grid for one spectrum, shared across replicates.
 
-    lam ascending (df descending from n - 0.5 to 2.1); a and b are the
-    (candidates x n) weight tables.  Power tables per criterion are cached
-    lazily since they do not depend on the data.
+    lambdas ascend from df = n - 0.5 down to df = 2.1: the df-equispaced
+    points plus log-uniform fill-ins wherever a log-lam gap exceeds
+    MAX_LOG_GAP.  b is the (candidates x n) shrunk-fraction table.  Power
+    tables per criterion are cached lazily since they do not depend on the
+    data.
     """
 
     spec: DesignSpectrum
     lambdas: np.ndarray
-    df_targets: np.ndarray
-    a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
@@ -177,13 +192,23 @@ class SelectionWindow:
 
 
 def selection_window(spec: DesignSpectrum, candidates: int = COARSE_CANDIDATES) -> SelectionWindow:
-    """Build the df-equispaced candidate grid for one spectrum."""
+    """Build the candidate grid for one spectrum.
+
+    `candidates` df-equispaced points (both ends included, kept exactly),
+    with log-uniform points inserted so no log-lam gap exceeds MAX_LOG_GAP.
+    """
     targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, candidates)
-    lambdas = np.array([lambda_for_df(spec, t) for t in targets])
-    denom = 1.0 + lambdas[:, None] * spec.k[None, :]
-    a = 1.0 / denom
-    b = lambdas[:, None] * spec.k[None, :] / denom
-    return SelectionWindow(spec=spec, lambdas=lambdas, df_targets=targets, a=a, b=b)
+    coarse = np.array([lambda_for_df(spec, t) for t in targets])
+    logs = np.log(coarse)
+    parts = [coarse[:1]]
+    for i, gap in enumerate(np.diff(logs)):
+        pieces = math.ceil(gap / MAX_LOG_GAP)
+        if pieces > 1:
+            parts.append(np.exp(np.linspace(logs[i], logs[i + 1], pieces + 1)[1:-1]))
+        parts.append(coarse[i + 1:i + 2])
+    lambdas = np.concatenate(parts)
+    lk = lambdas[:, None] * spec.k[None, :]
+    return SelectionWindow(spec=spec, lambdas=lambdas, b=lk / (1.0 + lk))
 
 
 def _argmin_prefer_larger(values: np.ndarray) -> int:
@@ -192,69 +217,62 @@ def _argmin_prefer_larger(values: np.ndarray) -> int:
     return len(values) - 1 - int(np.argmin(values[::-1]))
 
 
-def minimize_on_window(window: SelectionWindow, objective, coarse_values=None,
-                       log_tol: float = REFINE_LOG_TOL,
-                       derivative=None) -> tuple[float, float, str]:
-    """Two-stage scalar minimization over the smoothing-parameter window.
+def _slope_root(derivs, lo: float, hi: float, x: float, g: float, h: float) -> float:
+    """Root of the log-lam slope inside [lo, hi] by safeguarded Newton.
 
-    Global coarse pass over the candidate grid, then golden-section in
-    log lam inside the bracket around the winner; exact ties resolve to the
-    larger lam.  If `derivative` is given (deterministic objectives with an
-    analytic slope), the final bracket is polished by bisecting the sign
-    change, pinning the minimizer well past golden-section resolution.
-    Returns (lam, value, boundary flag).
+    The slope is negative at lo and positive at hi; x is one of the two
+    ends, with slope g and curvature h there.  A Newton step that would
+    leave the bracket, or that does not halve the previous step, becomes a
+    bisection step.  Stops once a step is below NEWTON_STEP_TOL.
+    """
+    step_old = hi - lo
+    while True:
+        if g < 0:
+            lo = x
+        elif g > 0:
+            hi = x
+        else:
+            return x
+        step = -g / h if h > 0 else math.inf
+        if not (lo <= x + step <= hi and abs(step) <= 0.5 * abs(step_old)):
+            step = 0.5 * (lo + hi) - x
+        x += step
+        if abs(step) < NEWTON_STEP_TOL:
+            return x
+        step_old = step
+        g, h = derivs(math.exp(x))
+
+
+def minimize_on_window(window: SelectionWindow, coarse_values, objective,
+                       derivs) -> tuple[float, float, str]:
+    """The one scalar minimizer over the smoothing-parameter window.
+
+    coarse_values holds the objective at every window point; ties resolve
+    to the larger lam.  objective(lam) is the value and derivs(lam) the
+    first and second derivatives in log lam.  Of the two pairs formed by
+    the coarse winner and its neighbours, only the one on the downhill side
+    of the winner's slope can hold a minimum; when the slope changes sign
+    across it, a safeguarded Newton solve finds the root.  The pick is the
+    lowest objective among the coarse winner and that root, ties again to
+    the larger lam; it is flagged when it lies within 2 * REFINE_LOG_TOL of
+    a window end.  Returns (lam, value, boundary flag).
     """
     lams = window.lambdas
-    if coarse_values is None:
-        coarse_values = np.array([objective(l) for l in lams])
     best = _argmin_prefer_larger(np.asarray(coarse_values))
-    lo = math.log(lams[max(best - 1, 0)])
-    hi = math.log(lams[min(best + 1, len(lams) - 1)])
-    bracket = (lo, hi)
-
     evaluated = [(float(coarse_values[best]), float(lams[best]))]
-    c1 = hi - _GOLDEN * (hi - lo)
-    c2 = lo + _GOLDEN * (hi - lo)
-    f1 = objective(math.exp(c1))
-    f2 = objective(math.exp(c2))
-    evaluated.append((f1, math.exp(c1)))
-    evaluated.append((f2, math.exp(c2)))
-    while hi - lo > log_tol:
-        if f1 < f2:
-            hi, c2, f2 = c2, c1, f1
-            c1 = hi - _GOLDEN * (hi - lo)
-            f1 = objective(math.exp(c1))
-            evaluated.append((f1, math.exp(c1)))
-        else:
-            lo, c1, f1 = c1, c2, f2
-            c2 = lo + _GOLDEN * (hi - lo)
-            f2 = objective(math.exp(c2))
-            evaluated.append((f2, math.exp(c2)))
-
-    if derivative is not None:
-        # Golden-section comparisons go noise-limited once the bracket is
-        # tight; bisecting the slope's sign change over the coarse bracket
-        # pins deterministic minimizers to near machine precision.
-        rlo, rhi = bracket
-        d_lo, d_hi = derivative(math.exp(rlo)), derivative(math.exp(rhi))
-        if d_lo < 0 < d_hi:
-            for _ in range(200):
-                mid = 0.5 * (rlo + rhi)
-                if rhi - rlo < 1e-14:
-                    break
-                if derivative(math.exp(mid)) < 0:
-                    rlo = mid
-                else:
-                    rhi = mid
-            lam_pol = math.exp(0.5 * (rlo + rhi))
-            evaluated.append((objective(lam_pol), lam_pol))
+    g, h = derivs(float(lams[best]))
+    side = best + 1 if g < 0 else best - 1
+    if g != 0 and 0 <= side < len(lams) and derivs(float(lams[side]))[0] * g < 0:
+        lo, hi = sorted((math.log(lams[best]), math.log(lams[side])))
+        root = math.exp(_slope_root(derivs, lo, hi, math.log(lams[best]), g, h))
+        evaluated.append((objective(root), root))
 
     value, lam = min(evaluated, key=lambda pair: (pair[0], -pair[1]))
 
     flag = "none"
-    if math.log(lam) - math.log(lams[0]) <= 2.0 * log_tol:
+    if math.log(lam) - math.log(lams[0]) <= 2.0 * REFINE_LOG_TOL:
         flag = "low-lambda"
-    elif math.log(lams[-1]) - math.log(lam) <= 2.0 * log_tol:
+    elif math.log(lams[-1]) - math.log(lam) <= 2.0 * REFINE_LOG_TOL:
         flag = "high-lambda"
     return lam, value, flag
 
@@ -263,8 +281,11 @@ def select(c: Criterion, spec: DesignSpectrum, z,
            window: SelectionWindow | None = None) -> SelectionResult:
     """Data-driven smoothing parameter: global minimizer of the criterion.
 
-    z is the rotated data; u = |z|^(2/q) is formed internally.  Pass a
-    prebuilt window when selecting for many replicates on one spectrum.
+    z is the rotated data; u = |z|^(2/q) is formed internally.  The coarse
+    screen is one table product over the window, and the refinement a
+    Newton solve on the analytic log-lam slope (see minimize_on_window).
+    Pass a prebuilt window when selecting for many replicates on one
+    spectrum.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.n,):
@@ -274,10 +295,12 @@ def select(c: Criterion, spec: DesignSpectrum, z,
     if window is None:
         window = selection_window(spec)
     u = np.abs(z) ** (2.0 / c.q)
+    nd = spec.null_dim
     T, offset = window.criterion_tables(c)
-    coarse = T @ u[spec.null_dim:] + offset
     lam, value, flag = minimize_on_window(
-        window, lambda l: loss(c, weights(spec, l), u), coarse_values=coarse
+        window, T @ u[nd:] + offset,
+        lambda l: loss(c, weights(spec, l), u),
+        partial(_log_derivs, c, spec.k[nd:], u[nd:]),
     )
     return SelectionResult(lam_hat=lam, df_hat=df(spec, lam), loss=value, at_boundary=flag)
 

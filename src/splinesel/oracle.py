@@ -11,6 +11,7 @@ Monte Carlo and approximated analytically.
 """
 
 from dataclasses import dataclass, asdict
+from functools import partial
 import json
 import math
 
@@ -21,8 +22,8 @@ from ._rng import replicate_normals
 from .criteria import (
     Criterion,
     SelectionWindow,
+    _log_derivs,
     loss,
-    loss_derivs,
     minimize_on_window,
     select,
     selection_window,
@@ -68,28 +69,40 @@ def risk(spec: DesignSpectrum, truth: TruthSpectrum, lam: float) -> float:
     return float(np.sum(w.b**2 * truth.g**2 + w.a**2))
 
 
-def _risk_slope(spec: DesignSpectrum, truth: TruthSpectrum, lam: float) -> float:
-    # dR/dlam = (2/lam) sum a b (b g^2 - a); null components contribute 0.
+def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum,
+                     lam: float) -> tuple[float, float]:
+    # First and second log-lam derivatives of the risk, from da = -ab and
+    # db = ab per unit log lam: 2 sum ab(bg^2 - a) and
+    # 2 sum ab[(a - b)(bg^2 - a) + ab(g^2 + 1)]; null components give 0.
     w = weights(spec, lam)
-    return 2.0 / lam * float(np.sum(w.a * w.b * (w.b * truth.g**2 - w.a)))
+    g2 = truth.g**2
+    ab = w.a * w.b
+    e = w.b * g2 - w.a
+    return (2.0 * float(np.dot(ab, e)),
+            2.0 * float(np.dot(ab, (w.a - w.b) * e + ab * (g2 + 1.0))))
+
+
+def _locate(spec: DesignSpectrum, window: SelectionWindow | None, objective,
+            derivs) -> LambdaPoint:
+    # Coarse screen by evaluating the objective at every window point, then
+    # the shared minimizer; a boundary winner is flagged, never clipped.
+    if window is None:
+        window = selection_window(spec)
+    coarse = np.array([objective(l) for l in window.lambdas])
+    lam, _, flag = minimize_on_window(window, coarse, objective, derivs)
+    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flag)
 
 
 def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum,
                  window: SelectionWindow | None = None) -> LambdaPoint:
     """Risk-minimizing smoothing parameter over the selection window.
 
-    Uses the same two-stage optimizer as data-driven selection, plus a
-    slope-bisection polish (the risk derivative is available in closed
-    form).  A boundary winner is flagged, never clipped.
+    Uses the selection minimizer: a coarse screen of the risk over the
+    window, then a safeguarded Newton solve on its closed-form log-lam
+    slope.  A boundary winner is flagged, never clipped.
     """
-    if window is None:
-        window = selection_window(spec)
-    lam, _, flag = minimize_on_window(
-        window,
-        lambda l: risk(spec, truth, l),
-        derivative=lambda l: _risk_slope(spec, truth, l),
-    )
-    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flag)
+    return _locate(spec, window, lambda l: risk(spec, truth, l),
+                   partial(_risk_log_derivs, spec, truth))
 
 
 def expected_power_vector(truth: TruthSpectrum, q: float) -> np.ndarray:
@@ -102,19 +115,15 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     """Minimizer of the expected criterion: where selection is centered.
 
     The criterion is linear in u, so the expected criterion is the criterion
-    evaluated at u = E|z|^(2/q).  Minimized with the selection optimizer and
-    polished on the analytic slope; for the (2, 1) member this lands exactly
-    on the ideal smoothing parameter.
+    evaluated at u = E|z|^(2/q).  Minimized like data-driven selection: a
+    coarse screen, then a Newton solve on the criterion's log-lam slope at
+    that u.  For the (2, 1) member this lands on the ideal smoothing
+    parameter.
     """
-    if window is None:
-        window = selection_window(spec)
     eu = expected_power_vector(truth, c.q)
-    lam, _, flag = minimize_on_window(
-        window,
-        lambda l: loss(c, weights(spec, l), eu),
-        derivative=lambda l: loss_derivs(c, spec, l, eu)[0],
-    )
-    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flag)
+    nd = spec.null_dim
+    return _locate(spec, window, lambda l: loss(c, weights(spec, l), eu),
+                   partial(_log_derivs, c, spec.k[nd:], eu[nd:]))
 
 
 def stationarity_residual(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,

@@ -8,8 +8,11 @@ with the shrinkage weights a_i = 1/(1 + lam * k_i) in the rotated basis.
 
 from dataclasses import dataclass
 import hashlib
+import logging
 import math
+import os
 import re
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,8 @@ from scipy.linalg import eigh, solveh_banded
 from scipy.stats import norm as _normal_dist
 
 from .errors import NumericError
+
+log = logging.getLogger("splinesel")
 
 CACHE_FORMAT_VERSION = 1
 
@@ -246,28 +251,46 @@ def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:
 # --- disk cache -------------------------------------------------------------
 # Layout: NumPy .npz with arrays format_version (scalar), n (scalar), x (n,),
 # k (n,), U (n, n) row-major, null_dim (scalar).  One file per (design, n),
-# named by a hash of the design points.
+# named by a hash of the design points.  Writes go to a temporary file in the
+# same directory that is renamed into place, so a crash never leaves a
+# partial file under the final name.
+
+
+class CacheFormatError(ValueError):
+    """A readable cache file written under another format_version."""
+
+
+# What a truncated or otherwise corrupt .npz raises on load.
+_UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile)
 
 
 def save_spectrum(spec: DesignSpectrum, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(
-        path,
-        format_version=np.int64(CACHE_FORMAT_VERSION),
-        n=np.int64(spec.n),
-        x=spec.x,
-        k=spec.k,
-        U=np.ascontiguousarray(spec.U),
-        null_dim=np.int64(spec.null_dim),
-    )
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(
+                fh,
+                format_version=np.int64(CACHE_FORMAT_VERSION),
+                n=np.int64(spec.n),
+                x=spec.x,
+                k=spec.k,
+                U=np.ascontiguousarray(spec.U),
+                null_dim=np.int64(spec.null_dim),
+            )
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_spectrum(path) -> DesignSpectrum:
-    with np.load(path) as data:
+    # Opened here so the handle is closed even when np.load rejects the file.
+    with open(path, "rb") as fh, np.load(fh) as data:
         version = int(data["format_version"])
         if version != CACHE_FORMAT_VERSION:
-            raise ValueError(
+            raise CacheFormatError(
                 f"spectrum cache {path} has format_version {version}, "
                 f"expected {CACHE_FORMAT_VERSION}"
             )
@@ -289,13 +312,21 @@ def cached_decompose(grid: DesignGrid, cache_dir) -> DesignSpectrum:
     """Decompose with a per-(design, n) disk cache.
 
     A hit is validated against the requested design points; simulations at
-    many replicates then reuse one O(n^3) decomposition.
+    many replicates then reuse one O(n^3) decomposition.  An unreadable
+    file is a miss (logged and rebuilt); a format_version mismatch is an
+    error.
     """
     path = Path(cache_dir) / (cache_key(grid) + ".npz")
     if path.exists():
-        spec = load_spectrum(path)
-        if spec.n == grid.n and np.array_equal(spec.x, grid.x):
-            return spec
+        try:
+            spec = load_spectrum(path)
+        except CacheFormatError:
+            raise
+        except _UNREADABLE as exc:
+            log.warning("unreadable spectrum cache %s (%s); rebuilding", path, exc)
+        else:
+            if spec.n == grid.n and np.array_equal(spec.x, grid.x):
+                return spec
     spec = decompose(grid)
     save_spectrum(spec, path)
     return spec

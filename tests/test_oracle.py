@@ -24,7 +24,7 @@ from splinesel import (
     stationarity_residual,
     weights,
 )
-from splinesel.oracle import curvature_denominator
+from splinesel.oracle import _risk_log_derivs, curvature_denominator
 from splinesel._rng import replicate_normals
 
 
@@ -88,6 +88,16 @@ def test_risk_identities(spec61, truth61, lam):
     # eigenvalue-weighted rewrite via b = lam k a
     rewrite = lam * float(np.sum(w.a * w.b * spec61.k * g**2)) + float(np.sum(w.a**2))
     assert rewrite == pytest.approx(r, rel=1e-10)
+
+
+@pytest.mark.parametrize("lam", [1e-3, 0.026, 1.0, 20.0])
+def test_risk_log_derivs_match_finite_differences(spec61, truth61, lam):
+    # the slope and curvature the minimizer's Newton solve runs on
+    h = 1e-4
+    r = [risk(spec61, truth61, lam * math.exp(k * h)) for k in (-1, 0, 1)]
+    d1, d2 = _risk_log_derivs(spec61, truth61, lam)
+    assert d1 == pytest.approx((r[2] - r[0]) / (2.0 * h), rel=1e-6, abs=1e-7)
+    assert d2 == pytest.approx((r[2] - 2.0 * r[1] + r[0]) / h**2, rel=1e-4, abs=1e-5)
 
 
 # --- ideal smoothing parameter ----------------------------------------------

@@ -4,6 +4,8 @@ import json
 import logging
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -359,6 +361,37 @@ def test_cli_spectrum(tmp_path, capsys):
     assert code == 0
     assert "spectrum n=31" in out and "null_dim=2" in out
     assert list(tmp_path.glob("*.npz"))
+
+
+def test_cli_spectrum_rebuilds_truncated_cache(tmp_path, capsys):
+    assert cli(["spectrum", "--n", "31", "--cache-dir", str(tmp_path)]) == 0
+    (path,) = tmp_path.glob("*.npz")
+    path.write_bytes(path.read_bytes()[:200])
+    capsys.readouterr()
+    assert cli(["spectrum", "--n", "31", "--cache-dir", str(tmp_path)]) == 0
+    assert "spectrum n=31" in capsys.readouterr().out
+    assert len(path.read_bytes()) > 200
+
+
+@pytest.mark.parametrize("module, args, code", [
+    ("splinesel", ["spectrum", "--n", "8", "--cache-dir", "TMP"], 0),
+    ("splinesel", ["spectrum", "--n", "8", "--cache-dir", "TMP",
+                   "--design", '{"kind": "equispaced", "lo": 1, "hi": 0}'], 1),
+    ("splinesel", ["no-such-command"], 2),
+    ("splinesel.cli", [], 2),
+])
+def test_module_entry_points(tmp_path, module, args, code):
+    import splinesel
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", module] + [str(tmp_path) if a == "TMP" else a for a in args],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    if code == 1:
+        assert json.loads(proc.stderr)["error"] == "ValueError"
 
 
 def test_cli_select(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Design grids, the roughness penalty, and its eigendecomposition."""
 
+import logging
 import math
 
 import numpy as np
@@ -355,3 +356,43 @@ def test_cached_decompose_reuses_and_revalidates(tmp_path):
     rebuilt = cached_decompose(grid_a, tmp_path)
     np.testing.assert_array_equal(rebuilt.x, grid_a.x)
     np.testing.assert_array_equal(load_spectrum(path_a).x, grid_a.x)
+
+
+def test_save_spectrum_failure_keeps_previous_file(tmp_path, spec61, monkeypatch):
+    path = tmp_path / "spec.npz"
+    save_spectrum(spec61, path)
+    before = path.read_bytes()
+
+    def crash_mid_write(fh, **arrays):
+        fh.write(before[:100])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", crash_mid_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_spectrum(spec61, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["spec.npz"]
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
+def test_cached_decompose_rebuilds_unreadable_file(tmp_path, caplog, damage):
+    grid = build_design("equispaced", 8, lo=0.0, hi=1.0)
+    first = cached_decompose(grid, tmp_path)
+    path = tmp_path / (cache_key(grid) + ".npz")
+    data = path.read_bytes()
+    path.write_bytes({"truncated": data[: len(data) // 2], "empty": b"",
+                      "garbage": b"not a cache file"}[damage])
+    with caplog.at_level(logging.WARNING, logger="splinesel"):
+        rebuilt = cached_decompose(grid, tmp_path)
+    assert "unreadable spectrum cache" in caplog.text
+    np.testing.assert_array_equal(rebuilt.U, first.U)
+    np.testing.assert_array_equal(load_spectrum(path).U, first.U)
+
+
+def test_cached_decompose_rejects_version_mismatch(tmp_path):
+    grid = build_design("equispaced", 8, lo=0.0, hi=1.0)
+    spec = decompose(grid)
+    np.savez(tmp_path / (cache_key(grid) + ".npz"), format_version=np.int64(999),
+             n=np.int64(8), x=spec.x, k=spec.k, U=spec.U, null_dim=np.int64(2))
+    with pytest.raises(ValueError, match="format_version"):
+        cached_decompose(grid, tmp_path)
