@@ -23,6 +23,7 @@ from .spectrum import (
     decompose,
     df,
     lambda_for_df,
+    lambdas_for_df,
     load_spectrum,
     penalty_matrix,
     rotate,
@@ -79,8 +80,8 @@ __all__ = [
     "MomentSet", "abs_moment", "asym_sum", "c_q", "kummer_m",
     "log_gamma_and_beta", "moment_set", "signed_moment",
     "DesignGrid", "DesignSpectrum", "SmootherWeights", "build_design",
-    "cached_decompose", "decompose", "df", "lambda_for_df", "load_spectrum",
-    "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
+    "cached_decompose", "decompose", "df", "lambda_for_df", "lambdas_for_df",
+    "load_spectrum", "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
     "CP", "EE", "GML", "Criterion", "SelectionResult", "classic_statistics",
     "criterion_by_name", "loss", "loss_derivs", "make_criterion", "select",
     "selection_window", "sigma_estimate",

@@ -31,9 +31,7 @@ def _parse_design(text: str) -> dict:
         design = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--design is not valid JSON: {exc}") from exc
-    if not isinstance(design, dict) or "kind" not in design:
-        raise ConfigError("--design must be a JSON object with a 'kind' field")
-    return design
+    return simlab.check_design(design)
 
 
 def _parse_int_list(text: str) -> list[int]:

@@ -26,7 +26,7 @@ import re
 import numpy as np
 
 from . import specfun
-from .spectrum import DesignSpectrum, SmootherWeights, df, lambda_for_df, smooth, weights
+from .spectrum import DesignSpectrum, SmootherWeights, df, lambdas_for_df, smooth, weights
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -198,7 +198,7 @@ def selection_window(spec: DesignSpectrum, candidates: int = COARSE_CANDIDATES) 
     with log-uniform points inserted so no log-lam gap exceeds MAX_LOG_GAP.
     """
     targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, candidates)
-    coarse = np.array([lambda_for_df(spec, t) for t in targets])
+    coarse = lambdas_for_df(spec, targets)
     logs = np.log(coarse)
     parts = [coarse[:1]]
     for i, gap in enumerate(np.diff(logs)):

@@ -174,23 +174,22 @@ def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
 def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float):
     """R0 is affine in u: return (coeff on penalized u, constant).
 
-    Extracted by evaluating the same loss_derivs path at basis vectors, so
-    the vectorized Monte Carlo below cannot drift from reversal_stat.
+    From the log-lam derivatives d1, d2 of the criterion (see
+    criteria._log_derivs), R0 = (d2 - d1)/lam0^2 - beta d1/lam0.  With
+    r = p/q and t = c_q b^(1/q) on the penalized components:
+
+        coeff = r a t^p [(r a - b - 1)/lam0^2 - beta/lam0]
+        base  = r sum a t^(p-1) [(1 - ((p-1)/q) a + b)/lam0^2 + beta/lam0]
     """
+    a, b = _penalized_ab(spec, lam0)
     beta = reversal_beta(c, spec, lam0)
-    n, nd = spec.n, spec.null_dim
-
-    def r0_of_u(u):
-        ld, ldd = loss_derivs(c, spec, lam0, u)
-        return ldd - beta * ld
-
-    base = r0_of_u(np.zeros(n))
-    coeff = np.empty(n - nd)
-    e = np.zeros(n)
-    for j in range(nd, n):
-        e[j] = 1.0
-        coeff[j - nd] = r0_of_u(e) - base
-        e[j] = 0.0
+    p, q = c.p, c.q
+    r = p / q
+    lam2 = lam0 * lam0
+    t = c.c_q * b ** (1.0 / q)
+    atp1 = a * t ** (p - 1.0)
+    coeff = r * atp1 * t * ((r * a - b - 1.0) / lam2 - beta / lam0)
+    base = r * float(np.sum(atp1 * ((1.0 - ((p - 1.0) / q) * a + b) / lam2 + beta / lam0)))
     return coeff, base
 
 

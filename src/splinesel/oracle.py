@@ -150,7 +150,8 @@ class DecompositionReport:
     extra_risk = E||g_hat(lam_hat) - g||^2 - R(lam0) splits into the
     deterministic bias_term = R(lam_c) - R(lam0), twice the covariance_term,
     and the variability_term; mc_standard_errors covers the three Monte
-    Carlo estimates (covariance, variability, extra risk).
+    Carlo estimates (covariance, variability, extra risk).  boundary_count
+    is the number of replicates whose selection was boundary-flagged.
     """
 
     lambda0: float
@@ -163,6 +164,7 @@ class DecompositionReport:
     extra_risk: float
     mc_replicates: int
     mc_standard_errors: tuple[float, float, float]
+    boundary_count: int
 
     def to_json(self) -> str:
         payload = asdict(self)
@@ -194,9 +196,11 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     cov_s = np.empty(replicates)
     var_s = np.empty(replicates)
     extra_s = np.empty(replicates)
+    boundary = 0
     for r in range(replicates):
         z = truth.g + replicate_normals(seed, spec.n, r, spec.n)
         picked = select(c, spec, z, window)
+        boundary += picked.at_boundary != "none"
         ghat = weights(spec, picked.lam_hat).a * z
         gcen = a_c * z
         cov_s[r] = float(np.dot(gcen - truth.g, ghat - gcen))
@@ -219,6 +223,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
             float(var_s.std(ddof=1) / root),
             float(extra_s.std(ddof=1) / root),
         ),
+        boundary_count=boundary,
     )
 
 

@@ -12,10 +12,12 @@ any worker count.
 """
 
 from dataclasses import dataclass, asdict
+import ast
 import csv
 import json
 import logging
 import math
+import operator
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -60,16 +62,23 @@ class SimConfig:
     output_dir: str = "out"
 
     def validate(self) -> "SimConfig":
-        if not self.n_list:
-            raise ConfigError("n_list must be nonempty")
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.sigma <= 0:
-            raise ConfigError("sigma must be positive")
-        if not self.criteria:
-            raise ConfigError("criteria must be nonempty")
-        if not isinstance(self.design, dict) or "kind" not in self.design:
-            raise ConfigError("design must be an object with a 'kind' field")
+        if not isinstance(self.n_list, list) or not self.n_list:
+            raise ConfigError("n_list must be a nonempty list of integers")
+        if not all(_is_int(n) for n in self.n_list):
+            raise ConfigError(f"n_list must hold integers, got {self.n_list!r}")
+        if not _is_int(self.replicates) or self.replicates < 1:
+            raise ConfigError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
+            raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
+        if not _is_real(self.sigma) or not (math.isfinite(self.sigma) and self.sigma > 0):
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma!r}")
+        for field in ("truth", "sigma_mode", "output_dir"):
+            if not isinstance(getattr(self, field), str):
+                raise ConfigError(f"{field} must be a string")
+        if (not isinstance(self.criteria, list) or not self.criteria
+                or not all(isinstance(name, str) for name in self.criteria)):
+            raise ConfigError("criteria must be a nonempty list of criterion ids")
+        check_design(self.design)
         _parse_sigma_mode(self.sigma_mode, 100)  # shape check only
         for name in self.criteria:
             try:
@@ -100,6 +109,45 @@ class SimConfig:
         return json.dumps(asdict(self), indent=2)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+# The fields each design kind takes besides "kind", with their checks; the
+# values themselves (n >= 4, hi > lo, ...) are checked by build_design.
+_DESIGN_FIELDS = {
+    "equispaced": {"lo": _is_real, "hi": _is_real},
+    "quantile": {"dist": lambda v: isinstance(v, str)},
+    "explicit": {"points": lambda v: isinstance(v, list) and all(map(_is_real, v))},
+}
+
+
+def check_design(design) -> dict:
+    """Check a design object: a known kind with exactly that kind's fields.
+
+    Shared by config validation and the CLI's --design flag.
+    """
+    if not isinstance(design, dict) or "kind" not in design:
+        raise ConfigError("design must be an object with a 'kind' field")
+    fields = _DESIGN_FIELDS.get(design["kind"]) if isinstance(design["kind"], str) else None
+    if fields is None:
+        raise ConfigError(
+            f"unknown design kind {design['kind']!r} (one of {sorted(_DESIGN_FIELDS)})")
+    given = set(design) - {"kind"}
+    if given != set(fields):
+        raise ConfigError(
+            f"{design['kind']} design takes fields {sorted(fields)}: "
+            f"unknown {sorted(given - set(fields))}, missing {sorted(set(fields) - given)}")
+    for name, ok in fields.items():
+        if not ok(design[name]):
+            raise ConfigError(f"bad design field {name}: {design[name]!r}")
+    return design
+
+
 def _parse_sigma_mode(mode: str, n: int) -> tuple[bool, int]:
     """-> (estimated?, M).  Accepts 'known', 'estimated', 'estimated:M'."""
     if mode == "known":
@@ -114,18 +162,50 @@ def _parse_sigma_mode(mode: str, n: int) -> tuple[bool, int]:
     raise ConfigError(f"bad sigma_mode {mode!r} (known | estimated | estimated:M)")
 
 
-_EXPR_NAMES = {
+_EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
-    "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi, "e": np.e,
+    "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
 }
+_EXPR_CONSTS = {"pi": np.pi, "e": np.e}
+_EXPR_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_EXPR_BINARY = {
+    ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+    ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
+    ast.Mod: operator.mod, ast.Pow: operator.pow,
+}
+
+
+def _eval_expr(node, x):
+    """Evaluate a parsed truth expression node by node over a whitelist:
+    numbers, x, pi, e, unary and binary arithmetic, and one-argument calls
+    of _EXPR_FUNCS.  Anything else is a ConfigError."""
+    if isinstance(node, ast.Constant) and _is_real(node.value):
+        return node.value
+    if isinstance(node, ast.Name) and (node.id == "x" or node.id in _EXPR_CONSTS):
+        return x if node.id == "x" else _EXPR_CONSTS[node.id]
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _EXPR_UNARY:
+        return _EXPR_UNARY[type(node.op)](_eval_expr(node.operand, x))
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINARY:
+        left, right = _eval_expr(node.left, x), _eval_expr(node.right, x)
+        # Integer powers are exact in Python; refuse ones far past the float
+        # range rather than spend unbounded time and memory on them.
+        if (isinstance(node.op, ast.Pow) and _is_int(left) and _is_int(right)
+                and abs(left) > 1 and right * math.log2(abs(left)) > 1100):
+            raise ConfigError(f"integer power {ast.unparse(node)!r} is out of range")
+        return _EXPR_BINARY[type(node.op)](left, right)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCS and len(node.args) == 1 and not node.keywords):
+        return _EXPR_FUNCS[node.func.id](_eval_expr(node.args[0], x))
+    raise ConfigError(f"{ast.unparse(node)!r} is not allowed")
 
 
 def truth_curve(curve_id: str, grid: DesignGrid) -> np.ndarray:
     """Evaluate a named true curve on the design points.
 
     Built-ins: "paper-fig3" = sin(pi(x+1))/(x/2+1), "zero", and
-    "linear(a,b)" = a + b x.  Anything else is treated as an expression in x
-    (numpy functions sin/cos/tan/exp/log/sqrt/abs and constants pi/e).
+    "linear(a,b)" = a + b x.  Anything else is read as an arithmetic
+    expression in x: numbers, the constants pi and e, + - * / // % **, and
+    the numpy functions sin/cos/tan/exp/log/sqrt/abs of one argument.
     """
     x = grid.x
     if curve_id == "paper-fig3":
@@ -140,8 +220,8 @@ def truth_curve(curve_id: str, grid: DesignGrid) -> np.ndarray:
             raise ConfigError(f"bad linear(...) parameters in {curve_id!r}") from exc
         return a + b * x
     try:
-        value = eval(curve_id, {"__builtins__": {}}, {**_EXPR_NAMES, "x": x})
-    except Exception as exc:
+        value = _eval_expr(ast.parse(curve_id, mode="eval").body, x)
+    except Exception as exc:  # ConfigError, SyntaxError, arithmetic errors
         raise ConfigError(f"cannot interpret truth curve {curve_id!r}: {exc}") from exc
     value = np.asarray(value, dtype=float)
     if value.shape != x.shape or not np.all(np.isfinite(value)):

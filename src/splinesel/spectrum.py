@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh, solveh_banded
-from scipy.stats import norm as _normal_dist
+from scipy.special import ndtri
 
 from .errors import NumericError
 
@@ -126,7 +126,9 @@ def _quantile_fn(dist: str):
         return lambda u: p1 + (p2 - p1) * u
     if p2 <= 0:
         raise ValueError(f"normal({p1},{p2}) needs sd > 0")
-    return lambda u: _normal_dist.ppf(u, loc=p1, scale=p2)
+    # ndtri is the standard normal quantile; ndtri(u) * sd + mu is the same
+    # expression scipy.stats.norm.ppf evaluates, without importing scipy.stats.
+    return lambda u: ndtri(u) * p2 + p1
 
 
 def penalty_matrix(grid: DesignGrid) -> np.ndarray:
@@ -202,31 +204,90 @@ def df(spec: DesignSpectrum, lam: float) -> float:
     return float(np.sum(1.0 / (1.0 + lam * spec.k)))
 
 
+# The df inversion starts from df on _DF_GRID_POINTS log-lam points spanning
+# lam = 1e-8 / k_max .. 1e8 / k_min (penalized k); targets beyond the grid
+# widen their bracket in _DF_WIDEN steps of log lam.  A target is solved once
+# |df - target| <= _DF_TOL; _DF_MAX_SWEEPS bounds the Newton sweeps.
+_DF_GRID_POINTS = 33
+_DF_WIDEN = 5.0
+_DF_TOL = 1e-9
+_DF_MAX_SWEEPS = 200
+
+
+def _df_and_slope(k: np.ndarray, log_lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # df = sum a and d df / d log lam = -sum a b, one row per log lam.
+    lk = np.exp(log_lams)[:, None] * k[None, :]
+    a = 1.0 / (1.0 + lk)
+    return a.sum(axis=1), -(a * a * lk).sum(axis=1)
+
+
+def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
+    """Invert the monotone df map for many targets at once, each to 1e-9.
+
+    Every target must lie strictly between null_dim and n.  Each target is
+    bracketed by a cell of a coarse log-lam grid (widened for targets beyond
+    its ends), started by linear interpolation in that cell, and solved by
+    safeguarded Newton in log lam on d df / d log lam = -sum a b: a step that
+    leaves the bracket becomes a bisection step.  Targets are solved
+    independently, so an element does not depend on the other targets.
+    """
+    targets = np.asarray(targets, dtype=float)
+    if targets.ndim != 1:
+        raise ValueError("df targets must be a flat list")
+    bad = ~((spec.null_dim < targets) & (targets < spec.n))
+    if np.any(bad):
+        raise ValueError(
+            f"df target must lie in ({spec.null_dim}, {spec.n}), got {targets[bad][0]}"
+        )
+    k = spec.k
+    kpos = k[spec.null_dim:]
+    grid = np.linspace(math.log(1e-8 / kpos[-1]), math.log(1e8 / kpos[0]), _DF_GRID_POINTS)
+    grid_df, _ = _df_and_slope(k, grid)
+    # Cell j holds the target: grid_df[j] >= target > grid_df[j + 1].  Start
+    # by linear interpolation of df in the cell.
+    cell = np.sum(grid_df[:, None] >= targets[None, :], axis=0) - 1
+    j = np.clip(cell, 0, _DF_GRID_POINTS - 2)
+    lo, hi = grid[j], grid[j + 1]
+    x = lo + (grid_df[j] - targets) / (grid_df[j] - grid_df[j + 1]) * (hi - lo)
+    # Targets beyond a grid end widen their bracket and start at its middle.
+    for i in np.flatnonzero(cell < 0):
+        lo[i], hi[i] = grid[0] - _DF_WIDEN, grid[0]
+        while df(spec, math.exp(lo[i])) < targets[i]:
+            lo[i] -= _DF_WIDEN
+        x[i] = 0.5 * (lo[i] + hi[i])
+    for i in np.flatnonzero(cell == _DF_GRID_POINTS - 1):
+        lo[i], hi[i] = grid[-1], grid[-1] + _DF_WIDEN
+        while df(spec, math.exp(hi[i])) > targets[i]:
+            hi[i] += _DF_WIDEN
+        x[i] = 0.5 * (lo[i] + hi[i])
+
+    active = np.arange(len(targets))
+    for _ in range(_DF_MAX_SWEEPS):
+        if len(active) == 0:
+            return np.exp(x)
+        xa = x[active]
+        val, slope = _df_and_slope(k, xa)
+        resid = val - targets[active]
+        done = np.abs(resid) <= _DF_TOL
+        # df falls as lam grows: above the target means lam is too small.
+        lo[active] = np.where(resid > 0, xa, lo[active])
+        hi[active] = np.where(resid < 0, xa, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = xa - resid / slope
+        la, ha = lo[active], hi[active]
+        inside = (la < newton) & (newton < ha)
+        x[active] = np.where(done, xa, np.where(inside, newton, 0.5 * (la + ha)))
+        active = active[~done]
+    raise NumericError(f"lambdas_for_df did not converge for targets {targets[active]}")
+
+
 def lambda_for_df(spec: DesignSpectrum, target: float) -> float:
     """Invert the monotone df map: lam with df(lam) = target to 1e-9.
 
-    Bisection on log lam; target must lie strictly between null_dim and n.
+    One target of lambdas_for_df; target must lie strictly between null_dim
+    and n.
     """
-    if not (spec.null_dim < target < spec.n):
-        raise ValueError(
-            f"df target must lie in ({spec.null_dim}, {spec.n}), got {target}"
-        )
-    kpos = spec.k[spec.null_dim:]
-    lo, hi = math.log(1e-8 / kpos[-1]), math.log(1e8 / kpos[0])
-    while df(spec, math.exp(lo)) < target:
-        lo -= 5.0
-    while df(spec, math.exp(hi)) > target:
-        hi += 5.0
-    for _ in range(300):
-        mid = 0.5 * (lo + hi)
-        val = df(spec, math.exp(mid))
-        if abs(val - target) <= 1e-9:
-            return math.exp(mid)
-        if val > target:
-            lo = mid
-        else:
-            hi = mid
-    raise NumericError(f"lambda_for_df bisection stalled at target {target}")
+    return float(lambdas_for_df(spec, [target])[0])
 
 
 def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:

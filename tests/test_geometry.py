@@ -198,6 +198,38 @@ def test_affine_form_matches_direct(spec61, lam0s):
             )
 
 
+def r0_affine_by_basis_vectors(c, spec, lam0):
+    """Reference route: R0's affine coefficients read off by evaluating
+    loss_derivs at u = 0 and at every penalized basis vector."""
+    beta = reversal_beta(c, spec, lam0)
+
+    def r0_of_u(u):
+        ld, ldd = loss_derivs(c, spec, lam0, u)
+        return ldd - beta * ld
+
+    base = r0_of_u(np.zeros(spec.n))
+    coeff = np.empty(spec.n - spec.null_dim)
+    for j in range(spec.null_dim, spec.n):
+        e = np.zeros(spec.n)
+        e[j] = 1.0
+        coeff[j - spec.null_dim] = r0_of_u(e) - base
+    return coeff, base
+
+
+@pytest.mark.parametrize("crit", CRITERIA + (make_criterion(1.0, 2.0),
+                                             make_criterion(3.0, 1.0),
+                                             make_criterion(1.2, 3.0)))
+@pytest.mark.parametrize("n", [61, 241])
+def test_affine_closed_form_matches_basis_vectors(spectra, lam0s, crit, n):
+    lam0 = lam0s[n]
+    coeff, base = _r0_affine(crit, spectra[n], lam0)
+    ref_coeff, ref_base = r0_affine_by_basis_vectors(crit, spectra[n], lam0)
+    assert base == pytest.approx(ref_base, rel=1e-10)
+    # Each reference coefficient is a difference of two O(|base|) values, so
+    # it carries an absolute rounding error on the scale of |base|.
+    np.testing.assert_allclose(coeff, ref_coeff, rtol=1e-9, atol=1e-14 * abs(ref_base))
+
+
 # --- reversal moments -------------------------------------------------------
 
 

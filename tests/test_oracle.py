@@ -11,9 +11,11 @@ from splinesel import (
     EE,
     GML,
     NumericError,
+    build_design,
     central_lambda,
     decomposition_approx,
     decomposition_mc,
+    decompose,
     ideal_lambda,
     lambda_for_df,
     make_criterion,
@@ -21,7 +23,9 @@ from splinesel import (
     rate_probe,
     risk,
     select,
+    selection_window,
     stationarity_residual,
+    truth_curve,
     weights,
 )
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
@@ -234,8 +238,26 @@ def test_decomposition_report_json_fields(spec61, truth61, window61):
         "extra_risk",
         "mc_replicates",
         "mc_standard_errors",
+        "boundary_count",
     }
     assert len(payload["mc_standard_errors"]) == 3
+
+
+def test_decomposition_counts_boundary_picks():
+    # At n = 31 on the demo curve a good share of selections hit a window
+    # end; the report counts exactly the replicates select flags.
+    grid = build_design("equispaced", 31, lo=-1.0, hi=1.0)
+    spec = decompose(grid)
+    truth = make_truth(spec, truth_curve("paper-fig3", grid), 1.0)
+    window = selection_window(spec)
+    report = decomposition_mc(GML, spec, truth, 200, seed=3, window=window)
+    flagged = sum(
+        select(GML, spec, truth.g + replicate_normals(3, 31, r, 31), window).at_boundary != "none"
+        for r in range(200)
+    )
+    assert report.boundary_count == flagged
+    assert 0 < flagged < 200
+    assert json.loads(report.to_json())["boundary_count"] == flagged
 
 
 def test_normalizer_collapses_at_mean_response(spec61):

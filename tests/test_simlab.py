@@ -98,6 +98,46 @@ def test_bad_curves_rejected(bad):
         truth_curve(bad, grid)
 
 
+def test_expression_matches_python_eval():
+    # The whitelist evaluator computes exactly what Python's eval of the
+    # same text does over the same names.
+    grid = build_design("equispaced", 33, lo=-1.0, hi=1.0)
+    text = "sin(pi*x) + 0.5*x**2 - exp(-abs(x))"
+    names = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+             "log": np.log, "sqrt": np.sqrt, "abs": np.abs, "pi": np.pi, "e": np.e,
+             "x": grid.x}
+    expected = eval(text, {"__builtins__": {}}, names)
+    assert np.array_equal(truth_curve(text, grid), expected)
+    for text in ("-x % 0.3 + x // 0.25", "+x / e - 2**-3 * cos(tan(x))"):
+        assert np.array_equal(truth_curve(text, grid),
+                              eval(text, {"__builtins__": {}}, names))
+
+
+@pytest.mark.parametrize("bad", [
+    "x.__class__",
+    "().__class__.__bases__[0]",
+    "__import__('os')",
+])
+def test_cli_rejects_unsafe_truth_expressions(bad, tmp_path, capsys):
+    code = cli(["curvature", "--n", "11", "--criteria", "gml", "--truth", bad,
+                "--cache-dir", str(tmp_path / "spectra"),
+                "--out", str(tmp_path / "t1.csv")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("bad", [
+    "np.sin(x)", "sin(x, x)", "sin(x=x)", "[x][0]", "x if x else x",
+    "lambda: x", "'x'", "9**9**9", "(x > 0) * x",
+])
+def test_truth_expressions_outside_whitelist_rejected(bad):
+    grid = build_design("equispaced", 9, lo=-1.0, hi=1.0)
+    x_before = grid.x.copy()
+    with pytest.raises(ConfigError):
+        truth_curve(bad, grid)
+    assert np.array_equal(grid.x, x_before)
+
+
 def test_nonfinite_curve_rejected():
     grid = build_design("equispaced", 9, lo=-1.0, hi=1.0)
     with np.errstate(invalid="ignore"):
@@ -394,6 +434,22 @@ def test_module_entry_points(tmp_path, module, args, code):
         assert json.loads(proc.stderr)["error"] == "ValueError"
 
 
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs about half a second per process and nothing in the
+    # package needs it.
+    import splinesel
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, splinesel.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_select(tmp_path, capsys):
     path = select_input_csv(tmp_path / "data.csv")
     code = cli(["select", "--input", str(path), "--criterion", "gml",
@@ -457,6 +513,36 @@ def test_cli_malformed_config(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert json.loads(err)["error"] == "config"
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(n_list=[61.5]),
+    dict(replicates="2"),
+    dict(design={"kind": "equispaced", "lo": -1.0, "hi": 1.0, "bogus": 3}),
+    dict(seed=-1),
+])
+def test_cli_simulate_rejects_bad_config_values(tmp_path, capsys, overrides):
+    payload = json.loads(base_config(tmp_path / "out").to_json())
+    payload.update(overrides)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(payload))
+    code = cli(["simulate", "--config", str(cfg_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("design", [
+    '{"kind": "equispaced", "lo": -1, "hi": 1, "bogus": 3}',
+    '{"kind": "equispaced", "lo": -1}',
+    '{"kind": "grid", "lo": -1, "hi": 1}',
+    '{"kind": "quantile", "dist": 3}',
+    '{"kind": ["equispaced"]}',
+])
+def test_cli_design_flag_shares_config_check(tmp_path, capsys, design):
+    code = cli(["spectrum", "--n", "8", "--design", design,
+                "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
 def test_cli_curvature(tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.interpolate import CubicSpline
 from scipy.stats import norm
 
@@ -16,6 +17,7 @@ from splinesel import (
     decompose,
     df,
     lambda_for_df,
+    lambdas_for_df,
     load_spectrum,
     penalty_matrix,
     rotate,
@@ -234,6 +236,57 @@ def test_lambda_for_df_extremes(spec61):
 def test_lambda_for_df_domain(spec61, target):
     with pytest.raises(ValueError):
         lambda_for_df(spec61, target)
+
+
+@st.composite
+def df_problems(draw):
+    """A design (equispaced, normal-quantile, or explicit with nearly
+    coincident points) and df targets in (2, n), some within 1e-6 of an end."""
+    kind = draw(st.sampled_from(["equispaced", "quantile", "explicit"]))
+    if kind == "equispaced":
+        grid = build_design("equispaced", draw(st.integers(8, 150)), lo=-1.0, hi=1.0)
+    elif kind == "quantile":
+        mu = draw(st.floats(-5.0, 5.0))
+        sd = draw(st.floats(0.1, 10.0))
+        grid = build_design("quantile", draw(st.integers(8, 150)), dist=f"normal({mu}, {sd})")
+    else:
+        m = draw(st.integers(8, 80))
+        jitter = draw(st.lists(st.floats(-0.3, 0.3), min_size=m, max_size=m))
+        base = (np.arange(m) + np.array(jitter)) / m
+        close = draw(st.integers(1, len(base) - 1))
+        frac = draw(st.floats(1e-3, 1e-1))
+        twins = base[:close] + frac * np.diff(base)[:close]
+        grid = build_design("explicit", points=np.sort(np.concatenate([base, twins])))
+    n = grid.n
+    ends = draw(st.lists(st.floats(1e-9, 1e-6), max_size=2))
+    inner = draw(st.lists(st.floats(2.0, float(n), exclude_min=True, exclude_max=True),
+                          min_size=1, max_size=12))
+    targets = inner + [2.0 + d for d in ends] + [n - d for d in ends]
+    return decompose(grid), draw(st.permutations(targets))
+
+
+@settings(max_examples=40, deadline=None)
+@given(df_problems())
+def test_lambdas_for_df_properties(problem):
+    spec, targets = problem
+    lams = lambdas_for_df(spec, targets)
+    assert lams.shape == (len(targets),)
+    for lam, target in zip(lams, targets):
+        assert abs(df(spec, lam) - target) <= 1e-9
+        # One solver: a single-target call is the same computation.
+        assert lambda_for_df(spec, target) == lam
+    # Targets further apart than twice the tolerance are strictly ordered.
+    order = np.argsort(targets)
+    for i, j in zip(order, order[1:]):
+        if targets[j] - targets[i] > 2e-9:
+            assert lams[j] < lams[i]
+
+
+def test_lambdas_for_df_rejects_any_bad_target(spec61):
+    with pytest.raises(ValueError, match="61"):
+        lambdas_for_df(spec61, [3.0, 61.0])
+    with pytest.raises(ValueError):
+        lambdas_for_df(spec61, [[3.0, 4.0]])
 
 
 # --- smoothing and rotation -------------------------------------------------
