@@ -58,12 +58,11 @@ from .oracle import (
     make_truth,
     rate_probe,
     risk,
+    setting,
     stationarity_residual,
 )
 from .geometry import (
-    CriterionGeometry,
     ReversalSummary,
-    criterion_geometry,
     curvature_sq,
     curvature_via_matrix,
     reversal_moments,
@@ -87,9 +86,9 @@ __all__ = [
     "selection_window", "sigma_estimate",
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
-    "ideal_lambda", "make_truth", "rate_probe", "risk", "stationarity_residual",
-    "CriterionGeometry", "ReversalSummary", "criterion_geometry",
-    "curvature_sq", "curvature_via_matrix", "reversal_moments",
+    "ideal_lambda", "make_truth", "rate_probe", "risk", "setting",
+    "stationarity_residual",
+    "ReversalSummary", "curvature_sq", "curvature_via_matrix", "reversal_moments",
     "reversal_prob_mc", "reversal_stat", "reversal_summary",
     "RunRecord", "SimConfig", "emit_tables", "run_simulation", "truth_curve",
 ]

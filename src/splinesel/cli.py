@@ -8,6 +8,7 @@ flags, malformed config).
 
 import argparse
 import csv
+from functools import partial
 import json
 import sys
 from pathlib import Path
@@ -15,10 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, oracle, simlab
-from .criteria import criterion_by_name, default_sigma_m, select, sigma_estimate
+from .criteria import criterion_by_name, select, sigma_estimate
 from .errors import ConfigError, NumericError
 from .simlab import SimConfig
-from .spectrum import build_design, cached_decompose, decompose
+from .spectrum import build_design, decompose
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -39,13 +40,6 @@ def _parse_int_list(text: str) -> list[int]:
         return [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
-
-
-def _spectrum_for(design: dict, n: int, cache_dir):
-    grid = simlab._grid_for(design, n)
-    if cache_dir:
-        return grid, cached_decompose(grid, cache_dir)
-    return grid, decompose(grid)
 
 
 def _add_common_model_flags(sub, default_out: str):
@@ -118,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> str:
     design = _parse_design(args.design)
-    grid, spec = _spectrum_for(design, args.n, args.cache_dir)
+    spec, _ = oracle.setting(design, args.n, partial(simlab.truth_curve, "zero"), 1.0,
+                             args.cache_dir)
     return (f"spectrum n={spec.n} null_dim={spec.null_dim} "
             f"k_max={spec.k.max():.6g} cached in {args.cache_dir}")
 
@@ -136,21 +131,22 @@ def _cmd_select(args) -> str:
     rows.sort()
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
-    grid = build_design("explicit", points=x)
-    spec = decompose(grid)
+    spec = decompose(build_design("explicit", points=x))
+    coeffs = spec.U.T @ y
     mode = args.sigma
     if mode.startswith("known:"):
-        sigma = float(mode.split(":", 1)[1])
-        if sigma <= 0:
-            raise ConfigError("known sigma must be positive")
-    elif mode == "estimated" or mode.startswith("estimated:"):
-        M = (int(mode.split(":", 1)[1]) if ":" in mode
-             else default_sigma_m(spec.n))
-        sigma = float(np.sqrt(sigma_estimate(spec, y, M)))
+        try:
+            sigma = float(mode.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad --sigma {mode!r}") from exc
+        simlab.check_sigma(sigma)
     else:
-        raise ConfigError(f"bad --sigma {mode!r}")
+        estimated, M = simlab._parse_sigma_mode(mode, spec.n)
+        if not estimated:
+            raise ConfigError("--sigma known needs a value: known:VALUE")
+        sigma = float(np.sqrt(sigma_estimate(coeffs, M)))
     c = criterion_by_name(args.criterion)
-    picked = select(c, spec, (spec.U.T @ y) / sigma)
+    picked = select(c, spec, coeffs / sigma)
     return (f"select criterion={c.name} n={spec.n} lambda_hat={picked.lam_hat:.8g} "
             f"df_hat={picked.df_hat:.4f} sigma={sigma:.6g} "
             f"at_boundary={picked.at_boundary}")
@@ -176,10 +172,16 @@ def _cmd_tables(args) -> str:
 
 def _model_inputs(args):
     design = _parse_design(args.design)
+    simlab.check_sigma(args.sigma)
     ns = _parse_int_list(args.n)
     names = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
     criteria = [criterion_by_name(name) for name in names]
     return design, ns, names, criteria
+
+
+def _setting(args, design: dict, n: int):
+    return oracle.setting(design, n, partial(simlab.truth_curve, args.truth), args.sigma,
+                          args.cache_dir)
 
 
 def _cmd_curvature(args) -> str:
@@ -190,8 +192,7 @@ def _cmd_curvature(args) -> str:
         writer = csv.writer(fh)
         writer.writerow(["n"] + names)
         for n in ns:
-            grid, spec = _spectrum_for(design, n, args.cache_dir)
-            truth = oracle.make_truth(spec, simlab.truth_curve(args.truth, grid), args.sigma)
+            spec, truth = _setting(args, design, n)
             lam0 = oracle.ideal_lambda(spec, truth).lam
             writer.writerow(
                 [n] + [f"{geometry.curvature_sq(c, spec, lam0):.17g}" for c in criteria])
@@ -200,30 +201,33 @@ def _cmd_curvature(args) -> str:
 
 def _cmd_reversal(args) -> str:
     design, ns, names, criteria = _model_inputs(args)
+    simlab.check_seed(args.seed)
+    # One setting and ideal lambda per n; rows stay grouped by criterion.
+    rows = [[] for _ in criteria]
+    for n in ns:
+        spec, truth = _setting(args, design, n)
+        lam0 = oracle.ideal_lambda(spec, truth).lam
+        for block, c in zip(rows, criteria):
+            rs = geometry.reversal_summary(c, spec, truth, lam0, args.replicates, args.seed)
+            block.append([c.name, n] + [
+                f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
+                                      rs.prob_normal, rs.prob_mc, rs.mc_se)])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["criterion", "n", "lambda0", "beta", "mean", "variance",
                          "t_stat", "prob_normal", "prob_mc", "mc_se"])
-        for c in criteria:
-            for n in ns:
-                grid, spec = _spectrum_for(design, n, args.cache_dir)
-                truth = oracle.make_truth(
-                    spec, simlab.truth_curve(args.truth, grid), args.sigma)
-                lam0 = oracle.ideal_lambda(spec, truth).lam
-                rs = geometry.reversal_summary(
-                    c, spec, truth, lam0, args.replicates, args.seed)
-                writer.writerow([c.name, n] + [
-                    f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
-                                          rs.prob_normal, rs.prob_mc, rs.mc_se)])
+        for block in rows:
+            writer.writerows(block)
     return f"reversal wrote {out} ({args.replicates} draws per cell)"
 
 
 def _cmd_decompose(args) -> str:
     design = _parse_design(args.design)
-    grid, spec = _spectrum_for(design, args.n, args.cache_dir)
-    truth = oracle.make_truth(spec, simlab.truth_curve(args.truth, grid), args.sigma)
+    simlab.check_sigma(args.sigma)
+    simlab.check_seed(args.seed)
+    spec, truth = _setting(args, design, args.n)
     c = criterion_by_name(args.criterion)
     report = oracle.decomposition_mc(c, spec, truth, args.replicates, args.seed)
     out = Path(args.out)
@@ -243,10 +247,8 @@ def _cmd_rates(args) -> str:
         writer.writerow(["criterion", "n", "lambda_c", "df_c",
                          "slope_lambda", "slope_df"])
         for c in criteria:
-            probe = oracle.rate_probe(
-                c, design, ns,
-                lambda grid: simlab.truth_curve(args.truth, grid),
-                sigma=args.sigma, cache_dir=args.cache_dir)
+            probe = oracle.rate_probe(c, design, ns, partial(simlab.truth_curve, args.truth),
+                                      sigma=args.sigma, cache_dir=args.cache_dir)
             for n, lam_c, df_c in probe.rows:
                 writer.writerow([c.name, n, f"{lam_c:.17g}", f"{df_c:.17g}",
                                  f"{probe.slope_lambda:.17g}", f"{probe.slope_df:.17g}"])

@@ -333,21 +333,21 @@ def classic_statistics(spec: DesignSpectrum, lam: float, y, sigma: float,
     return cp, gcv
 
 
-def sigma_estimate(spec: DesignSpectrum, y, M: int) -> float:
+def sigma_estimate(coeffs, M: int) -> float:
     """Noise-variance estimate from the M + 2 highest rotated components.
 
-    Returns sum of the top (U'y)_i^2 divided by M - 2.  High components of a
-    smooth signal are essentially zero, so for noisy data the estimate is
-    close to sigma^2 inflated by (M + 2)/(M - 2); the index/divisor
-    asymmetry is intentional, matching the estimator this implements.
+    coeffs is the rotated data U'y.  Returns the sum of its top M + 2
+    squares divided by M - 2.  High components of a smooth signal are
+    essentially zero, so for noisy data the estimate is close to sigma^2
+    inflated by (M + 2)/(M - 2); the index/divisor asymmetry is intentional,
+    matching the estimator this implements.
     """
+    coeffs = np.asarray(coeffs, dtype=float)
+    n = coeffs.shape[0]
     M = int(M)
-    if not (5 <= M <= spec.n - 5):
-        raise ValueError(f"sigma_estimate requires 5 <= M <= n - 5, got M={M}, n={spec.n}")
-    y = np.asarray(y, dtype=float)
-    if y.shape != (spec.n,):
-        raise ValueError(f"y must have length {spec.n}, got shape {y.shape}")
-    tail = spec.U[:, spec.n - 2 - M:].T @ y
+    if not (5 <= M <= n - 5):
+        raise ValueError(f"sigma_estimate requires 5 <= M <= n - 5, got M={M}, n={n}")
+    tail = coeffs[n - 2 - M:]
     return float(np.sum(tail * tail) / (M - 2.0))
 
 

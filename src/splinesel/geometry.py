@@ -22,22 +22,6 @@ from .spectrum import DesignSpectrum, weights
 
 
 @dataclass(frozen=True)
-class CriterionGeometry:
-    """Local geometry of one criterion at one smoothing parameter.
-
-    eta_dot/eta_ddot are the first two lam-derivatives of the natural
-    parameter curve, mu the center of u = |z|^(2/q); entries for null
-    components are 0 (and mu there is +inf, the unshrunk limit).
-    """
-
-    lam: float
-    eta_dot: np.ndarray
-    eta_ddot: np.ndarray
-    mu: np.ndarray
-    gamma_sq: float
-
-
-@dataclass(frozen=True)
 class ReversalSummary:
     """Reversal diagnostics at the ideal smoothing parameter.
 
@@ -114,7 +98,8 @@ def curvature_via_matrix(c: Criterion, spec: DesignSpectrum, lam: float) -> floa
 
     gamma^2 = det(M) / (eta_dot' V eta_dot)^3 with V = diag(c_q^-(p+1)
     b^-(p+1)/q / p) and M the 2x2 Gram matrix of (eta_dot, eta_ddot) under
-    V.  Agrees with curvature_sq to rounding; kept as an independent route.
+    V.  Agrees with curvature_sq to rounding; kept as the independent route
+    that tests check curvature_sq against.
     """
     a, b = _penalized_ab(spec, lam)
     eta_dot, eta_ddot, _ = eta_curve(c, spec, lam)
@@ -125,22 +110,6 @@ def curvature_via_matrix(c: Criterion, spec: DesignSpectrum, lam: float) -> floa
     m22 = float(np.sum(eta_ddot * V * eta_ddot))
     det = m11 * m22 - m12 * m12
     return det / m11**3
-
-
-def criterion_geometry(c: Criterion, spec: DesignSpectrum, lam: float) -> CriterionGeometry:
-    """Bundle eta derivatives, centers, and curvature at one lam."""
-    eta_dot_p, eta_ddot_p, mu_p = eta_curve(c, spec, lam)
-    nd = spec.null_dim
-    eta_dot = np.zeros(spec.n)
-    eta_ddot = np.zeros(spec.n)
-    mu = np.full(spec.n, math.inf)
-    eta_dot[nd:] = eta_dot_p
-    eta_ddot[nd:] = eta_ddot_p
-    mu[nd:] = mu_p
-    return CriterionGeometry(
-        lam=lam, eta_dot=eta_dot, eta_ddot=eta_ddot, mu=mu,
-        gamma_sq=curvature_sq(c, spec, lam),
-    )
 
 
 def reversal_beta(c: Criterion, spec: DesignSpectrum, lam0: float) -> float:

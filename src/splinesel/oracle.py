@@ -29,7 +29,8 @@ from .criteria import (
     selection_window,
 )
 from .errors import NumericError
-from .spectrum import DesignSpectrum, df, rotate, weights
+from .spectrum import (DesignSpectrum, build_design, cached_decompose, decompose, df,
+                       rotate, weights)
 
 
 @dataclass(frozen=True)
@@ -45,9 +46,19 @@ def make_truth(spec: DesignSpectrum, f, sigma: float) -> TruthSpectrum:
     f = np.asarray(f, dtype=float)
     if f.shape != (spec.n,):
         raise ValueError(f"f must have length {spec.n}, got shape {f.shape}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
+    if not (math.isfinite(sigma) and sigma > 0):
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     return TruthSpectrum(f=f, sigma=float(sigma), g=rotate(spec, f, sigma))
+
+
+def setting(design: dict, n: int, truth_gen, sigma: float,
+            cache_dir=None) -> tuple[DesignSpectrum, TruthSpectrum]:
+    """Spectrum and truth of one setting: the n-point grid of a design dict
+    ({"kind": ..., plus that kind's fields}), decomposed through the disk
+    cache when cache_dir is given, with truth_gen(grid) as the true curve."""
+    grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
+    spec = cached_decompose(grid, cache_dir) if cache_dir else decompose(grid)
+    return spec, make_truth(spec, truth_gen(grid), sigma)
 
 
 @dataclass(frozen=True)
@@ -132,6 +143,7 @@ def stationarity_residual(c: Criterion, spec: DesignSpectrum, truth: TruthSpectr
 
     sum a b^(p/q) (c_q E|z|^(2/q) - 1) - [ sum a b^((p-1)/q) - sum a b^(p/q) ]
     over penalized components; zero at the central smoothing parameter.
+    Kept as a reference route: tests check that central_lambda zeroes it.
     """
     w = weights(spec, lam)
     nd = spec.null_dim
@@ -307,22 +319,17 @@ def rate_probe(c: Criterion, design: dict, n_list, truth_gen, sigma: float = 1.0
                cache_dir=None) -> RateProbe:
     """Track how the central smoothing parameter scales with sample size.
 
-    For each n, builds the design and spectrum (cached when cache_dir is
-    given), evaluates the truth generator on the grid, and locates lam_c;
+    For each n, builds the setting (see setting) and locates lam_c;
     boundary-flagged fits are excluded and reported.  Slopes are least
     squares of log lam_c and log df_c against log n.
     """
-    from .spectrum import build_design, cached_decompose, decompose
-
     n_list = [int(n) for n in n_list]
     if len(n_list) < 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("rate_probe needs an increasing n list with >= 4 values")
     rows: list[tuple[int, float, float]] = []
     excluded: list[int] = []
     for n in n_list:
-        grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
-        spec = cached_decompose(grid, cache_dir) if cache_dir else decompose(grid)
-        truth = make_truth(spec, truth_gen(grid), sigma)
+        spec, truth = setting(design, n, truth_gen, sigma, cache_dir)
         central = central_lambda(c, spec, truth)
         if central.at_boundary != "none":
             excluded.append(n)

@@ -12,6 +12,7 @@ any worker count.
 """
 
 from dataclasses import dataclass, asdict
+from functools import partial
 import ast
 import csv
 import json
@@ -33,9 +34,10 @@ from .criteria import (
     default_sigma_m,
     select,
     selection_window,
+    sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import DesignGrid, DesignSpectrum, build_design, cached_decompose
+from .spectrum import DesignGrid, DesignSpectrum
 
 log = logging.getLogger("splinesel")
 
@@ -68,10 +70,8 @@ class SimConfig:
             raise ConfigError(f"n_list must hold integers, got {self.n_list!r}")
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError(f"replicates must be an integer >= 1, got {self.replicates!r}")
-        if not _is_int(self.seed) or not 0 <= self.seed < 2**128:
-            raise ConfigError(f"seed must be an integer in [0, 2**128), got {self.seed!r}")
-        if not _is_real(self.sigma) or not (math.isfinite(self.sigma) and self.sigma > 0):
-            raise ConfigError(f"sigma must be positive and finite, got {self.sigma!r}")
+        check_seed(self.seed)
+        check_sigma(self.sigma)
         for field in ("truth", "sigma_mode", "output_dir"):
             if not isinstance(getattr(self, field), str):
                 raise ConfigError(f"{field} must be a string")
@@ -79,7 +79,8 @@ class SimConfig:
                 or not all(isinstance(name, str) for name in self.criteria)):
             raise ConfigError("criteria must be a nonempty list of criterion ids")
         check_design(self.design)
-        _parse_sigma_mode(self.sigma_mode, 100)  # shape check only
+        for n in self.n_list:
+            _parse_sigma_mode(self.sigma_mode, n)
         for name in self.criteria:
             try:
                 criterion_by_name(name)
@@ -117,6 +118,19 @@ def _is_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def check_seed(seed) -> None:
+    """Seeds, in configs and --seed flags, are integers in [0, 2**128)."""
+    if not _is_int(seed) or not 0 <= seed < 2**128:
+        raise ConfigError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
+def check_sigma(sigma) -> float:
+    """Noise sds, in configs and --sigma flags, are positive and finite."""
+    if not _is_real(sigma) or not (math.isfinite(sigma) and sigma > 0):
+        raise ConfigError(f"sigma must be positive and finite, got {sigma!r}")
+    return sigma
+
+
 # The fields each design kind takes besides "kind", with their checks; the
 # values themselves (n >= 4, hi > lo, ...) are checked by build_design.
 _DESIGN_FIELDS = {
@@ -149,17 +163,25 @@ def check_design(design) -> dict:
 
 
 def _parse_sigma_mode(mode: str, n: int) -> tuple[bool, int]:
-    """-> (estimated?, M).  Accepts 'known', 'estimated', 'estimated:M'."""
+    """-> (estimated?, M) at sample size n.
+
+    Accepts 'known', 'estimated' (M = default_sigma_m(n)) and 'estimated:M';
+    the tail size M of sigma_estimate must satisfy 5 <= M <= n - 5.
+    """
     if mode == "known":
         return False, 0
     if mode == "estimated":
-        return True, default_sigma_m(n)
-    if mode.startswith("estimated:"):
+        M = default_sigma_m(n)
+    elif mode.startswith("estimated:"):
         try:
-            return True, int(mode.split(":", 1)[1])
+            M = int(mode.split(":", 1)[1])
         except ValueError as exc:
             raise ConfigError(f"bad sigma_mode {mode!r}") from exc
-    raise ConfigError(f"bad sigma_mode {mode!r} (known | estimated | estimated:M)")
+    else:
+        raise ConfigError(f"bad sigma_mode {mode!r} (known | estimated | estimated:M)")
+    if not 5 <= M <= n - 5:
+        raise ConfigError(f"sigma_mode {mode!r} needs 5 <= M <= n - 5, got M={M} at n={n}")
+    return True, M
 
 
 _EXPR_FUNCS = {
@@ -245,16 +267,11 @@ class RunRecord:
     at_boundary: str
 
 
-def _grid_for(cfg_design: dict, n: int) -> DesignGrid:
-    params = {k: v for k, v in cfg_design.items() if k != "kind"}
-    return build_design(cfg_design["kind"], n, **params)
-
-
 def spectra_cache_dir(cfg: SimConfig) -> Path:
     return Path(cfg.output_dir) / "spectra"
 
 
-def _replicate_records(spec: DesignSpectrum, g: np.ndarray, f: np.ndarray,
+def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
                        criteria: list[Criterion], cfg: SimConfig, window,
                        rep_range) -> list[RunRecord]:
     estimated, M = _parse_sigma_mode(cfg.sigma_mode, spec.n)
@@ -262,11 +279,10 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, f: np.ndarray,
     out: list[RunRecord] = []
     for r in rep_range:
         eps = replicate_normals(cfg.seed, spec.n, r, spec.n)
-        y = f + sigma * eps
+        y = truth.f + sigma * eps
         coeffs = spec.U.T @ y
         if estimated:
-            tail = coeffs[spec.n - 2 - M:]
-            s2 = float(np.sum(tail * tail) / (M - 2.0))
+            s2 = sigma_estimate(coeffs, M)
             sigma_use = math.sqrt(s2) if s2 > 0 else math.nan
         else:
             sigma_use = sigma
@@ -276,7 +292,7 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, f: np.ndarray,
                     raise NumericError("noise-scale estimate collapsed to zero")
                 picked = select(c, spec, coeffs / sigma_use, window)
                 ahat = 1.0 / (1.0 + picked.lam_hat * spec.k)
-                sqerr = float(np.sum((ahat * coeffs / sigma - g) ** 2))
+                sqerr = float(np.sum((ahat * coeffs / sigma - truth.g) ** 2))
                 out.append(RunRecord(
                     n=spec.n, replicate=r, criterion=c.name,
                     lambda_hat=picked.lam_hat, df_hat=picked.df_hat,
@@ -295,10 +311,8 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, f: np.ndarray,
 
 
 def _chunk_worker(args) -> list[RunRecord]:
-    spec, g, f, names, cfg, rep_range = args
-    window = selection_window(spec)
-    criteria = [criterion_by_name(name) for name in names]
-    return _replicate_records(spec, g, f, criteria, cfg, window, rep_range)
+    spec, truth, criteria, cfg, rep_range = args
+    return _replicate_records(spec, truth, criteria, cfg, selection_window(spec), rep_range)
 
 
 def worker_count() -> int:
@@ -322,23 +336,21 @@ def run_simulation(cfg: SimConfig):
     cache = spectra_cache_dir(cfg)
     workers = worker_count()
     criteria = [criterion_by_name(name) for name in cfg.criteria]
+    truth_gen = partial(truth_curve, cfg.truth)
     for n in cfg.n_list:
         try:
-            grid = _grid_for(cfg.design, n)
-            spec = cached_decompose(grid, cache)
-            f = truth_curve(cfg.truth, grid)
+            spec, truth = oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache)
         except (ValueError, NumericError) as exc:
             log.error("n=%d aborted: %s", n, exc)
             continue
-        g = (spec.U.T @ f) / cfg.sigma
         if workers == 1 or cfg.replicates < 2 * workers:
             window = selection_window(spec)
             yield from _replicate_records(
-                spec, g, f, criteria, cfg, window, range(cfg.replicates))
+                spec, truth, criteria, cfg, window, range(cfg.replicates))
         else:
             bounds = np.linspace(0, cfg.replicates, workers + 1).astype(int)
             jobs = [
-                (spec, g, f, cfg.criteria, cfg, range(int(lo), int(hi)))
+                (spec, truth, criteria, cfg, range(int(lo), int(hi)))
                 for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
             ]
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -407,9 +419,8 @@ def emit_tables(records, cfg: SimConfig, out_dir=None) -> dict[str, Path]:
     ideal_points = {}
     specs = {}
     for n in cfg.n_list:
-        grid = _grid_for(cfg.design, n)
-        spec = cached_decompose(grid, cache)
-        truth = oracle.make_truth(spec, truth_curve(cfg.truth, grid), cfg.sigma)
+        spec, truth = oracle.setting(cfg.design, n, partial(truth_curve, cfg.truth),
+                                     cfg.sigma, cache)
         specs[n] = spec
         ideal_points[n] = oracle.ideal_lambda(spec, truth)
 

@@ -296,7 +296,7 @@ def test_sigma_estimate_pure_noise_oracle(spectra):
     sigma2 = 4.0
     M = 200
     draws = [
-        sigma_estimate(spec, 2.0 * np.random.default_rng(seed).standard_normal(961), M)
+        sigma_estimate(spec.U.T @ (2.0 * np.random.default_rng(seed).standard_normal(961)), M)
         for seed in range(500)
     ]
     target = sigma2 * (M + 2.0) / (M - 2.0)
@@ -306,17 +306,25 @@ def test_sigma_estimate_pure_noise_oracle(spectra):
 def test_sigma_estimate_smooth_signal(spectra):
     spec = spectra[961]
     f = np.sin(np.pi * (spec.x + 1.0)) / (spec.x / 2.0 + 1.0)
-    assert sigma_estimate(spec, f, 96) < 1e-10
-    assert sigma_estimate(spec, f, 200) < 1e-10
+    assert sigma_estimate(spec.U.T @ f, 96) < 1e-10
+    assert sigma_estimate(spec.U.T @ f, 200) < 1e-10
 
 
 def test_sigma_estimate_domain(spec61):
     y = np.zeros(61)
     for M in (4, 57, 61, 100):
         with pytest.raises(ValueError):
-            sigma_estimate(spec61, y, M)
-    with pytest.raises(ValueError):
-        sigma_estimate(spec61, np.zeros(60), 20)
+            sigma_estimate(spec61.U.T @ y, M)
+
+
+def test_sigma_estimate_matches_tail_projection(spectra):
+    # Slicing U'y and projecting y onto the tail columns agree to rounding.
+    spec = spectra[241]
+    y = np.random.default_rng(4).standard_normal(241)
+    M = 24
+    tail = spec.U[:, spec.n - 2 - M:].T @ y
+    direct = float(np.sum(tail * tail) / (M - 2.0))
+    assert sigma_estimate(spec.U.T @ y, M) == pytest.approx(direct, rel=1e-12)
 
 
 def test_default_sigma_m():

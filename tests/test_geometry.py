@@ -11,7 +11,6 @@ from splinesel import (
     EE,
     GML,
     build_design,
-    criterion_geometry,
     curvature_sq,
     curvature_via_matrix,
     decompose,
@@ -116,16 +115,6 @@ def test_curvature_ordering_and_decay(spectra, lam0s):
         per_crit["cp"], per_crit["gml"], per_crit["ee"]
     ):
         assert cp_v > ee_v > gml_v
-
-
-def test_criterion_geometry_bundle(spec61):
-    geo = criterion_geometry(EE, spec61, 0.5)
-    assert geo.lam == 0.5
-    assert geo.eta_dot[0] == geo.eta_dot[1] == 0.0
-    assert geo.eta_ddot[0] == geo.eta_ddot[1] == 0.0
-    assert math.isinf(geo.mu[0]) and math.isinf(geo.mu[1])
-    assert geo.gamma_sq == curvature_sq(EE, spec61, 0.5)
-    assert np.all(geo.eta_dot[2:] < 0)
 
 
 def test_geometry_domain_errors(spec61):

@@ -24,6 +24,7 @@ from splinesel import (
     risk,
     select,
     selection_window,
+    setting,
     stationarity_residual,
     truth_curve,
     weights,
@@ -54,6 +55,31 @@ def test_make_truth_validates(spec61):
         make_truth(spec61, np.zeros(60), 1.0)
     with pytest.raises(ValueError):
         make_truth(spec61, np.zeros(61), 0.0)
+
+
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_make_truth_rejects_non_finite_sigma(spec61, sigma):
+    with pytest.raises(ValueError, match="positive and finite"):
+        make_truth(spec61, np.zeros(61), sigma)
+
+
+@pytest.mark.parametrize("design", [
+    {"kind": "equispaced", "lo": -1.0, "hi": 1.0},
+    {"kind": "quantile", "dist": "normal(0,1)"},
+])
+def test_setting_matches_manual_construction(tmp_path, design, spec61):
+    params = {k: v for k, v in design.items() if k != "kind"}
+    grid = build_design(design["kind"], 61, **params)
+    spec = decompose(grid)
+    truth = make_truth(spec, section_curve(grid.x), 0.5)
+    for cache in (None, tmp_path):
+        got_spec, got_truth = setting(design, 61, section_curve_gen, 0.5, cache)
+        assert np.array_equal(got_spec.x, spec.x)
+        assert np.array_equal(got_spec.U, spec.U) and np.array_equal(got_spec.k, spec.k)
+        assert np.array_equal(got_truth.f, truth.f)
+        assert np.array_equal(got_truth.g, truth.g)
+        assert got_truth.sigma == 0.5
+    assert len(list(tmp_path.glob("*.npz"))) == 1
 
 
 # --- risk -------------------------------------------------------------------

@@ -206,6 +206,23 @@ def test_sigma_mode_forms():
         _parse_sigma_mode("estimated:x", 61)
 
 
+@pytest.mark.parametrize("mode,n", [
+    ("estimated:4", 61), ("estimated:57", 61), ("estimated:0", 61),
+    ("estimated", 24), ("estimated:20", 24),
+])
+def test_sigma_mode_tail_range(mode, n):
+    with pytest.raises(ConfigError, match="5 <= M <= n - 5"):
+        _parse_sigma_mode(mode, n)
+
+
+def test_sigma_mode_checked_at_every_n(tmp_path):
+    assert base_config(tmp_path, n_list=[61, 25], sigma_mode="estimated").validate()
+    with pytest.raises(ConfigError, match="n=24"):
+        base_config(tmp_path, n_list=[61, 24], sigma_mode="estimated").validate()
+    with pytest.raises(ConfigError, match="n=61"):
+        base_config(tmp_path, n_list=[121, 61], sigma_mode="estimated:100").validate()
+
+
 def test_worker_count_parsing(monkeypatch):
     monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
     assert worker_count() == 1
@@ -531,6 +548,57 @@ def test_cli_simulate_rejects_bad_config_values(tmp_path, capsys, overrides):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(sigma_mode="estimated:1000"),
+    dict(sigma_mode="estimated:2"),
+    dict(sigma_mode="estimated:-5"),
+    dict(sigma_mode="estimated", n_list=[61, 21]),
+])
+def test_cli_simulate_rejects_bad_sigma_mode(tmp_path, capsys, overrides):
+    payload = json.loads(base_config(tmp_path / "out").to_json())
+    payload.update(overrides)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(payload))
+    code = cli(["simulate", "--config", str(cfg_path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out" / "runs.csv").exists()
+
+
+@pytest.mark.parametrize("sigma", [
+    "estimated:x", "estimated:3", "known:abc", "known:nan", "known:inf", "known",
+])
+def test_cli_select_rejects_bad_sigma(tmp_path, capsys, sigma):
+    path = select_input_csv(tmp_path / "data.csv")
+    code = cli(["select", "--input", str(path), "--criterion", "cp", "--sigma", sigma])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "config"
+
+
+@pytest.mark.parametrize("argv", [
+    ["reversal", "--n", "31", "--criteria", "gml", "--replicates", "1000", "--seed", "-1"],
+    ["reversal", "--n", "31", "--criteria", "gml", "--replicates", "1000",
+     "--seed", str(2**128)],
+    ["decompose", "--n", "31", "--criterion", "gml", "--replicates", "100", "--seed", "-1"],
+    ["curvature", "--n", "31", "--criteria", "cp", "--sigma", "nan"],
+    ["curvature", "--n", "31", "--criteria", "cp", "--sigma", "0"],
+    ["curvature", "--n", "31", "--criteria", "cp", "--sigma", "-1"],
+    ["rates", "--n", "31,45,61,91", "--criteria", "gml", "--sigma", "inf"],
+    ["reversal", "--n", "31", "--criteria", "gml", "--replicates", "1000",
+     "--sigma", "nan"],
+    ["decompose", "--n", "31", "--criterion", "gml", "--replicates", "100",
+     "--sigma=-inf"],
+])
+def test_cli_seed_and_sigma_flags_share_config_checks(tmp_path, capsys, argv):
+    out = tmp_path / "result"
+    code = cli(argv + ["--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("design", [
     '{"kind": "equispaced", "lo": -1, "hi": 1, "bogus": 3}',
     '{"kind": "equispaced", "lo": -1}',
@@ -571,6 +639,25 @@ def test_cli_reversal(tmp_path, capsys):
     t_stat, prob_normal = float(toks[6]), float(toks[7])
     assert t_stat < 0.0
     assert 0.0 < prob_normal < 0.5
+
+
+def test_cli_reversal_builds_each_setting_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = oracle.ideal_lambda
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].n)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "ideal_lambda", counting)
+    out = tmp_path / "rev.csv"
+    code = cli(["reversal", "--n", "31,41", "--criteria", "cp,gml",
+                "--replicates", "1000", "--seed", "3",
+                "--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 0
+    assert calls == [31, 41]
+    rows = [row.split(",")[:2] for row in out.read_text().splitlines()[1:]]
+    assert rows == [["cp", "31"], ["cp", "41"], ["gml", "31"], ["gml", "41"]]
 
 
 def test_cli_decompose(tmp_path, capsys):
