@@ -119,6 +119,7 @@ def _cmd_spectrum(args) -> str:
 
 
 def _cmd_select(args) -> str:
+    c = criterion_by_name(args.criterion)
     rows = []
     with open(args.input, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -145,7 +146,6 @@ def _cmd_select(args) -> str:
         if not estimated:
             raise ConfigError("--sigma known needs a value: known:VALUE")
         sigma = float(np.sqrt(sigma_estimate(coeffs, M)))
-    c = criterion_by_name(args.criterion)
     picked = select(c, spec, coeffs / sigma)
     return (f"select criterion={c.name} n={spec.n} lambda_hat={picked.lam_hat:.8g} "
             f"df_hat={picked.df_hat:.4f} sigma={sigma:.6g} "
@@ -227,8 +227,8 @@ def _cmd_decompose(args) -> str:
     design = _parse_design(args.design)
     simlab.check_sigma(args.sigma)
     simlab.check_seed(args.seed)
-    spec, truth = _setting(args, design, args.n)
     c = criterion_by_name(args.criterion)
+    spec, truth = _setting(args, design, args.n)
     report = oracle.decomposition_mc(c, spec, truth, args.replicates, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -18,7 +18,7 @@ MAX_LOG_GAP, then a safeguarded Newton solve for the root of the analytic
 slope in log lam next to the screen's winner.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 import math
 import re
@@ -26,6 +26,7 @@ import re
 import numpy as np
 
 from . import specfun
+from .errors import ConfigError
 from .spectrum import DesignSpectrum, SmootherWeights, df, lambdas_for_df, smooth, weights
 
 # Search window in degrees of freedom: just inside the interpolation end
@@ -65,17 +66,18 @@ GML = make_criterion(1.0, 1.0, "gml")
 EE = make_criterion(1.5, 1.5, "ee")
 
 _BY_NAME = {c.name: c for c in (CP, GML, EE)}
+_NUMBER = r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
 
 
 def criterion_by_name(name: str) -> Criterion:
-    """Look up cp/gml/ee, or parse a custom 'p<var>q<var>' id."""
+    """Look up cp/gml/ee, or parse a custom 'p<var>q<var>' id (ConfigError if bad)."""
     key = name.strip().lower()
     if key in _BY_NAME:
         return _BY_NAME[key]
-    m = re.fullmatch(r"p([0-9.]+)q([0-9.]+)", key)
-    if m:
-        return make_criterion(float(m.group(1)), float(m.group(2)))
-    raise ValueError(f"unknown criterion {name!r}")
+    m = re.fullmatch(rf"p({_NUMBER})q({_NUMBER})", key)
+    if m is None or min(float(m.group(1)), float(m.group(2))) < 1:
+        raise ConfigError(f"unknown criterion {name!r} (custom ids: p<P>q<Q>, P, Q >= 1)")
+    return make_criterion(float(m.group(1)), float(m.group(2)))
 
 
 @dataclass(frozen=True)
@@ -100,14 +102,19 @@ def loss(c: Criterion, w: SmootherWeights, u) -> float:
         raise ValueError("u must be nonnegative")
     nd = w.null_dim
     b = w.b[nd:]
-    up = u[nd:]
-    if c.p == 1.0:
-        if np.any(b <= 0):
-            raise ValueError("p = 1 criterion undefined at lam = 0 (log of zero)")
-        t = c.c_q * b ** (1.0 / c.q)
-        return float(np.sum(t * up - np.log(b) / c.q))
+    if c.p == 1.0 and np.any(b <= 0):
+        raise ValueError("p = 1 criterion undefined at lam = 0 (log of zero)")
+    T, offset = _value_tables(c, b)
+    return float(T @ u[nd:] + offset)
+
+
+def _value_tables(c: Criterion, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The one encoding of the criterion value (module docstring): a row of
+    # penalized shrunk fractions b has value T @ u + offset at penalized u.
     t = c.c_q * b ** (1.0 / c.q)
-    return float(np.sum(t**c.p * up - (c.p / (c.p - 1.0)) * (t ** (c.p - 1.0) - 1.0)))
+    if c.p == 1.0:
+        return t, -np.sum(np.log(b), axis=-1) / c.q
+    return t**c.p, -np.sum((c.p / (c.p - 1.0)) * (t ** (c.p - 1.0) - 1.0), axis=-1)
 
 
 def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray,
@@ -168,27 +175,14 @@ class SelectionWindow:
     spec: DesignSpectrum
     lambdas: np.ndarray
     b: np.ndarray
-
-    def __post_init__(self):
-        self._powers: dict[tuple[float, float], tuple[np.ndarray, np.ndarray]] = {}
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def criterion_tables(self, c: Criterion) -> tuple[np.ndarray, np.ndarray]:
         """(T, offset): coarse losses are T @ u_penalized + offset."""
         key = (c.p, c.q)
-        cached = self._powers.get(key)
-        if cached is not None:
-            return cached
-        nd = self.spec.null_dim
-        b = self.b[:, nd:]
-        t = c.c_q * b ** (1.0 / c.q)
-        if c.p == 1.0:
-            T = t
-            offset = -np.sum(np.log(b), axis=1) / c.q
-        else:
-            T = t**c.p
-            offset = -np.sum((c.p / (c.p - 1.0)) * (t ** (c.p - 1.0) - 1.0), axis=1)
-        self._powers[key] = (T, offset)
-        return T, offset
+        if key not in self._powers:
+            self._powers[key] = _value_tables(c, self.b[:, self.spec.null_dim:])
+        return self._powers[key]
 
 
 def selection_window(spec: DesignSpectrum, candidates: int = COARSE_CANDIDATES) -> SelectionWindow:
@@ -292,9 +286,15 @@ def select(c: Criterion, spec: DesignSpectrum, z,
         raise ValueError(f"z must have length {spec.n}, got shape {z.shape}")
     if not np.all(np.isfinite(z)):
         raise ValueError("z must be finite")
+    return _select_at(c, spec, np.abs(z) ** (2.0 / c.q), window)
+
+
+def _select_at(c: Criterion, spec: DesignSpectrum, u: np.ndarray,
+               window: SelectionWindow | None) -> SelectionResult:
+    # Minimize the criterion at the full-length u over the window: the table
+    # screen, then the Newton refinement on the exact loss and its slope.
     if window is None:
         window = selection_window(spec)
-    u = np.abs(z) ** (2.0 / c.q)
     nd = spec.null_dim
     T, offset = window.criterion_tables(c)
     lam, value, flag = minimize_on_window(

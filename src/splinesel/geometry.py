@@ -8,7 +8,7 @@ smoothing parameter flips sign, i.e. the criterion locally prefers moving
 away from the optimum.  Low curvature and rare reversals go together.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -118,14 +118,14 @@ def reversal_beta(c: Criterion, spec: DesignSpectrum, lam0: float) -> float:
     beta = -(1/lam0) [ 2 - (1 + p/q) (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)) ]
     over penalized components; the b-exponent is -2/q for every (p, q).
     """
-    a, b = _penalized_ab(spec, lam0)
-    ratio = _weight_ratio(c, a, b)
-    return -(2.0 - (1.0 + c.p / c.q) * ratio) / lam0
+    return _rho_beta(c, *_penalized_ab(spec, lam0), lam0)[1]
 
 
-def _weight_ratio(c: Criterion, a: np.ndarray, b: np.ndarray) -> float:
+def _rho_beta(c: Criterion, a: np.ndarray, b: np.ndarray, lam0: float) -> tuple[float, float]:
+    # rho = (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)) and beta built from it.
     wb = b ** (-2.0 / c.q)
-    return float(np.sum(a**3 * wb) / np.sum(a**2 * wb))
+    rho = float(np.sum(a**3 * wb) / np.sum(a**2 * wb))
+    return rho, -(2.0 - (1.0 + c.p / c.q) * rho) / lam0
 
 
 def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
@@ -151,7 +151,7 @@ def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float):
         base  = r sum a t^(p-1) [(1 - ((p-1)/q) a + b)/lam0^2 + beta/lam0]
     """
     a, b = _penalized_ab(spec, lam0)
-    beta = reversal_beta(c, spec, lam0)
+    beta = _rho_beta(c, a, b, lam0)[1]
     p, q = c.p, c.q
     r = p / q
     lam2 = lam0 * lam0
@@ -179,18 +179,17 @@ def reversal_moments(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     a, b = _penalized_ab(spec, lam0)
     g = truth.g[spec.null_dim:]
     p, q = c.p, c.q
-    rho = _weight_ratio(c, a, b)
+    rho, beta = _rho_beta(c, a, b, lam0)
     B = b ** ((p - 1.0) / q)
-    m1 = np.array([specfun.abs_moment(gi, 1.0 / q) for gi in g])
-    var_w = np.array([specfun.moment_set(gi, q).var_w for gi in g])
+    m = specfun.moment_set(g, q)
 
-    centered = c.c_q * b ** (1.0 / q) * m1 - 1.0
+    centered = c.c_q * b ** (1.0 / q) * m.m1 - 1.0
     M = (p / q**2) * (p + q) * c.c_q ** (p - 1.0) * (
         float(np.sum(a**2 * B)) / (p + q)
         + float(np.sum(a * B * (a - rho) * centered))
     )
     V = (p**2 / q**4) * (p + q) ** 2 * c.c_q ** (2.0 * p) * float(
-        np.sum(a**2 * b ** (2.0 * p / q) * (a - rho) ** 2 * var_w)
+        np.sum(a**2 * b ** (2.0 * p / q) * (a - rho) ** 2 * m.var_w)
     )
     if V <= 0:
         raise NumericError(f"reversal variance V = {V:.3e} is not positive")
@@ -199,7 +198,7 @@ def reversal_moments(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     # magnitude growing in n as the reversal probability vanishes.
     t_n = -M / math.sqrt(V)
     return ReversalSummary(
-        lam0=lam0, beta=reversal_beta(c, spec, lam0), M=M, V=V,
+        lam0=lam0, beta=beta, M=M, V=V,
         T_n=t_n, prob_normal=normal_cdf(t_n),
     )
 
@@ -237,8 +236,4 @@ def reversal_summary(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     """Normal-approximation moments plus the Monte Carlo probability."""
     summary = reversal_moments(c, spec, truth, lam0)
     prob, se = reversal_prob_mc(c, spec, truth, lam0, replicates, seed)
-    return ReversalSummary(
-        lam0=summary.lam0, beta=summary.beta, M=summary.M, V=summary.V,
-        T_n=summary.T_n, prob_normal=summary.prob_normal,
-        prob_mc=prob, mc_se=se,
-    )
+    return replace(summary, prob_mc=prob, mc_se=se)

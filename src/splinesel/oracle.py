@@ -22,8 +22,7 @@ from ._rng import replicate_normals
 from .criteria import (
     Criterion,
     SelectionWindow,
-    _log_derivs,
-    loss,
+    _select_at,
     minimize_on_window,
     select,
     selection_window,
@@ -93,32 +92,37 @@ def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum,
             2.0 * float(np.dot(ab, (w.a - w.b) * e + ab * (g2 + 1.0))))
 
 
-def _locate(spec: DesignSpectrum, window: SelectionWindow | None, objective,
-            derivs) -> LambdaPoint:
-    # Coarse screen by evaluating the objective at every window point, then
-    # the shared minimizer; a boundary winner is flagged, never clipped.
-    if window is None:
-        window = selection_window(spec)
-    coarse = np.array([objective(l) for l in window.lambdas])
-    lam, _, flag = minimize_on_window(window, coarse, objective, derivs)
-    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flag)
-
-
 def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum,
                  window: SelectionWindow | None = None) -> LambdaPoint:
     """Risk-minimizing smoothing parameter over the selection window.
 
     Uses the selection minimizer: a coarse screen of the risk over the
-    window, then a safeguarded Newton solve on its closed-form log-lam
-    slope.  A boundary winner is flagged, never clipped.
+    window rows, (b*b) @ g^2 + sum a^2 as one table product, then a
+    safeguarded Newton solve on the exact risk's closed-form log-lam slope.
+    A boundary winner is flagged, never clipped.
     """
-    return _locate(spec, window, lambda l: risk(spec, truth, l),
-                   partial(_risk_log_derivs, spec, truth))
+    if window is None:
+        window = selection_window(spec)
+    b = window.b
+    coarse = (b * b) @ (truth.g**2) + np.sum((1.0 - b) ** 2, axis=1)
+    lam, _, flag = minimize_on_window(window, coarse, lambda l: risk(spec, truth, l),
+                                      partial(_risk_log_derivs, spec, truth))
+    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flag)
 
 
 def expected_power_vector(truth: TruthSpectrum, q: float) -> np.ndarray:
     """E|z_i|^(2/q) componentwise for z ~ Normal(g, I)."""
-    return np.array([specfun.abs_moment(gi, 1.0 / q) for gi in truth.g])
+    return specfun.abs_moment(truth.g, 1.0 / q)
+
+
+def _penalized_power(spec: DesignSpectrum, truth: TruthSpectrum, q: float) -> np.ndarray:
+    # E|z|^(2/q) on the penalized components and 0 on the null ones, which
+    # no criterion formula reads; a large null-space |g| would otherwise
+    # run the series past its term cap.
+    nd = spec.null_dim
+    eu = np.zeros(spec.n)
+    eu[nd:] = specfun.abs_moment(truth.g[nd:], 1.0 / q)
+    return eu
 
 
 def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
@@ -126,15 +130,13 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     """Minimizer of the expected criterion: where selection is centered.
 
     The criterion is linear in u, so the expected criterion is the criterion
-    evaluated at u = E|z|^(2/q).  Minimized like data-driven selection: a
-    coarse screen, then a Newton solve on the criterion's log-lam slope at
-    that u.  For the (2, 1) member this lands on the ideal smoothing
-    parameter.
+    evaluated at u = E|z|^(2/q), taken on the penalized components.  It is
+    minimized exactly like data-driven selection, by the same table screen
+    and Newton solve at that u.  For the (2, 1) member this lands on the
+    ideal smoothing parameter.
     """
-    eu = expected_power_vector(truth, c.q)
-    nd = spec.null_dim
-    return _locate(spec, window, lambda l: loss(c, weights(spec, l), eu),
-                   partial(_log_derivs, c, spec.k[nd:], eu[nd:]))
+    picked = _select_at(c, spec, _penalized_power(spec, truth, c.q), window)
+    return LambdaPoint(lam=picked.lam_hat, df=picked.df_hat, at_boundary=picked.at_boundary)
 
 
 def stationarity_residual(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
@@ -149,7 +151,7 @@ def stationarity_residual(c: Criterion, spec: DesignSpectrum, truth: TruthSpectr
     nd = spec.null_dim
     a = w.a[nd:]
     b = w.b[nd:]
-    eu = expected_power_vector(truth, c.q)[nd:]
+    eu = _penalized_power(spec, truth, c.q)[nd:]
     lhs = float(np.sum(a * b ** (c.p / c.q) * (c.c_q * eu - 1.0)))
     rhs = float(np.sum(a * b ** ((c.p - 1.0) / c.q)) - np.sum(a * b ** (c.p / c.q)))
     return lhs - rhs
@@ -280,27 +282,18 @@ def decomposition_approx(c: Criterion, spec: DesignSpectrum, truth: TruthSpectru
     g = truth.g[nd:]
     p, q = c.p, c.q
 
-    moments = [specfun.moment_set(gi, q) for gi in g]
-    m1 = np.array([m.m1 for m in moments])
-    var_w = np.array([m.var_w for m in moments])
-    cov_z2_w = np.array([m.cov_z2_w for m in moments])
-    cov_z_w = np.array([m.cov_z_w for m in moments])
-    third = np.array([m.third_mixed for m in moments])
-
-    eu = np.empty(spec.n)
-    eu[:nd] = 0.0
-    eu[nd:] = m1
-    Q = curvature_denominator(c, spec, central.lam, eu)
+    m = specfun.moment_set(g, q)
+    Q = curvature_denominator(c, spec, central.lam, np.concatenate((np.zeros(nd), m.m1)))
     scale = float(np.sum(np.abs(a * b ** ((p - 1.0) / q))))
     if abs(Q) < 1e-12 * max(scale, 1e-300):
         raise NumericError(f"degenerate selection normalizer Q = {Q:.3e}")
 
     signal = float(np.sum(a**2 * b**2 * (g**2 + 1.0)))
-    spread = float(np.sum(a**2 * b ** (2.0 * p / q) * var_w))
-    skew = float(np.sum(a**4 * b ** (2.0 + 2.0 * p / q) * third))
+    spread = float(np.sum(a**2 * b ** (2.0 * p / q) * m.var_w))
+    skew = float(np.sum(a**4 * b ** (2.0 + 2.0 * p / q) * m.third_mixed))
     variability = c.c_q**2 / Q**2 * (signal * spread + skew)
     covariance = c.c_q / Q * float(
-        np.sum(a**2 * b ** (1.0 + p / q) * (a * cov_z2_w - g * cov_z_w))
+        np.sum(a**2 * b ** (1.0 + p / q) * (a * m.cov_z2_w - g * m.cov_z_w))
     )
     return variability, covariance
 

@@ -82,10 +82,7 @@ class SimConfig:
         for n in self.n_list:
             _parse_sigma_mode(self.sigma_mode, n)
         for name in self.criteria:
-            try:
-                criterion_by_name(name)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            criterion_by_name(name)
         return self
 
     @classmethod

@@ -5,7 +5,8 @@ like Z ~ Normal(g, 1) and the selection criteria consume w = |Z|^(2/q).  This
 module supplies the confluent hypergeometric function, fractional absolute
 moments E|Z|^(2s), the normalizing constant c_q, the moment bundle needed by
 the analytic variance/covariance approximations, and the closed-form
-leading-order value of the spectral sums sum_i a^r b^s.
+leading-order value of the spectral sums sum_i a^r b^s.  The series-based
+functions take an array of arguments as readily as one scalar.
 """
 
 from dataclasses import dataclass
@@ -37,37 +38,48 @@ def log_gamma_and_beta(x: float, y: float) -> tuple[float, float]:
     return lg, beta
 
 
-def kummer_m(a: float, b: float, z: float) -> float:
+def kummer_m(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
     """Confluent hypergeometric function M(a, b, z) = sum_k (a)_k z^k / ((b)_k k!).
 
+    z may be a scalar or an array; the series runs across the elements, each
+    stopping at its own convergence point, and a scalar z returns a float.
     For z < 0 the series alternates and cancels badly, so it is evaluated
     through M(a, b, z) = exp(z) M(b - a, b, -z), whose terms are
     better-behaved.  b must not be a nonpositive integer.
     """
     if b <= 0 and b == math.floor(b):
         raise ValueError(f"kummer_m undefined for nonpositive integer b={b}")
-    if z < 0:
-        return math.exp(z) * _kummer_series(b - a, b, -z)
-    return _kummer_series(a, b, z)
-
-
-def _kummer_series(a: float, b: float, z: float) -> float:
-    term = 1.0
-    total = 1.0
-    small_streak = 0
-    for k in range(_KUMMER_MAX_TERMS):
-        term *= (a + k) * z / ((b + k) * (k + 1))
-        total += term
-        if abs(term) < _KUMMER_RTOL * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 3:
-                return total
-        else:
-            small_streak = 0
-    raise NumericError(
-        f"kummer_m series failed to converge within {_KUMMER_MAX_TERMS} terms "
-        f"(a={a}, b={b}, z={z})"
-    )
+    zf = np.asarray(z, dtype=float).ravel()
+    neg = zf < 0
+    # One series in (a, |z|), with b - a for a where z < 0, runs across the
+    # elements; each leaves the active set once its relative term has stayed
+    # below _KUMMER_RTOL for three terms running.
+    a, x = np.where(neg, b - a, a), np.abs(zf)
+    out = np.empty(zf.shape)
+    idx = np.arange(zf.size)
+    term, total = np.ones(zf.shape), np.ones(zf.shape)
+    streak = np.zeros(zf.shape, dtype=int)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(_KUMMER_MAX_TERMS):
+            if not idx.size:
+                break
+            term *= (a + k) * x / ((b + k) * (k + 1))
+            total += term
+            small = np.abs(term) < _KUMMER_RTOL * np.maximum(np.abs(total), 1e-300)
+            streak = np.where(small, streak + 1, 0)
+            done = streak >= 3
+            if done.any():
+                out[idx[done]] = total[done]
+                idx, a, x, term, total, streak = (
+                    v[~done] for v in (idx, a, x, term, total, streak))
+    if idx.size:
+        raise NumericError(
+            f"kummer_m series failed to converge within {_KUMMER_MAX_TERMS} terms "
+            f"(a={a[0]}, b={b}, z={x[0]})"
+        )
+    # math.exp per element: np.exp can differ from it in the last bit.
+    out[neg] *= [math.exp(v) for v in zf[neg]]
+    return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 
 def c_q(q: float) -> float:
@@ -80,11 +92,12 @@ def c_q(q: float) -> float:
     return _SQRT_PI / (2.0 ** (1.0 / q) * math.exp(float(gammaln(0.5 + 1.0 / q))))
 
 
-def abs_moment(g: float, s: float) -> float:
+def abs_moment(g: float | np.ndarray, s: float) -> float | np.ndarray:
     """E|Z|^(2s) for Z ~ Normal(g, 1), any real order s > -1/2.
 
     Equals (2^s / sqrt(pi)) Gamma(s + 1/2) M(-s, 1/2, -g^2/2); reduces to the
-    familiar polynomial moments at integer s (s=1 gives 1 + g^2).
+    familiar polynomial moments at integer s (s=1 gives 1 + g^2).  Elementwise
+    over an array g.
     """
     if s <= -0.5:
         raise ValueError(f"abs_moment requires s > -1/2, got {s}")
@@ -92,8 +105,8 @@ def abs_moment(g: float, s: float) -> float:
     return factor * kummer_m(-s, 0.5, -0.5 * g * g)
 
 
-def signed_moment(g: float, s: float) -> float:
-    """E[Z |Z|^(2s)] for Z ~ Normal(g, 1), s > -1.
+def signed_moment(g: float | np.ndarray, s: float) -> float | np.ndarray:
+    """E[Z |Z|^(2s)] for Z ~ Normal(g, 1), s > -1; elementwise over an array g.
 
     The odd companion of abs_moment:
     g * (2^(s+1) Gamma(s + 3/2) / sqrt(pi)) M(-s, 3/2, -g^2/2).
@@ -111,20 +124,21 @@ class MomentSet:
 
     m1, m2 are the first two moments of w; the mixed moments pair w with Z
     and Z^2, and third_mixed = E[(Z^2 - g^2 - 1)(w - m1)^2] feeds the
-    second-order variability approximation.
+    second-order variability approximation.  Each field is a float for a
+    scalar g and an elementwise array for an array g.
     """
 
-    g: float
+    g: float | np.ndarray
     q: float
-    m1: float
-    m2: float
-    var_w: float
-    cov_z2_w: float
-    cov_z_w: float
-    third_mixed: float
+    m1: float | np.ndarray
+    m2: float | np.ndarray
+    var_w: float | np.ndarray
+    cov_z2_w: float | np.ndarray
+    cov_z_w: float | np.ndarray
+    third_mixed: float | np.ndarray
 
 
-def moment_set(g: float, q: float) -> MomentSet:
+def moment_set(g: float | np.ndarray, q: float) -> MomentSet:
     """All moments of w = |Z|^(2/q) needed by the analytic approximations.
 
     q = 1 uses the exact quadratic-form identities (w = Z^2).  For q > 1

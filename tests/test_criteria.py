@@ -19,6 +19,7 @@ from splinesel import (
     weights,
 )
 from splinesel.criteria import default_sigma_m
+from splinesel.errors import ConfigError
 
 
 def rotated_dataset(spec, truth, seed):
@@ -236,6 +237,23 @@ def test_gml_never_selects_zero(spec61, truth61, window61):
         z = rotated_dataset(spec61, truth61, 800 + seed)
         r = select(GML, spec61, z, window=window61)
         assert r.lam_hat > 0
+
+
+@pytest.mark.parametrize("crit", [CP, GML, EE, criterion_by_name("p3q1")])
+def test_loss_matches_window_table_rows(spec61, window61, crit):
+    # One encoding of the criterion value: loss at each window lam equals
+    # that row of the screen table.
+    u = np.abs(np.random.default_rng(61).standard_normal(61) + 1.5) ** (2.0 / crit.q)
+    T, offset = window61.criterion_tables(crit)
+    rows = T @ u[2:] + offset
+    for lam, row in zip(window61.lambdas, rows):
+        assert loss(crit, weights(spec61, lam), u) == pytest.approx(row, rel=1e-13)
+
+
+@pytest.mark.parametrize("name", ["bogus", "p1.2.3q1", "p0.5q1", "p2q0.99", "pq1", "p-2q1"])
+def test_criterion_by_name_rejects_bad_ids_as_config_errors(name):
+    with pytest.raises(ConfigError, match="criterion"):
+        criterion_by_name(name)
 
 
 # --- classical statistics ---------------------------------------------------

@@ -29,6 +29,7 @@ from splinesel import (
     truth_curve,
     weights,
 )
+from splinesel import criteria, oracle
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
 from splinesel._rng import replicate_normals
 
@@ -203,6 +204,46 @@ def test_central_pure_noise_hits_boundary(spec61, window61):
     for crit in (CP, GML, EE):
         point = central_lambda(crit, spec61, truth, window61)
         assert point.at_boundary == "high-lambda"
+
+
+def counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_oracles_screen_with_one_table_product(monkeypatch, spec61, truth61, window61):
+    # The coarse screen is a table product over the window; only the Newton
+    # refinement evaluates the exact risk or loss, once at its root.
+    risk_calls = counting(monkeypatch, oracle, "risk")
+    ideal_lambda(spec61, truth61, window61)
+    assert len(risk_calls) <= 2
+    loss_calls = counting(monkeypatch, criteria, "loss")
+    for crit in (CP, GML, EE):
+        loss_calls.clear()
+        central_lambda(crit, spec61, truth61, window61)
+        assert len(loss_calls) <= 1
+
+
+@pytest.mark.parametrize("crit", [CP, GML, EE])
+def test_central_ignores_large_null_space_signal(spec61, truth61, window61, crit):
+    # Adding 300 x moves only the null-space components of g (to |g| near
+    # 1181 at n = 61), which no criterion formula reads: the central lambda
+    # must not change, and no series runs on those components.
+    f = section_curve(spec61.x) + 300.0 * spec61.x
+    shifted = make_truth(spec61, f, 1.0)
+    assert np.max(np.abs(shifted.g[:2])) > 1000.0
+    base = central_lambda(crit, spec61, make_truth(spec61, section_curve(spec61.x), 1.0),
+                          window61)
+    moved = central_lambda(crit, spec61, shifted, window61)
+    assert moved.lam == pytest.approx(base.lam, rel=1e-6)
+    assert moved.at_boundary == "none"
 
 
 @pytest.mark.parametrize("crit", [CP, GML, EE])

@@ -690,6 +690,36 @@ def test_cli_rates(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_rates_with_large_null_space_signal(tmp_path, capsys):
+    # A linear term of slope 300 puts |g| above 1000 on the null space,
+    # which the central lambda never evaluates a moment on.
+    out = tmp_path / "rates.csv"
+    code = cli(["rates", "--n", "31,45,61,91", "--truth", "sin(pi*(x+1))/(x/2+1) + 300*x",
+                "--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + 3 * 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--n", "31", "--criterion", "bogus", "--replicates", "100"],
+    ["curvature", "--n", "31", "--criteria", "cp,bogus"],
+    ["rates", "--n", "31,45,61,91", "--criteria", "p0.5q1"],
+    ["reversal", "--n", "31", "--criteria", "p1.2.3q1", "--replicates", "1000"],
+])
+def test_cli_bad_criterion_ids_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "result"
+    code = cli(argv + ["--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+
+
+def test_cli_select_bad_criterion_id_is_config_error(tmp_path, capsys):
+    path = select_input_csv(tmp_path / "data.csv")
+    assert cli(["select", "--input", str(path), "--criterion", "bogus"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 @pytest.mark.parametrize("argv", [
     ["bogus"],
     ["select", "--criterion", "cp"],        # missing required --input

@@ -295,3 +295,97 @@ def test_asym_sum_error_decreases_along_sweep(spec_unit961):
             errs.append(abs(ss.asym_sum(r, s, 961, lam) - direct) / direct)
         for e1, e2 in zip(errs, errs[1:]):
             assert e2 <= e1 + 0.02, f"(r,s)=({r},{s}) errors {errs}"
+
+
+# --- array API against the scalar series --------------------------------------
+#
+# The reference route is the one-value-at-a-time series loop, with the
+# moments composed from it exactly as the closed forms read; the array API
+# must reproduce it bit for bit, element by element.
+
+REF_GS = np.array([0.0, 0.3, -0.3, 2.0, -2.0, 7.0, -7.0, 25.0, -25.0])
+REF_QS = (1.0, 1.5, 2.0, 3.0)
+
+
+def ref_series(a, b, z):
+    term = 1.0
+    total = 1.0
+    small_streak = 0
+    for k in range(500):
+        term *= (a + k) * z / ((b + k) * (k + 1))
+        total += term
+        if abs(term) < 1e-16 * max(abs(total), 1e-300):
+            small_streak += 1
+            if small_streak >= 3:
+                return total
+        else:
+            small_streak = 0
+    raise NumericError("reference series did not converge")
+
+
+def ref_kummer(a, b, z):
+    if z < 0:
+        return math.exp(z) * ref_series(b - a, b, -z)
+    return ref_series(a, b, z)
+
+
+def ref_abs_moment(g, s):
+    factor = 2.0**s / SQRT_PI * math.exp(ss.log_gamma_and_beta(s + 0.5, 1.0)[0])
+    return factor * ref_kummer(-s, 0.5, -0.5 * g * g)
+
+
+def ref_signed_moment(g, s):
+    factor = 2.0 ** (s + 1.0) / SQRT_PI * math.exp(ss.log_gamma_and_beta(s + 1.5, 1.0)[0])
+    return g * factor * ref_kummer(-s, 1.5, -0.5 * g * g)
+
+
+def ref_moment_fields(g, q):
+    """(m1, m2, var_w, cov_z2_w, cov_z_w, third_mixed) from the scalar route."""
+    if q == 1.0:
+        g2 = g * g
+        return (1.0 + g2, g2 * g2 + 6.0 * g2 + 3.0, 2.0 + 4.0 * g2, 2.0 + 4.0 * g2,
+                2.0 * g, 8.0 + 24.0 * g2)
+    s = 1.0 / q
+    ez2 = 1.0 + g * g
+    m1 = ref_abs_moment(g, s)
+    m2 = ref_abs_moment(g, 2.0 * s)
+    var_w = m2 - m1 * m1
+    ez2w = ref_abs_moment(g, 1.0 + s)
+    ez2w2 = ref_abs_moment(g, 1.0 + 2.0 * s)
+    third = (ez2w2 - 2.0 * m1 * ez2w + m1 * m1 * ez2) - ez2 * var_w
+    return (m1, m2, var_w, ez2w - ez2 * m1, ref_signed_moment(g, s) - g * m1, third)
+
+
+@pytest.mark.parametrize("q", REF_QS)
+def test_array_kummer_and_moments_bitwise_match_scalar_series(q):
+    s = 1.0 / q
+    z = -0.5 * REF_GS * REF_GS
+    for a, b in ((-s, 0.5), (-s, 1.5), (-1.0 - 2.0 * s, 0.5)):
+        got = ss.kummer_m(a, b, z)
+        assert got.tolist() == [ref_kummer(a, b, zi) for zi in z.tolist()]
+        got_pos = ss.kummer_m(a, b, -z)
+        assert got_pos.tolist() == [ref_kummer(a, b, zi) for zi in (-z).tolist()]
+    assert ss.abs_moment(REF_GS, s).tolist() == [ref_abs_moment(g, s) for g in REF_GS.tolist()]
+    assert ss.signed_moment(REF_GS, s).tolist() == [
+        ref_signed_moment(g, s) for g in REF_GS.tolist()]
+    m = ss.moment_set(REF_GS, q)
+    fields = (m.m1, m.m2, m.var_w, m.cov_z2_w, m.cov_z_w, m.third_mixed)
+    for i, g in enumerate(REF_GS.tolist()):
+        assert [f[i] for f in fields] == list(ref_moment_fields(g, q))
+
+
+def test_scalar_input_returns_float_equal_to_array_element():
+    for fn in (ss.abs_moment, signed_moment):
+        scalar = fn(-2.0, 0.75)
+        assert type(scalar) is float
+        assert scalar == fn(np.array([-2.0]), 0.75)[0]
+    assert type(ss.kummer_m(0.3, 0.5, -4.0)) is float
+    assert type(ss.moment_set(np.float64(0.7), 1.5).var_w) is float
+    assert ss.kummer_m(0.3, 0.5, np.zeros((2, 3))).shape == (2, 3)
+    assert ss.abs_moment(np.array([]), 0.5).shape == (0,)
+
+
+def test_array_kummer_names_first_nonconvergent_element():
+    # Only the elements past the term cap fail; the error names the first.
+    with pytest.raises(NumericError, match=r"500 terms .*z=5000\.0"):
+        ss.kummer_m(0.3, 0.7, np.array([1.0, 5000.0, 6000.0]))
