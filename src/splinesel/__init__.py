@@ -35,6 +35,7 @@ from .criteria import (
     CP,
     EE,
     GML,
+    BlockSelection,
     Criterion,
     SelectionResult,
     classic_statistics,
@@ -43,6 +44,7 @@ from .criteria import (
     loss_derivs,
     make_criterion,
     select,
+    select_block,
     selection_window,
     sigma_estimate,
 )
@@ -81,9 +83,9 @@ __all__ = [
     "DesignGrid", "DesignSpectrum", "SmootherWeights", "build_design",
     "cached_decompose", "decompose", "df", "lambda_for_df", "lambdas_for_df",
     "load_spectrum", "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
-    "CP", "EE", "GML", "Criterion", "SelectionResult", "classic_statistics",
-    "criterion_by_name", "loss", "loss_derivs", "make_criterion", "select",
-    "selection_window", "sigma_estimate",
+    "CP", "EE", "GML", "BlockSelection", "Criterion", "SelectionResult",
+    "classic_statistics", "criterion_by_name", "loss", "loss_derivs", "make_criterion",
+    "select", "select_block", "selection_window", "sigma_estimate",
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
     "ideal_lambda", "make_truth", "rate_probe", "risk", "setting",

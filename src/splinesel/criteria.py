@@ -15,11 +15,13 @@ up to positive-affine transforms that leave the minimizer unchanged.
 Selection minimizes the criterion over a degrees-of-freedom window: a coarse
 screen over a df-equispaced grid whose log-lam gaps are capped at
 MAX_LOG_GAP, then a safeguarded Newton solve for the root of the analytic
-slope in log lam next to the screen's winner.
+slope in log lam next to the screen's winner.  The minimizer works on a
+block of rows at once: the screen is one matrix product over the block and
+the Newton solve runs on every bracketed row together (select_block);
+scalar selection is a block of one.
 """
 
 from dataclasses import dataclass, field
-from functools import partial
 import math
 import re
 
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError
-from .spectrum import DesignSpectrum, SmootherWeights, df, lambdas_for_df, smooth, weights
+from .spectrum import DesignSpectrum, SmootherWeights, df, lambdas_for_df, smooth
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -41,6 +43,11 @@ MAX_LOG_GAP = 0.25
 REFINE_LOG_TOL = 1e-6
 # The Newton solve stops once a step in log lam is smaller than this.
 NEWTON_STEP_TOL = 1e-12
+# Replicates are selected in blocks of this many rows, counted from replicate
+# 0.  The coarse screen's matrix product rounds differently for different
+# block shapes, so a fixed block keeps every row's result independent of how
+# the replicates are split across workers.
+BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -88,6 +95,16 @@ class SelectionResult:
     at_boundary: str  # "none" | "low-lambda" | "high-lambda"
 
 
+@dataclass(frozen=True)
+class BlockSelection:
+    """Per-row results of select_block, in the order of the block's rows."""
+
+    lam_hat: np.ndarray
+    df_hat: np.ndarray
+    loss: np.ndarray
+    at_boundary: tuple[str, ...]
+
+
 def loss(c: Criterion, w: SmootherWeights, u) -> float:
     """Criterion value at one smoothing parameter.
 
@@ -111,35 +128,47 @@ def loss(c: Criterion, w: SmootherWeights, u) -> float:
 def _value_tables(c: Criterion, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The one encoding of the criterion value (module docstring): a row of
     # penalized shrunk fractions b has value T @ u + offset at penalized u.
+    # t^(p-1) - 1 is taken as expm1((p-1) log t): the direct difference
+    # cancels to nothing as p approaches 1, where p/(p-1) blows it up.
     t = c.c_q * b ** (1.0 / c.q)
     if c.p == 1.0:
         return t, -np.sum(np.log(b), axis=-1) / c.q
-    return t**c.p, -np.sum((c.p / (c.p - 1.0)) * (t ** (c.p - 1.0) - 1.0), axis=-1)
+    with np.errstate(divide="ignore"):  # t = 0 at lam = 0: expm1(-inf) = -1
+        excess = np.expm1((c.p - 1.0) * np.log(t))
+    return t**c.p, -np.sum((c.p / (c.p - 1.0)) * excess, axis=-1)
 
 
-def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray,
-                lam: float) -> tuple[float, float]:
+def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray, lam) -> tuple:
     """First and second log-lam derivatives of the criterion, unchecked.
 
-    kp and up are the penalized eigenvalues and entries of u.  With
-    da/dlog lam = -ab, db/dlog lam = ab and t = c_q b^(1/q):
+    kp holds the penalized eigenvalues and up the penalized entries of u,
+    one row per value of lam (components last; a scalar lam takes one row).
+    With da/dlog lam = -ab, db/dlog lam = ab and t = c_q b^(1/q):
 
         dl/dlog lam   = (p/q) [ sum a t^p u - sum a t^(p-1) ]
         d2l/dlog lam2 = (p/q) [ sum a t^p ((p/q)a - b) u
                                 - sum a t^(p-1) (((p-1)/q)a - b) ]
     """
     p, q = c.p, c.q
-    denom = 1.0 + lam * kp
+    lk = np.asarray(lam, dtype=float)[..., None] * kp
+    denom = 1.0 + lk
     a = 1.0 / denom
-    b = lam * kp / denom
+    b = lk / denom
     t = c.c_q * b ** (1.0 / q)
     atp1 = a * t ** (p - 1.0)
     atpu = atp1 * t * up
     r = p / q
-    d1 = r * (float(atpu.sum()) - float(atp1.sum()))
-    d2 = r * (float(np.dot(atpu, r * a - b))
-              - float(np.dot(atp1, ((p - 1.0) / q) * a - b)))
+    d1 = r * (atpu.sum(axis=-1) - atp1.sum(axis=-1))
+    d2 = r * ((atpu * (r * a - b)).sum(axis=-1)
+              - (atp1 * (((p - 1.0) / q) * a - b)).sum(axis=-1))
     return d1, d2
+
+
+def _values(c: Criterion, kp: np.ndarray, up: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    # Criterion value of each row of penalized u at its own lam.
+    lk = lams[:, None] * kp
+    T, offset = _value_tables(c, lk / (1.0 + lk))
+    return (T * up).sum(axis=1) + offset
 
 
 def loss_derivs(c: Criterion, spec: DesignSpectrum, lam: float, u) -> tuple[float, float]:
@@ -154,7 +183,7 @@ def loss_derivs(c: Criterion, spec: DesignSpectrum, lam: float, u) -> tuple[floa
     if u.shape != (spec.n,):
         raise ValueError(f"u must have length {spec.n}, got shape {u.shape}")
     nd = spec.null_dim
-    d1, d2 = _log_derivs(c, spec.k[nd:], u[nd:], lam)
+    d1, d2 = (float(d) for d in _log_derivs(c, spec.k[nd:], u[nd:], lam))
     return d1 / lam, (d2 - d1) / (lam * lam)
 
 
@@ -205,104 +234,135 @@ def selection_window(spec: DesignSpectrum, candidates: int = COARSE_CANDIDATES) 
     return SelectionWindow(spec=spec, lambdas=lambdas, b=lk / (1.0 + lk))
 
 
-def _argmin_prefer_larger(values: np.ndarray) -> int:
-    # np.argmin takes the first of tied minima; scanning the reversed array
-    # makes ties resolve toward larger lam (ascending lam ordering).
-    return len(values) - 1 - int(np.argmin(values[::-1]))
-
-
-def _slope_root(derivs, lo: float, hi: float, x: float, g: float, h: float) -> float:
-    """Root of the log-lam slope inside [lo, hi] by safeguarded Newton.
-
-    The slope is negative at lo and positive at hi; x is one of the two
-    ends, with slope g and curvature h there.  A Newton step that would
-    leave the bracket, or that does not halve the previous step, becomes a
-    bisection step.  Stops once a step is below NEWTON_STEP_TOL.
-    """
-    step_old = hi - lo
-    while True:
-        if g < 0:
-            lo = x
-        elif g > 0:
-            hi = x
-        else:
-            return x
-        step = -g / h if h > 0 else math.inf
-        if not (lo <= x + step <= hi and abs(step) <= 0.5 * abs(step_old)):
-            step = 0.5 * (lo + hi) - x
-        x += step
-        if abs(step) < NEWTON_STEP_TOL:
-            return x
-        step_old = step
-        g, h = derivs(math.exp(x))
-
-
 def minimize_on_window(window: SelectionWindow, coarse_values, objective,
-                       derivs) -> tuple[float, float, str]:
-    """The one scalar minimizer over the smoothing-parameter window.
+                       derivs) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """The one minimizer over the smoothing-parameter window, for a block of rows.
 
-    coarse_values holds the objective at every window point; ties resolve
-    to the larger lam.  objective(lam) is the value and derivs(lam) the
-    first and second derivatives in log lam.  Of the two pairs formed by
-    the coarse winner and its neighbours, only the one on the downhill side
-    of the winner's slope can hold a minimum; when the slope changes sign
-    across it, a safeguarded Newton solve finds the root.  The pick is the
-    lowest objective among the coarse winner and that root, ties again to
-    the larger lam; it is flagged when it lies within 2 * REFINE_LOG_TOL of
-    a window end.  Returns (lam, value, boundary flag).
+    coarse_values is (rows x window points): each row's objective at every
+    window point; ties resolve to the larger lam.  objective(lams, rows) and
+    derivs(lams, rows) evaluate row rows[i] at lams[i]: the value, and the
+    first and second derivatives in log lam.  Per row, of the two pairs
+    formed by the coarse winner and its neighbours, only the one on the
+    downhill side of the winner's slope can hold a minimum; when the slope
+    changes sign across it, a safeguarded Newton solve finds the root.
+
+    The solve runs on all bracketed rows at once and drops each row as it
+    finishes.  A Newton step that would leave the row's bracket, or that
+    does not halve its previous step, becomes a bisection step; a row stops
+    once a step is below NEWTON_STEP_TOL.  The pick is the lower of the
+    coarse winner and the root, ties again to the larger lam; it is flagged
+    when it lies within 2 * REFINE_LOG_TOL of a window end.  Returns per-row
+    (lam, value, boundary flag).
     """
     lams = window.lambdas
-    best = _argmin_prefer_larger(np.asarray(coarse_values))
-    evaluated = [(float(coarse_values[best]), float(lams[best]))]
-    g, h = derivs(float(lams[best]))
-    side = best + 1 if g < 0 else best - 1
-    if g != 0 and 0 <= side < len(lams) and derivs(float(lams[side]))[0] * g < 0:
-        lo, hi = sorted((math.log(lams[best]), math.log(lams[side])))
-        root = math.exp(_slope_root(derivs, lo, hi, math.log(lams[best]), g, h))
-        evaluated.append((objective(root), root))
+    logs = np.log(lams)
+    coarse = np.asarray(coarse_values, dtype=float)
+    rows = np.arange(coarse.shape[0])
+    # np.argmin takes the first of tied minima; scanning each row reversed
+    # makes ties resolve toward larger lam (ascending lam ordering).
+    best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
+    lam = lams[best]
+    value = coarse[rows, best]
+    g, h = derivs(lam, rows)
+    side = np.where(g < 0, best + 1, best - 1)
+    bracketed = rows[(g != 0) & (side >= 0) & (side < len(lams))]
+    bracketed = bracketed[derivs(lams[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
 
-    value, lam = min(evaluated, key=lambda pair: (pair[0], -pair[1]))
+    # The solve keeps only its live rows; live indexes into bracketed.
+    x = logs[best[bracketed]]
+    lo = np.minimum(x, logs[side[bracketed]])
+    hi = np.maximum(x, logs[side[bracketed]])
+    step_old = hi - lo
+    g, h = g[bracketed], h[bracketed]
+    root = np.empty(len(bracketed))
+    live = np.arange(len(bracketed))
+    while len(live):
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        step = np.divide(-g, h, out=np.full(len(live), np.inf), where=h > 0)
+        newton = (lo <= x + step) & (x + step <= hi) & (np.abs(step) <= 0.5 * np.abs(step_old))
+        # A row whose slope is exactly zero stops where it is.
+        step = np.where(newton, step, 0.5 * (lo + hi) - x) * (g != 0)
+        x = x + step
+        done = np.abs(step) < NEWTON_STEP_TOL
+        root[live[done]] = np.exp(x[done])
+        live, x, lo, hi, step_old = (v[~done] for v in (live, x, lo, hi, step))
+        if len(live):
+            g, h = derivs(np.exp(x), bracketed[live])
 
-    flag = "none"
-    if math.log(lam) - math.log(lams[0]) <= 2.0 * REFINE_LOG_TOL:
-        flag = "low-lambda"
-    elif math.log(lams[-1]) - math.log(lam) <= 2.0 * REFINE_LOG_TOL:
-        flag = "high-lambda"
-    return lam, value, flag
+    root_value = objective(root, bracketed)
+    coarse_value, coarse_lam = value[bracketed], lam[bracketed]
+    take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
+    lam[bracketed[take]] = root[take]
+    value[bracketed[take]] = root_value[take]
+
+    log_lam = np.log(lam)
+    low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
+    high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
+    flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
+                  for at_low, at_high in zip(low, high))
+    return lam, value, flags
+
+
+def select_block(c: Criterion, spec: DesignSpectrum, Z,
+                 window: SelectionWindow | None = None) -> BlockSelection:
+    """Data-driven smoothing parameters for a block of replicates at once.
+
+    Z is (rows x n) rotated data, one replicate per row; u = |Z|^(2/q) is
+    formed internally.  The coarse screen is one matrix product of the
+    block with the window's criterion table, and the refinement one Newton
+    solve over every bracketed row (see minimize_on_window).  Pass a
+    prebuilt window when selecting many blocks on one spectrum.
+    """
+    Z = np.asarray(Z, dtype=float)
+    if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != spec.n:
+        raise ValueError(f"Z must be a nonempty (rows x {spec.n}) block, got shape {Z.shape}")
+    if not np.all(np.isfinite(Z)):
+        raise ValueError("z must be finite")
+    return _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q), window)
 
 
 def select(c: Criterion, spec: DesignSpectrum, z,
            window: SelectionWindow | None = None) -> SelectionResult:
     """Data-driven smoothing parameter: global minimizer of the criterion.
 
-    z is the rotated data; u = |z|^(2/q) is formed internally.  The coarse
-    screen is one table product over the window, and the refinement a
-    Newton solve on the analytic log-lam slope (see minimize_on_window).
-    Pass a prebuilt window when selecting for many replicates on one
-    spectrum.
+    z is the rotated data of one replicate, selected as a block of one row
+    (see select_block).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.n,):
         raise ValueError(f"z must have length {spec.n}, got shape {z.shape}")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
-    return _select_at(c, spec, np.abs(z) ** (2.0 / c.q), window)
+    return _first(select_block(c, spec, z[None, :], window))
 
 
 def _select_at(c: Criterion, spec: DesignSpectrum, u: np.ndarray,
                window: SelectionWindow | None) -> SelectionResult:
-    # Minimize the criterion at the full-length u over the window: the table
-    # screen, then the Newton refinement on the exact loss and its slope.
+    # Minimize the criterion at one full-length u (a block of one row).
+    return _first(_select_rows(c, spec, u[None, :], window))
+
+
+def _first(block: BlockSelection) -> SelectionResult:
+    return SelectionResult(lam_hat=float(block.lam_hat[0]), df_hat=float(block.df_hat[0]),
+                           loss=float(block.loss[0]), at_boundary=block.at_boundary[0])
+
+
+def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray,
+                 window: SelectionWindow | None) -> BlockSelection:
+    # Minimize the criterion at every row of full-length u over the window:
+    # the table screen, then the Newton refinement on the exact value and
+    # slope.  df is summed row by row exactly as df() sums it.
     if window is None:
         window = selection_window(spec)
     nd = spec.null_dim
+    kp, up = spec.k[nd:], U[:, nd:]
     T, offset = window.criterion_tables(c)
-    lam, value, flag = minimize_on_window(
-        window, T @ u[nd:] + offset,
-        lambda l: loss(c, weights(spec, l), u),
-        partial(_log_derivs, c, spec.k[nd:], u[nd:]),
+    lam, value, flags = minimize_on_window(
+        window, up @ T.T + offset,
+        lambda lams, rows: _values(c, kp, up[rows], lams),
+        lambda lams, rows: _log_derivs(c, kp, up[rows], lams),
     )
-    return SelectionResult(lam_hat=lam, df_hat=df(spec, lam), loss=value, at_boundary=flag)
+    dfs = (1.0 / (1.0 + lam[:, None] * spec.k)).sum(axis=1)
+    return BlockSelection(lam_hat=lam, df_hat=dfs, loss=value, at_boundary=flags)
 
 
 # --- classical statistics ---------------------------------------------------

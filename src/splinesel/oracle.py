@@ -11,7 +11,6 @@ Monte Carlo and approximated analytically.
 """
 
 from dataclasses import dataclass, asdict
-from functools import partial
 import json
 import math
 
@@ -20,11 +19,13 @@ import numpy as np
 from . import specfun
 from ._rng import replicate_normals
 from .criteria import (
+    BLOCK_ROWS,
     Criterion,
     SelectionWindow,
     _select_at,
     minimize_on_window,
-    select,
+    select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
+    select_block,
     selection_window,
 )
 from .errors import NumericError
@@ -79,35 +80,42 @@ def risk(spec: DesignSpectrum, truth: TruthSpectrum, lam: float) -> float:
     return float(np.sum(w.b**2 * truth.g**2 + w.a**2))
 
 
-def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum,
-                     lam: float) -> tuple[float, float]:
-    # First and second log-lam derivatives of the risk, from da = -ab and
-    # db = ab per unit log lam: 2 sum ab(bg^2 - a) and
-    # 2 sum ab[(a - b)(bg^2 - a) + ab(g^2 + 1)]; null components give 0.
-    w = weights(spec, lam)
+def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum, lam) -> tuple:
+    # First and second log-lam derivatives of the risk at each lam (a
+    # scalar or an array), from da = -ab and db = ab per unit log lam:
+    # 2 sum ab(bg^2 - a) and 2 sum ab[(a - b)(bg^2 - a) + ab(g^2 + 1)];
+    # null components give 0.
+    lk = np.asarray(lam, dtype=float)[..., None] * spec.k
+    denom = 1.0 + lk
+    a = 1.0 / denom
+    b = lk / denom
     g2 = truth.g**2
-    ab = w.a * w.b
-    e = w.b * g2 - w.a
-    return (2.0 * float(np.dot(ab, e)),
-            2.0 * float(np.dot(ab, (w.a - w.b) * e + ab * (g2 + 1.0))))
+    ab = a * b
+    e = b * g2 - a
+    return 2.0 * (ab * e).sum(axis=-1), 2.0 * (ab * ((a - b) * e + ab * (g2 + 1.0))).sum(axis=-1)
 
 
 def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum,
                  window: SelectionWindow | None = None) -> LambdaPoint:
     """Risk-minimizing smoothing parameter over the selection window.
 
-    Uses the selection minimizer: a coarse screen of the risk over the
-    window rows, (b*b) @ g^2 + sum a^2 as one table product, then a
-    safeguarded Newton solve on the exact risk's closed-form log-lam slope.
+    Uses the selection minimizer on a block of one row: a coarse screen of
+    the risk over the window rows, (b*b) @ g^2 + sum a^2 as one table
+    product, then a safeguarded Newton solve on the exact risk's
+    closed-form log-lam slope.
     A boundary winner is flagged, never clipped.
     """
     if window is None:
         window = selection_window(spec)
     b = window.b
     coarse = (b * b) @ (truth.g**2) + np.sum((1.0 - b) ** 2, axis=1)
-    lam, _, flag = minimize_on_window(window, coarse, lambda l: risk(spec, truth, l),
-                                      partial(_risk_log_derivs, spec, truth))
-    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flag)
+    picked, _, flags = minimize_on_window(
+        window, coarse[None, :],
+        lambda lams, rows: np.array([risk(spec, truth, float(lam)) for lam in lams]),
+        lambda lams, rows: _risk_log_derivs(spec, truth, lams),
+    )
+    lam = float(picked[0])
+    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flags[0])
 
 
 def expected_power_vector(truth: TruthSpectrum, q: float) -> np.ndarray:
@@ -193,9 +201,10 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
 
     Per replicate r, z = g + eps with eps keyed by (seed, n, r) -- the same
     draws for every criterion, so cross-criterion comparisons use common
-    random numbers.  The bias term is computed exactly from the risk curve;
-    covariance, variability, and the total extra risk are averaged over
-    replicates with standard errors.
+    random numbers.  Replicates are selected BLOCK_ROWS at a time.  The bias
+    term is computed exactly from the risk curve; covariance, variability,
+    and the total extra risk are averaged over replicates with standard
+    errors.
     """
     if replicates < 100:
         raise ValueError(f"decomposition_mc needs >= 100 replicates, got {replicates}")
@@ -211,15 +220,17 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     var_s = np.empty(replicates)
     extra_s = np.empty(replicates)
     boundary = 0
-    for r in range(replicates):
-        z = truth.g + replicate_normals(seed, spec.n, r, spec.n)
-        picked = select(c, spec, z, window)
-        boundary += picked.at_boundary != "none"
-        ghat = weights(spec, picked.lam_hat).a * z
-        gcen = a_c * z
-        cov_s[r] = float(np.dot(gcen - truth.g, ghat - gcen))
-        var_s[r] = float(np.sum((ghat - gcen) ** 2))
-        extra_s[r] = float(np.sum((ghat - truth.g) ** 2)) - risk0
+    for start in range(0, replicates, BLOCK_ROWS):
+        block = slice(start, min(start + BLOCK_ROWS, replicates))
+        Z = truth.g + np.array([replicate_normals(seed, spec.n, r, spec.n)
+                                for r in range(block.start, block.stop)])
+        picked = select_block(c, spec, Z, window)
+        boundary += sum(flag != "none" for flag in picked.at_boundary)
+        ghat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k) * Z
+        gcen = a_c * Z
+        cov_s[block] = ((gcen - truth.g) * (ghat - gcen)).sum(axis=1)
+        var_s[block] = ((ghat - gcen) ** 2).sum(axis=1)
+        extra_s[block] = ((ghat - truth.g) ** 2).sum(axis=1) - risk0
 
     root = math.sqrt(replicates)
     return DecompositionReport(

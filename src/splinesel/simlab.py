@@ -5,10 +5,11 @@ A run is described by a single JSON-serializable config.  For each sample
 size the design is built and decomposed once (disk-cached), then every
 replicate draws y = f + sigma * eps with eps keyed by (seed, n, replicate),
 feeds the identical dataset to every requested criterion, and streams one
-record per (n, replicate, criterion) into runs.csv.  Replicates fan out
-across a process pool sized by the SPLINESEL_WORKERS environment variable;
-records are reduced in deterministic order, so output is byte-identical for
-any worker count.
+record per (n, replicate, criterion) into runs.csv.  Replicates are
+selected in fixed blocks of BLOCK_ROWS counted from replicate 0, and whole
+blocks fan out across a process pool sized by the SPLINESEL_WORKERS
+environment variable; records are reduced in deterministic order, so output
+is byte-identical for any worker count.
 """
 
 from dataclasses import dataclass, asdict
@@ -29,10 +30,12 @@ import numpy as np
 from . import geometry, oracle
 from ._rng import replicate_normals
 from .criteria import (
+    BLOCK_ROWS,
     Criterion,
     criterion_by_name,
     default_sigma_m,
-    select,
+    select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
+    select_block,
     selection_window,
     sigma_estimate,
 )
@@ -270,46 +273,50 @@ def spectra_cache_dir(cfg: SimConfig) -> Path:
 
 def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
                        criteria: list[Criterion], cfg: SimConfig, window,
-                       rep_range) -> list[RunRecord]:
+                       block: range) -> list[RunRecord]:
+    """Records of one block of replicates, each criterion selecting the
+    whole block at once.  A replicate whose noise-scale estimate collapsed
+    gets an error record per criterion."""
     estimated, M = _parse_sigma_mode(cfg.sigma_mode, spec.n)
     sigma = cfg.sigma
-    out: list[RunRecord] = []
-    for r in rep_range:
-        eps = replicate_normals(cfg.seed, spec.n, r, spec.n)
-        y = truth.f + sigma * eps
-        coeffs = spec.U.T @ y
-        if estimated:
-            s2 = sigma_estimate(coeffs, M)
-            sigma_use = math.sqrt(s2) if s2 > 0 else math.nan
-        else:
-            sigma_use = sigma
+    eps = [replicate_normals(cfg.seed, spec.n, r, spec.n) for r in block]
+    coeffs = np.array([spec.U.T @ (truth.f + sigma * e) for e in eps])
+    if estimated:
+        s2 = np.array([sigma_estimate(row, M) for row in coeffs])
+        sigma_use = np.sqrt(s2, out=np.full(len(block), math.nan), where=s2 > 0)
+    else:
+        sigma_use = np.full(len(block), sigma)
+    ok = np.isfinite(sigma_use)
+    picks, sqerrs = [], []
+    if ok.any():
         for c in criteria:
-            try:
-                if not math.isfinite(sigma_use):
-                    raise NumericError("noise-scale estimate collapsed to zero")
-                picked = select(c, spec, coeffs / sigma_use, window)
-                ahat = 1.0 / (1.0 + picked.lam_hat * spec.k)
-                sqerr = float(np.sum((ahat * coeffs / sigma - truth.g) ** 2))
-                out.append(RunRecord(
-                    n=spec.n, replicate=r, criterion=c.name,
-                    lambda_hat=picked.lam_hat, df_hat=picked.df_hat,
-                    sqerr=sqerr, sqerr_response=sigma * sigma * sqerr,
-                    at_boundary=picked.at_boundary,
-                ))
-            except NumericError as exc:
-                log.warning("replicate %d criterion %s failed: %s", r, c.name, exc)
-                out.append(RunRecord(
-                    n=spec.n, replicate=r, criterion=c.name,
-                    lambda_hat=math.nan, df_hat=math.nan,
-                    sqerr=math.nan, sqerr_response=math.nan,
-                    at_boundary="error",
-                ))
+            picked = select_block(c, spec, coeffs[ok] / sigma_use[ok, None], window)
+            ahat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k)
+            picks.append(picked)
+            sqerrs.append(((ahat * coeffs[ok] / sigma - truth.g) ** 2).sum(axis=1))
+
+    index = np.cumsum(ok) - 1  # each good replicate's row among the selected ones
+    out: list[RunRecord] = []
+    for i, r in enumerate(block):
+        for ci, c in enumerate(criteria):
+            if ok[i]:
+                picked, j = picks[ci], index[i]
+                sqerr = float(sqerrs[ci][j])
+                values = (float(picked.lam_hat[j]), float(picked.df_hat[j]),
+                          sqerr, sigma * sigma * sqerr, picked.at_boundary[j])
+            else:
+                log.warning("replicate %d criterion %s failed: "
+                            "noise-scale estimate collapsed to zero", r, c.name)
+                values = (math.nan, math.nan, math.nan, math.nan, "error")
+            out.append(RunRecord(spec.n, r, c.name, *values))
     return out
 
 
 def _chunk_worker(args) -> list[RunRecord]:
-    spec, truth, criteria, cfg, rep_range = args
-    return _replicate_records(spec, truth, criteria, cfg, selection_window(spec), rep_range)
+    spec, truth, criteria, cfg, blocks = args
+    window = selection_window(spec)
+    return [rec for block in blocks
+            for rec in _replicate_records(spec, truth, criteria, cfg, window, block)]
 
 
 def worker_count() -> int:
@@ -325,9 +332,10 @@ def run_simulation(cfg: SimConfig):
     """Yield RunRecords for the whole campaign in deterministic order.
 
     Ordering is (n in cfg order, replicate, criterion in cfg order)
-    regardless of worker count.  A spectrum failure aborts that n with a
-    logged error; single-replicate numeric failures yield an error-flagged
-    record rather than disappearing.
+    regardless of worker count: workers get whole blocks of replicates, and
+    with fewer than two blocks the run stays in-process.  A spectrum failure
+    aborts that n with a logged error; single-replicate numeric failures
+    yield an error-flagged record rather than disappearing.
     """
     cfg.validate()
     cache = spectra_cache_dir(cfg)
@@ -340,17 +348,18 @@ def run_simulation(cfg: SimConfig):
         except (ValueError, NumericError) as exc:
             log.error("n=%d aborted: %s", n, exc)
             continue
-        if workers == 1 or cfg.replicates < 2 * workers:
+        blocks = [range(lo, min(lo + BLOCK_ROWS, cfg.replicates))
+                  for lo in range(0, cfg.replicates, BLOCK_ROWS)]
+        if workers == 1 or len(blocks) < 2:
             window = selection_window(spec)
-            yield from _replicate_records(
-                spec, truth, criteria, cfg, window, range(cfg.replicates))
+            for block in blocks:
+                yield from _replicate_records(spec, truth, criteria, cfg, window, block)
         else:
-            bounds = np.linspace(0, cfg.replicates, workers + 1).astype(int)
-            jobs = [
-                (spec, truth, criteria, cfg, range(int(lo), int(hi)))
-                for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo
-            ]
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            jobs_n = min(workers, len(blocks))
+            bounds = np.linspace(0, len(blocks), jobs_n + 1).astype(int)
+            jobs = [(spec, truth, criteria, cfg, blocks[lo:hi])
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
+            with ProcessPoolExecutor(max_workers=jobs_n) as pool:
                 for batch in pool.map(_chunk_worker, jobs):
                     yield from batch
 

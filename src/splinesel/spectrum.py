@@ -16,7 +16,6 @@ import zipfile
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh, solveh_banded
 from scipy.special import ndtri
 
 from .errors import NumericError
@@ -139,6 +138,10 @@ def penalty_matrix(grid: DesignGrid) -> np.ndarray:
     diagonal (h_{i-1} + h_i)/3 and off-diagonal h_i/6.  R is eliminated by
     a banded Cholesky solve, never inverted densely.
     """
+    # scipy.linalg is imported on a cache miss only: a warm cache never
+    # builds a penalty.
+    from scipy.linalg import solveh_banded
+
     x = grid.x
     n = len(x)
     h = np.diff(x)
@@ -161,6 +164,8 @@ def decompose(grid: DesignGrid) -> DesignSpectrum:
     points.  The two zero eigenvalues of the rank-(n-2) penalty are clamped
     to exact zeros after the solve.
     """
+    from scipy.linalg import eigh
+
     K = penalty_matrix(grid)
     try:
         k, U = eigh(K)
@@ -206,10 +211,12 @@ def df(spec: DesignSpectrum, lam: float) -> float:
 
 # The df inversion starts from df on _DF_GRID_POINTS log-lam points spanning
 # lam = 1e-8 / k_max .. 1e8 / k_min (penalized k); targets beyond the grid
-# widen their bracket in _DF_WIDEN steps of log lam.  A target is solved once
-# |df - target| <= _DF_TOL; _DF_MAX_SWEEPS bounds the Newton sweeps.
+# widen their bracket in _DF_WIDEN steps of log lam, at most _DF_MAX_WIDEN
+# times.  A target is solved once |df - target| <= _DF_TOL; _DF_MAX_SWEEPS
+# bounds the Newton sweeps.
 _DF_GRID_POINTS = 33
 _DF_WIDEN = 5.0
+_DF_MAX_WIDEN = 60
 _DF_TOL = 1e-9
 _DF_MAX_SWEEPS = 200
 
@@ -250,15 +257,25 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     lo, hi = grid[j], grid[j + 1]
     x = lo + (grid_df[j] - targets) / (grid_df[j] - grid_df[j + 1]) * (hi - lo)
     # Targets beyond a grid end widen their bracket and start at its middle.
+    # A spectrum whose df cannot reach a target (k not matching n) fails
+    # instead of widening forever.
     for i in np.flatnonzero(cell < 0):
         lo[i], hi[i] = grid[0] - _DF_WIDEN, grid[0]
-        while df(spec, math.exp(lo[i])) < targets[i]:
+        for _ in range(_DF_MAX_WIDEN):
+            if df(spec, math.exp(lo[i])) >= targets[i]:
+                break
             lo[i] -= _DF_WIDEN
+        else:
+            raise NumericError(f"lambdas_for_df cannot bracket df target {targets[i]}")
         x[i] = 0.5 * (lo[i] + hi[i])
     for i in np.flatnonzero(cell == _DF_GRID_POINTS - 1):
         lo[i], hi[i] = grid[-1], grid[-1] + _DF_WIDEN
-        while df(spec, math.exp(hi[i])) > targets[i]:
+        for _ in range(_DF_MAX_WIDEN):
+            if df(spec, math.exp(hi[i])) <= targets[i]:
+                break
             hi[i] += _DF_WIDEN
+        else:
+            raise NumericError(f"lambdas_for_df cannot bracket df target {targets[i]}")
         x[i] = 0.5 * (lo[i] + hi[i])
 
     active = np.arange(len(targets))
@@ -355,13 +372,20 @@ def load_spectrum(path) -> DesignSpectrum:
                 f"spectrum cache {path} has format_version {version}, "
                 f"expected {CACHE_FORMAT_VERSION}"
             )
-        return DesignSpectrum(
+        spec = DesignSpectrum(
             n=int(data["n"]),
             x=data["x"],
             U=data["U"],
             k=data["k"],
             null_dim=int(data["null_dim"]),
         )
+    n = spec.n
+    if (spec.x.shape != (n,) or spec.k.shape != (n,) or spec.U.shape != (n, n)
+            or spec.null_dim != 2):
+        raise ValueError(f"spectrum cache {path} does not hold an n = {n} spectrum")
+    if not all(np.all(np.isfinite(v)) for v in (spec.x, spec.k, spec.U)):
+        raise ValueError(f"spectrum cache {path} holds non-finite values")
+    return spec
 
 
 def cache_key(grid: DesignGrid) -> str:

@@ -7,8 +7,14 @@ within one session reuse the same files.
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import splinesel as ss
+
+# Property tests draw the same examples on every run, and are not timed:
+# tier-1 results do not depend on a random seed or on the machine's speed.
+settings.register_profile("splinesel", derandomize=True, deadline=None)
+settings.load_profile("splinesel")
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 

@@ -1,5 +1,6 @@
-"""The shared minimizer: gap-capped window, Newton refinement, and the
-golden-section route it replaced, kept here as an independent cross-check."""
+"""The shared minimizer: gap-capped window, Newton refinement, block
+selection, and the golden-section route it replaced, kept here as an
+independent cross-check."""
 
 import gc
 import math
@@ -7,6 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import splinesel as ss
 from splinesel._rng import replicate_normals
@@ -18,8 +20,10 @@ from splinesel.criteria import (
     SelectionWindow,
     loss,
     select,
+    select_block,
+    selection_window,
 )
-from splinesel.spectrum import lambda_for_df, weights
+from splinesel.spectrum import df, lambda_for_df, weights
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -135,3 +139,47 @@ def test_minimizer_leaves_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@pytest.fixture(scope="module")
+def block_settings(spectra, truths, windows):
+    """n -> (spec, window, golden df_window, demo-curve g) at n = 31 and 61."""
+    grid = ss.build_design("equispaced", 31, lo=-1.0, hi=1.0)
+    spec31 = ss.decompose(grid)
+    g31 = ss.make_truth(spec31, ss.truth_curve("paper-fig3", grid), 1.0).g
+    return {31: (spec31, selection_window(spec31), df_window(spec31), g31),
+            61: (spectra[61], windows[61], df_window(spectra[61]), truths[61].g)}
+
+
+@settings(max_examples=30)
+@given(p=st.floats(1.0, 3.0), q=st.floats(1.0, 3.0), n=st.sampled_from([31, 61]),
+       truth=st.sampled_from(["paper-fig3", "zero"]), rows=st.integers(1, 150),
+       seed=st.integers(0, 2**32 - 1))
+def test_select_block_rows_match_single_selection(block_settings, p, q, n, truth, rows, seed):
+    spec, window, golden_window, g = block_settings[n]
+    c = ss.make_criterion(p, q)
+    mean = g if truth == "paper-fig3" else np.zeros(n)
+    Z = mean + np.random.default_rng(seed).standard_normal((rows, n))
+    block = select_block(c, spec, Z, window)
+    assert block.lam_hat.shape == block.df_hat.shape == block.loss.shape == (rows,)
+    assert len(block.at_boundary) == rows
+    for i, z in enumerate(Z):
+        _, golden_loss = golden_select(c, golden_window, z)
+        assert block.loss[i] <= golden_loss + 1e-12 * abs(golden_loss), i
+        one = select(c, spec, z, window)
+        assert block.loss[i] == pytest.approx(one.loss, rel=1e-12, abs=0.0), i
+        assert block.at_boundary[i] == one.at_boundary, i
+        assert block.df_hat[i] == df(spec, block.lam_hat[i]), i
+
+
+def test_select_block_validates_input(spec61, window61):
+    with pytest.raises(ValueError, match="block"):
+        select_block(ss.CP, spec61, np.ones(61), window61)
+    with pytest.raises(ValueError, match="block"):
+        select_block(ss.CP, spec61, np.ones((3, 60)), window61)
+    with pytest.raises(ValueError, match="block"):
+        select_block(ss.CP, spec61, np.ones((0, 61)), window61)
+    bad = np.ones((3, 61))
+    bad[2, 5] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        select_block(ss.CP, spec61, bad, window61)

@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from splinesel import geometry, oracle
+from splinesel import geometry, oracle, simlab
 from splinesel.cli import cli
-from splinesel.criteria import criterion_by_name
+from splinesel.criteria import BLOCK_ROWS, criterion_by_name
 from splinesel.errors import ConfigError
 from splinesel.simlab import (
     RUNS_COLUMNS,
@@ -282,6 +282,46 @@ def test_worker_fanout_is_byte_identical(tmp_path, monkeypatch):
     assert serial.read_bytes() == fanned.read_bytes()
 
 
+@pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+def test_runs_csv_identical_across_worker_counts(tmp_path, monkeypatch, sigma_mode):
+    # Two whole blocks and a partial one: every worker split must hand out
+    # the same blocks, since a block's rows round differently when the
+    # screen's matrix product changes shape.
+    cfg = base_config(tmp_path / "w", n_list=[31], replicates=2 * BLOCK_ROWS + 37,
+                      seed=77, sigma_mode=sigma_mode)
+    outputs = []
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
+        path = tmp_path / f"runs{workers}.csv"
+        assert write_runs_csv(run_simulation(cfg), path) == 3 * cfg.replicates
+        outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, caplog):
+    # Replicates whose noise-scale estimate is zero leave their block; the
+    # rest of the block is selected as usual.
+    cfg = base_config(tmp_path, n_list=[31], replicates=BLOCK_ROWS + 6, seed=8,
+                      sigma_mode="estimated")
+    clean = list(run_simulation(cfg))
+    collapsed = {1, BLOCK_ROWS + 2}
+    calls = iter(range(cfg.replicates))
+    real = simlab.sigma_estimate
+    monkeypatch.setattr(simlab, "sigma_estimate",
+                        lambda coeffs, M: 0.0 if next(calls) in collapsed else real(coeffs, M))
+    with caplog.at_level(logging.WARNING, logger="splinesel"):
+        records = list(run_simulation(cfg))
+    assert [(r.replicate, r.criterion) for r in records] == [
+        (r.replicate, r.criterion) for r in clean]
+    for rec, ref in zip(records, clean):
+        if rec.replicate in collapsed:
+            assert rec.at_boundary == "error" and math.isnan(rec.lambda_hat)
+        else:
+            assert rec.at_boundary == ref.at_boundary
+            assert rec.lambda_hat == pytest.approx(ref.lambda_hat, rel=1e-12)
+    assert sum("collapsed" in msg for msg in caplog.messages) == 2 * 3
+
+
 def test_bad_sample_size_aborts_that_n_only(tmp_path, caplog):
     cfg = base_config(tmp_path, n_list=[3, 31], replicates=2)
     with caplog.at_level(logging.ERROR, logger="splinesel"):
@@ -462,6 +502,22 @@ def test_cli_import_leaves_out_scipy_stats():
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, splinesel.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_leaves_out_scipy_linalg():
+    # scipy.linalg runs only on a spectrum cache miss (penalty solve and
+    # eigendecomposition), so a warm-cache process need not import it.
+    import splinesel
+
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, splinesel.cli; print('scipy.linalg' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -25,7 +25,7 @@ from splinesel import (
     smooth,
     weights,
 )
-from splinesel.spectrum import cache_key
+from splinesel.spectrum import CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
 
 
 # --- design construction ----------------------------------------------------
@@ -289,6 +289,14 @@ def test_lambdas_for_df_rejects_any_bad_target(spec61):
         lambdas_for_df(spec61, [[3.0, 4.0]])
 
 
+def test_lambdas_for_df_fails_on_unreachable_target(spec61):
+    # df can never reach n - 0.5 when k is one entry short of n: the
+    # bracket widening must give up rather than spin.
+    short = DesignSpectrum(n=61, x=spec61.x, U=spec61.U[:, :60], k=spec61.k[:60], null_dim=2)
+    with pytest.raises(NumericError, match="cannot bracket"):
+        lambdas_for_df(short, [60.5])
+
+
 # --- smoothing and rotation -------------------------------------------------
 
 
@@ -439,6 +447,35 @@ def test_cached_decompose_rebuilds_unreadable_file(tmp_path, caplog, damage):
         rebuilt = cached_decompose(grid, tmp_path)
     assert "unreadable spectrum cache" in caplog.text
     np.testing.assert_array_equal(rebuilt.U, first.U)
+    np.testing.assert_array_equal(load_spectrum(path).U, first.U)
+
+
+@pytest.mark.parametrize("damage", ["short k and U", "x length", "null_dim", "nan in U"])
+def test_cached_decompose_rebuilds_malformed_spectrum(tmp_path, caplog, damage):
+    # A readable file whose arrays do not describe an n-point spectrum is
+    # rebuilt; selecting on it would otherwise never finish.
+    grid = build_design("equispaced", 31, lo=-1.0, hi=1.0)
+    first = cached_decompose(grid, tmp_path)
+    path = tmp_path / (cache_key(grid) + ".npz")
+    fields = dict(format_version=np.int64(CACHE_FORMAT_VERSION), n=np.int64(31),
+                  x=first.x, k=first.k, U=first.U, null_dim=np.int64(2))
+    if damage == "short k and U":
+        fields.update(k=first.k[:30], U=first.U[:, :30])
+    elif damage == "x length":
+        fields.update(x=first.x[:30])
+    elif damage == "null_dim":
+        fields.update(null_dim=np.int64(3))
+    else:
+        U = first.U.copy()
+        U[4, 7] = np.nan
+        fields.update(U=U)
+    np.savez(path, **fields)
+    with pytest.raises(ValueError):
+        load_spectrum(path)
+    with caplog.at_level(logging.WARNING, logger="splinesel"):
+        rebuilt = cached_decompose(grid, tmp_path)
+    assert "unreadable spectrum cache" in caplog.text
+    np.testing.assert_array_equal(rebuilt.k, first.k)
     np.testing.assert_array_equal(load_spectrum(path).U, first.U)
 
 
