@@ -59,6 +59,7 @@ from .oracle import (
     ideal_lambda,
     make_truth,
     rate_probe,
+    rate_probes,
     risk,
     setting,
     stationarity_residual,
@@ -69,6 +70,7 @@ from .geometry import (
     curvature_via_matrix,
     reversal_moments,
     reversal_prob_mc,
+    reversal_probs_mc,
     reversal_stat,
     reversal_summary,
 )
@@ -88,9 +90,9 @@ __all__ = [
     "select", "select_block", "selection_window", "sigma_estimate",
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
-    "ideal_lambda", "make_truth", "rate_probe", "risk", "setting",
+    "ideal_lambda", "make_truth", "rate_probe", "rate_probes", "risk", "setting",
     "stationarity_residual",
     "ReversalSummary", "curvature_sq", "curvature_via_matrix", "reversal_moments",
-    "reversal_prob_mc", "reversal_stat", "reversal_summary",
+    "reversal_prob_mc", "reversal_probs_mc", "reversal_stat", "reversal_summary",
     "RunRecord", "SimConfig", "emit_tables", "run_simulation", "truth_curve",
 ]

@@ -8,16 +8,32 @@ worker count or execution order.
 import numpy as np
 
 
-def replicate_rng(seed: int, n: int, replicate: int) -> np.random.Generator:
-    """Generator for one replicate, independent of all others.
+def replicate_block(seed: int, n: int, start: int, stop: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
+    """Standard-normal rows for replicates start..stop-1, one row each.
 
-    Philox is counter-based: distinct (n, replicate) pairs occupy disjoint
-    counter blocks under the same key, so streams never overlap.
+    Philox is counter-based: replicate r of size n owns the stream at counter
+    [0, 0, n, r] under key seed, so distinct (n, replicate) pairs never
+    overlap.  One generator serves the whole block; before each row its
+    state is reset to that counter with an empty buffer, which makes row r
+    exactly the stream a fresh Philox(key=seed, counter=[0, 0, n, r]) would
+    give.  Rows are written into out when given (shape (stop - start, width),
+    C-contiguous), else into a new (stop - start, n) array.
     """
-    bits = np.random.Philox(key=seed, counter=[0, 0, n, replicate])
-    return np.random.Generator(bits)
+    if out is None:
+        out = np.empty((stop - start, n))
+    bits = np.random.Philox(key=seed)
+    gen = np.random.Generator(bits)
+    state = bits.state
+    counter = state["state"]["counter"]
+    counter[2] = n
+    for row, r in zip(out, range(start, stop)):
+        counter[3] = r
+        bits.state = state
+        gen.standard_normal(out=row)
+    return out
 
 
 def replicate_normals(seed: int, n: int, replicate: int, size: int) -> np.ndarray:
-    """Standard-normal vector for one replicate."""
-    return replicate_rng(seed, n, replicate).standard_normal(size)
+    """Standard-normal vector for one replicate: a block of one row."""
+    return replicate_block(seed, n, replicate, replicate + 1, out=np.empty((1, size)))[0]

@@ -202,16 +202,19 @@ def _cmd_curvature(args) -> str:
 def _cmd_reversal(args) -> str:
     design, ns, names, criteria = _model_inputs(args)
     simlab.check_seed(args.seed)
-    # One setting and ideal lambda per n; rows stay grouped by criterion.
+    # One setting, ideal lambda and set of draws per n, shared by every
+    # criterion; rows stay grouped by criterion.
     rows = [[] for _ in criteria]
     for n in ns:
         spec, truth = _setting(args, design, n)
         lam0 = oracle.ideal_lambda(spec, truth).lam
-        for block, c in zip(rows, criteria):
-            rs = geometry.reversal_summary(c, spec, truth, lam0, args.replicates, args.seed)
+        moments = [geometry.reversal_moments(c, spec, truth, lam0) for c in criteria]
+        probs = geometry.reversal_probs_mc(criteria, spec, truth, lam0,
+                                           args.replicates, args.seed)
+        for block, c, rs, (prob, se) in zip(rows, criteria, moments, probs):
             block.append([c.name, n] + [
                 f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
-                                      rs.prob_normal, rs.prob_mc, rs.mc_se)])
+                                      rs.prob_normal, prob, se)])
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:
@@ -239,6 +242,8 @@ def _cmd_decompose(args) -> str:
 
 def _cmd_rates(args) -> str:
     design, ns, names, criteria = _model_inputs(args)
+    probes = oracle.rate_probes(criteria, design, ns, partial(simlab.truth_curve, args.truth),
+                                sigma=args.sigma, cache_dir=args.cache_dir)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     excluded_notes = []
@@ -246,9 +251,7 @@ def _cmd_rates(args) -> str:
         writer = csv.writer(fh)
         writer.writerow(["criterion", "n", "lambda_c", "df_c",
                          "slope_lambda", "slope_df"])
-        for c in criteria:
-            probe = oracle.rate_probe(c, design, ns, partial(simlab.truth_curve, args.truth),
-                                      sigma=args.sigma, cache_dir=args.cache_dir)
+        for c, probe in zip(criteria, probes):
             for n, lam_c, df_c in probe.rows:
                 writer.writerow([c.name, n, f"{lam_c:.17g}", f"{df_c:.17g}",
                                  f"{probe.slope_lambda:.17g}", f"{probe.slope_df:.17g}"])

@@ -14,7 +14,10 @@ import math
 import numpy as np
 
 from . import specfun
-from ._rng import replicate_normals
+from ._rng import (
+    replicate_block,
+    replicate_normals,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
+)
 from .criteria import Criterion, loss_derivs
 from .errors import NumericError
 from .oracle import TruthSpectrum
@@ -203,32 +206,47 @@ def reversal_moments(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     )
 
 
-def reversal_prob_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                     lam0: float, replicates: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P(R0(z) < 0) with binomial standard error.
+def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0: float,
+                      replicates: int, seed: int) -> list[tuple[float, float]]:
+    """Monte Carlo estimates of P(R0(z) < 0), with binomial standard errors,
+    for each criterion on one shared set of draws.
 
-    Draws z ~ Normal(g, I) keyed by (seed, n, replicate) and evaluates the
-    affine form of R0 batchwise.
+    z ~ Normal(g, I) is keyed by (seed, n, replicate), not by criterion, so
+    every criterion is evaluated on the same draws (common random numbers).
+    Each chunk of draws is made once, in place; u = |z|^(2/q) is formed once
+    per distinct q on the penalized components, and each criterion's affine
+    R0 is evaluated on it.
     """
     if replicates < 1000:
         raise ValueError(f"reversal_prob_mc needs >= 1000 replicates, got {replicates}")
-    coeff, base = _r0_affine(c, spec, lam0)
+    forms = [_r0_affine(c, spec, lam0) for c in criteria]
+    by_q: dict[float, list[int]] = {}
+    for i, c in enumerate(criteria):
+        by_q.setdefault(c.q, []).append(i)
     nd = spec.null_dim
-    hits = 0
+    hits = [0] * len(forms)
     chunk = 2000
-    done = 0
-    while done < replicates:
-        m = min(chunk, replicates - done)
-        z = np.empty((m, spec.n))
-        for i in range(m):
-            z[i] = truth.g + replicate_normals(seed, spec.n, done + i, spec.n)
-        u = np.abs(z[:, nd:]) ** (2.0 / c.q)
-        r0 = u @ coeff + base
-        hits += int(np.sum(r0 < 0.0))
-        done += m
-    prob = hits / replicates
-    se = math.sqrt(max(prob * (1.0 - prob), 0.0) / replicates)
-    return prob, se
+    z = np.empty((min(chunk, replicates), spec.n))
+    for start in range(0, replicates, chunk):
+        stop = min(start + chunk, replicates)
+        block = replicate_block(seed, spec.n, start, stop, out=z[:stop - start])
+        block += truth.g
+        for q, members in by_q.items():
+            u = np.abs(block[:, nd:])
+            u **= 2.0 / q
+            for i in members:
+                coeff, base = forms[i]
+                hits[i] += int(np.sum(u @ coeff + base < 0.0))
+            del u  # freed before the next q's u exists: one u per chunk at a time
+    probs = [h / replicates for h in hits]
+    return [(p, math.sqrt(max(p * (1.0 - p), 0.0) / replicates)) for p in probs]
+
+
+def reversal_prob_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
+                     lam0: float, replicates: int, seed: int) -> tuple[float, float]:
+    """Monte Carlo estimate of P(R0(z) < 0) with binomial standard error:
+    reversal_probs_mc for one criterion."""
+    return reversal_probs_mc([c], spec, truth, lam0, replicates, seed)[0]
 
 
 def reversal_summary(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import specfun
-from ._rng import replicate_normals
+from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
     Criterion,
@@ -220,10 +220,12 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     var_s = np.empty(replicates)
     extra_s = np.empty(replicates)
     boundary = 0
+    buf = np.empty((min(BLOCK_ROWS, replicates), spec.n))
     for start in range(0, replicates, BLOCK_ROWS):
         block = slice(start, min(start + BLOCK_ROWS, replicates))
-        Z = truth.g + np.array([replicate_normals(seed, spec.n, r, spec.n)
-                                for r in range(block.start, block.stop)])
+        Z = replicate_block(seed, spec.n, block.start, block.stop,
+                            out=buf[:block.stop - block.start])
+        Z += truth.g
         picked = select_block(c, spec, Z, window)
         boundary += sum(flag != "none" for flag in picked.at_boundary)
         ghat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k) * Z
@@ -319,29 +321,44 @@ class RateProbe:
     excluded: list[int]  # n values dropped for boundary-flagged lam_c
 
 
-def rate_probe(c: Criterion, design: dict, n_list, truth_gen, sigma: float = 1.0,
-               cache_dir=None) -> RateProbe:
-    """Track how the central smoothing parameter scales with sample size.
+def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
+                cache_dir=None) -> list[RateProbe]:
+    """Track how each criterion's central smoothing parameter scales with n.
 
-    For each n, builds the setting (see setting) and locates lam_c;
-    boundary-flagged fits are excluded and reported.  Slopes are least
-    squares of log lam_c and log df_c against log n.
+    For each n, builds the setting (see setting) and its selection window
+    once and locates every criterion's lam_c on them; boundary-flagged fits
+    are excluded and reported.  Slopes are least squares of log lam_c and
+    log df_c against log n.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError("rate_probe needs an increasing n list with >= 4 values")
-    rows: list[tuple[int, float, float]] = []
-    excluded: list[int] = []
+    rows: list[list[tuple[int, float, float]]] = [[] for _ in criteria]
+    excluded: list[list[int]] = [[] for _ in criteria]
     for n in n_list:
         spec, truth = setting(design, n, truth_gen, sigma, cache_dir)
-        central = central_lambda(c, spec, truth)
-        if central.at_boundary != "none":
-            excluded.append(n)
-            continue
-        rows.append((n, central.lam, central.df))
-    if len(rows) < 2:
-        raise NumericError("rate_probe: fewer than two interior fits, no slope")
-    logn = np.log([r[0] for r in rows])
-    slope_lam = float(np.polyfit(logn, np.log([r[1] for r in rows]), 1)[0])
-    slope_df = float(np.polyfit(logn, np.log([r[2] for r in rows]), 1)[0])
-    return RateProbe(rows=rows, slope_lambda=slope_lam, slope_df=slope_df, excluded=excluded)
+        window = selection_window(spec)
+        for c, fits, dropped in zip(criteria, rows, excluded):
+            central = central_lambda(c, spec, truth, window)
+            if central.at_boundary != "none":
+                dropped.append(n)
+            else:
+                fits.append((n, central.lam, central.df))
+    probes = []
+    for c, fits, dropped in zip(criteria, rows, excluded):
+        if len(fits) < 2:
+            raise NumericError(f"rate_probe ({c.name}): fewer than two interior fits, no slope")
+        logn = np.log([r[0] for r in fits])
+        probes.append(RateProbe(
+            rows=fits,
+            slope_lambda=float(np.polyfit(logn, np.log([r[1] for r in fits]), 1)[0]),
+            slope_df=float(np.polyfit(logn, np.log([r[2] for r in fits]), 1)[0]),
+            excluded=dropped,
+        ))
+    return probes
+
+
+def rate_probe(c: Criterion, design: dict, n_list, truth_gen, sigma: float = 1.0,
+               cache_dir=None) -> RateProbe:
+    """rate_probes for one criterion."""
+    return rate_probes([c], design, n_list, truth_gen, sigma, cache_dir)[0]

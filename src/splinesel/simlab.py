@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, oracle
-from ._rng import replicate_normals
+from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
     Criterion,
@@ -279,8 +279,10 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     gets an error record per criterion."""
     estimated, M = _parse_sigma_mode(cfg.sigma_mode, spec.n)
     sigma = cfg.sigma
-    eps = [replicate_normals(cfg.seed, spec.n, r, spec.n) for r in block]
-    coeffs = np.array([spec.U.T @ (truth.f + sigma * e) for e in eps])
+    y = replicate_block(cfg.seed, spec.n, block.start, block.stop)
+    y *= sigma
+    y += truth.f
+    coeffs = np.array([spec.U.T @ row for row in y])
     if estimated:
         s2 = np.array([sigma_estimate(row, M) for row in coeffs])
         sigma_use = np.sqrt(s2, out=np.full(len(block), math.nan), where=s2 > 0)

@@ -1,6 +1,7 @@
 """Curvature and reversal diagnostics of the criterion family."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from splinesel import (
     make_truth,
     reversal_moments,
     reversal_prob_mc,
+    reversal_probs_mc,
     reversal_stat,
     reversal_summary,
     weights,
 )
+from splinesel._rng import replicate_normals
 from splinesel.criteria import loss, loss_derivs
 from splinesel.geometry import _r0_affine, eta_curve, normal_cdf, reversal_beta
 from splinesel.oracle import expected_power_vector
@@ -308,6 +311,47 @@ def test_reversal_probability_ordering(spec61, truth61, lam0s):
     }
     assert probs["cp"] > probs["gml"]
     assert probs["cp"] > probs["ee"]
+
+
+@pytest.mark.parametrize("crits", [
+    (CP, GML),  # shared q
+    (CP, GML, EE),
+    (EE, make_criterion(1.2, 2.5), CP),  # distinct q
+    (GML, CP, GML),  # a repeated criterion
+])
+def test_reversal_probs_mc_matches_single_criterion_route(spec61, truth61, lam0s, crits):
+    shared = reversal_probs_mc(list(crits), spec61, truth61, lam0s[61], 3000, 41)
+    assert shared == [reversal_prob_mc(c, spec61, truth61, lam0s[61], 3000, 41)
+                      for c in crits]
+
+
+def test_reversal_probs_mc_partial_last_chunk(spec61, truth61, lam0s):
+    # 2500 draws end on a 500-row chunk; the counts still come from the
+    # same keyed draws as the reference route.
+    (prob, se), = reversal_probs_mc([GML], spec61, truth61, lam0s[61], 2500, 8)
+    coeff, base = _r0_affine(GML, spec61, lam0s[61])
+    nd = spec61.null_dim
+    z = np.array([truth61.g + replicate_normals(8, 61, r, 61) for r in range(2500)])
+    hits = int(np.sum((np.abs(z[:, nd:]) ** 2.0) @ coeff + base < 0.0))
+    assert prob == hits / 2500
+    assert se == math.sqrt(prob * (1.0 - prob) / 2500)
+
+
+def test_reversal_probs_mc_working_set_does_not_grow_with_criteria(spectra, truths, lam0s):
+    # The draws and u = |z|^(2/q) are each held once per chunk, whatever the
+    # number of criteria or distinct q.
+    n = 241
+
+    def peak(crits):
+        tracemalloc.start()
+        try:
+            reversal_probs_mc(crits, spectra[n], truths[n], lam0s[n], 10000, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak([CP])
+    assert peak([CP, GML, EE]) <= 1.05 * one
 
 
 def test_reversal_prob_mc_degenerate_truth(spec61):

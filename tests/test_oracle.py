@@ -21,6 +21,7 @@ from splinesel import (
     make_criterion,
     make_truth,
     rate_probe,
+    rate_probes,
     risk,
     select,
     selection_window,
@@ -407,3 +408,47 @@ def test_rate_probe_excludes_boundary_fits(cache_dir):
             lambda grid: np.zeros(grid.n),
             cache_dir=cache_dir,
         )
+
+
+@pytest.mark.parametrize("amp,excluded_ee", [(1.0, []), (0.3, [31])])
+def test_rate_probes_match_single_criterion_probes(cache_dir, amp, excluded_ee):
+    # At amplitude 0.3 ee's lam_c sits on the boundary at n = 31 and is
+    # excluded there, while cp and gml keep every n.
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    ns = [31, 41, 51, 61]
+
+    def gen(grid):
+        return amp * np.sin(np.pi * grid.x)
+
+    crits = [CP, GML, EE]
+    probes = rate_probes(crits, design, ns, gen, sigma=1.0, cache_dir=cache_dir)
+    assert probes == [rate_probe(c, design, ns, gen, sigma=1.0, cache_dir=cache_dir)
+                      for c in crits]
+    assert [p.excluded for p in probes] == [[], [], excluded_ee]
+
+
+def test_rate_probes_builds_each_setting_and_window_once(cache_dir, monkeypatch):
+    calls = []
+    real_setting, real_window = oracle.setting, oracle.selection_window
+
+    def counting_setting(design, n, *args):
+        calls.append(("setting", n))
+        return real_setting(design, n, *args)
+
+    def counting_window(spec):
+        calls.append(("window", spec.n))
+        return real_window(spec)
+
+    monkeypatch.setattr(oracle, "setting", counting_setting)
+    monkeypatch.setattr(oracle, "selection_window", counting_window)
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    rate_probes([CP, GML, EE], design, [61, 81, 101, 121], section_curve_gen,
+                cache_dir=cache_dir)
+    assert calls == [(kind, n) for n in (61, 81, 101, 121) for kind in ("setting", "window")]
+
+
+def test_rate_probes_names_the_criterion_without_a_slope(cache_dir):
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    with pytest.raises(NumericError, match=r"\(cp\).*interior"):
+        rate_probes([CP, GML], design, [61, 81, 101, 121], lambda grid: np.zeros(grid.n),
+                    cache_dir=cache_dir)

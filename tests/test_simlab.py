@@ -716,6 +716,28 @@ def test_cli_reversal_builds_each_setting_once(tmp_path, capsys, monkeypatch):
     assert rows == [["cp", "31"], ["cp", "41"], ["gml", "31"], ["gml", "41"]]
 
 
+def test_cli_reversal_rows_match_per_criterion_summaries(tmp_path, capsys):
+    cache = tmp_path / "spectra"
+    out = tmp_path / "rev.csv"
+    code = cli(["reversal", "--n", "31,61", "--criteria", "cp,gml,ee",
+                "--replicates", "2500", "--seed", "12",
+                "--cache-dir", str(cache), "--out", str(out)])
+    assert code == 0
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    lines = ["criterion,n,lambda0,beta,mean,variance,t_stat,prob_normal,prob_mc,mc_se"]
+    for name in ("cp", "gml", "ee"):
+        c = criterion_by_name(name)
+        for n in (31, 61):
+            spec, truth = oracle.setting(design, n, lambda grid: truth_curve("paper-fig3", grid),
+                                         1.0, cache)
+            lam0 = oracle.ideal_lambda(spec, truth).lam
+            rs = geometry.reversal_summary(c, spec, truth, lam0, 2500, 12)
+            lines.append(",".join([name, str(n)] + [
+                f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
+                                      rs.prob_normal, rs.prob_mc, rs.mc_se)]))
+    assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
 def test_cli_decompose(tmp_path, capsys):
     out = tmp_path / "dec.json"
     code = cli(["decompose", "--n", "31", "--criterion", "gml",
@@ -744,6 +766,24 @@ def test_cli_rates(tmp_path, capsys):
                 "--cache-dir", cache, "--out", str(out)])
     assert code == 1
     capsys.readouterr()
+
+
+def test_cli_rates_builds_each_setting_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = oracle.setting
+
+    def counting(design, n, *args):
+        calls.append(n)
+        return real(design, n, *args)
+
+    monkeypatch.setattr(oracle, "setting", counting)
+    out = tmp_path / "rates.csv"
+    code = cli(["rates", "--n", "31,45,61,91", "--criteria", "cp,gml,ee",
+                "--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 0
+    assert calls == [31, 45, 61, 91]
+    rows = [row.split(",")[:2] for row in out.read_text().splitlines()[1:]]
+    assert rows == [[c, str(n)] for c in ("cp", "gml", "ee") for n in (31, 45, 61, 91)]
 
 
 def test_cli_rates_with_large_null_space_signal(tmp_path, capsys):
