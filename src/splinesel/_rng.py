@@ -2,7 +2,7 @@
 
 Every Monte Carlo draw in the package is keyed by (seed, n, replicate) so any
 single record can be regenerated in isolation and results do not depend on
-worker count or execution order.
+the order in which replicates are drawn.
 """
 
 import numpy as np

@@ -35,11 +35,12 @@ def _parse_design(text: str) -> dict:
     return simlab.check_design(design)
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        ns = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad integer list {text!r}") from exc
+    return simlab.check_n_list(ns, "--n")
 
 
 def _add_common_model_flags(sub, default_out: str):
@@ -112,6 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> str:
     design = _parse_design(args.design)
+    simlab.check_n_list([args.n], "--n")
     spec, _ = oracle.setting(design, args.n, partial(simlab.truth_curve, "zero"), 1.0,
                              args.cache_dir)
     return (f"spectrum n={spec.n} null_dim={spec.null_dim} "
@@ -157,8 +159,7 @@ def _cmd_simulate(args) -> str:
     out = Path(cfg.output_dir)
     runs_path = out / "runs.csv"
     count = simlab.write_runs_csv(simlab.run_simulation(cfg), runs_path)
-    return (f"simulate wrote {count} records to {runs_path} "
-            f"(workers={simlab.worker_count()})")
+    return f"simulate wrote {count} records to {runs_path}"
 
 
 def _cmd_tables(args) -> str:
@@ -173,8 +174,10 @@ def _cmd_tables(args) -> str:
 def _model_inputs(args):
     design = _parse_design(args.design)
     simlab.check_sigma(args.sigma)
-    ns = _parse_int_list(args.n)
+    ns = _parse_n_list(args.n)
     names = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
+    if not names:
+        raise ConfigError("--criteria must name at least one criterion")
     criteria = [criterion_by_name(name) for name in names]
     return design, ns, names, criteria
 
@@ -202,6 +205,8 @@ def _cmd_curvature(args) -> str:
 def _cmd_reversal(args) -> str:
     design, ns, names, criteria = _model_inputs(args)
     simlab.check_seed(args.seed)
+    if args.replicates < geometry.REVERSAL_MIN_REPLICATES:
+        raise ConfigError(f"reversal needs --replicates >= {geometry.REVERSAL_MIN_REPLICATES}")
     # One setting, ideal lambda and set of draws per n, shared by every
     # criterion; rows stay grouped by criterion.
     rows = [[] for _ in criteria]
@@ -230,6 +235,9 @@ def _cmd_decompose(args) -> str:
     design = _parse_design(args.design)
     simlab.check_sigma(args.sigma)
     simlab.check_seed(args.seed)
+    simlab.check_n_list([args.n], "--n")
+    if args.replicates < oracle.DECOMPOSITION_MIN_REPLICATES:
+        raise ConfigError(f"decompose needs --replicates >= {oracle.DECOMPOSITION_MIN_REPLICATES}")
     c = criterion_by_name(args.criterion)
     spec, truth = _setting(args, design, args.n)
     report = oracle.decomposition_mc(c, spec, truth, args.replicates, args.seed)
@@ -242,6 +250,8 @@ def _cmd_decompose(args) -> str:
 
 def _cmd_rates(args) -> str:
     design, ns, names, criteria = _model_inputs(args)
+    if len(ns) < oracle.RATE_MIN_SIZES or ns != sorted(ns):
+        raise ConfigError(f"rates needs >= {oracle.RATE_MIN_SIZES} increasing --n values")
     probes = oracle.rate_probes(criteria, design, ns, partial(simlab.truth_curve, args.truth),
                                 sigma=args.sigma, cache_dir=args.cache_dir)
     out = Path(args.out)

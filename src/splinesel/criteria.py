@@ -44,9 +44,9 @@ REFINE_LOG_TOL = 1e-6
 # The Newton solve stops once a step in log lam is smaller than this.
 NEWTON_STEP_TOL = 1e-12
 # Replicates are selected in blocks of this many rows, counted from replicate
-# 0.  The coarse screen's matrix product rounds differently for different
-# block shapes, so a fixed block keeps every row's result independent of how
-# the replicates are split across workers.
+# 0.  A block bounds the working set at any replicate count, and a fixed
+# block size fixes the shapes of the coarse screen's matrix products, whose
+# rounding depends on shape, so a run's records depend only on its config.
 BLOCK_ROWS = 64
 
 
@@ -214,13 +214,13 @@ class SelectionWindow:
         return self._powers[key]
 
 
-def selection_window(spec: DesignSpectrum, candidates: int = COARSE_CANDIDATES) -> SelectionWindow:
+def selection_window(spec: DesignSpectrum) -> SelectionWindow:
     """Build the candidate grid for one spectrum.
 
-    `candidates` df-equispaced points (both ends included, kept exactly),
+    COARSE_CANDIDATES df-equispaced points (both ends included, kept exactly),
     with log-uniform points inserted so no log-lam gap exceeds MAX_LOG_GAP.
     """
-    targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, candidates)
+    targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
     coarse = lambdas_for_df(spec, targets)
     logs = np.log(coarse)
     parts = [coarse[:1]]

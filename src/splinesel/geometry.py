@@ -23,6 +23,8 @@ from .errors import NumericError
 from .oracle import TruthSpectrum
 from .spectrum import DesignSpectrum, weights
 
+REVERSAL_MIN_REPLICATES = 1000  # the fewest draws reversal_probs_mc takes
+
 
 @dataclass(frozen=True)
 class ReversalSummary:
@@ -217,8 +219,9 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
     per distinct q on the penalized components, and each criterion's affine
     R0 is evaluated on it.
     """
-    if replicates < 1000:
-        raise ValueError(f"reversal_prob_mc needs >= 1000 replicates, got {replicates}")
+    if replicates < REVERSAL_MIN_REPLICATES:
+        raise ValueError(f"reversal_probs_mc needs >= {REVERSAL_MIN_REPLICATES} replicates, "
+                         f"got {replicates}")
     forms = [_r0_affine(c, spec, lam0) for c in criteria]
     by_q: dict[float, list[int]] = {}
     for i, c in enumerate(criteria):

@@ -32,6 +32,9 @@ from .errors import NumericError
 from .spectrum import (DesignSpectrum, build_design, cached_decompose, decompose, df,
                        rotate, weights)
 
+DECOMPOSITION_MIN_REPLICATES = 100  # the fewest draws decomposition_mc takes
+RATE_MIN_SIZES = 4  # the fewest sample sizes rate_probes fits slopes through
+
 
 @dataclass(frozen=True)
 class TruthSpectrum:
@@ -206,8 +209,9 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     and the total extra risk are averaged over replicates with standard
     errors.
     """
-    if replicates < 100:
-        raise ValueError(f"decomposition_mc needs >= 100 replicates, got {replicates}")
+    if replicates < DECOMPOSITION_MIN_REPLICATES:
+        raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
+                         f"replicates, got {replicates}")
     if window is None:
         window = selection_window(spec)
     ideal = ideal_lambda(spec, truth, window)
@@ -331,8 +335,8 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
     log df_c against log n.
     """
     n_list = [int(n) for n in n_list]
-    if len(n_list) < 4 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise ValueError("rate_probe needs an increasing n list with >= 4 values")
+    if len(n_list) < RATE_MIN_SIZES or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise ValueError(f"rate_probes needs an increasing n list with >= {RATE_MIN_SIZES} values")
     rows: list[list[tuple[int, float, float]]] = [[] for _ in criteria]
     excluded: list[list[int]] = [[] for _ in criteria]
     for n in n_list:

@@ -5,11 +5,9 @@ A run is described by a single JSON-serializable config.  For each sample
 size the design is built and decomposed once (disk-cached), then every
 replicate draws y = f + sigma * eps with eps keyed by (seed, n, replicate),
 feeds the identical dataset to every requested criterion, and streams one
-record per (n, replicate, criterion) into runs.csv.  Replicates are
-selected in fixed blocks of BLOCK_ROWS counted from replicate 0, and whole
-blocks fan out across a process pool sized by the SPLINESEL_WORKERS
-environment variable; records are reduced in deterministic order, so output
-is byte-identical for any worker count.
+record per (n, replicate, criterion) into runs.csv.  The campaign runs in
+one process; replicates are selected in fixed blocks of BLOCK_ROWS counted
+from replicate 0, so a run's output depends only on its config.
 """
 
 from dataclasses import dataclass, asdict
@@ -20,9 +18,7 @@ import json
 import logging
 import math
 import operator
-import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -40,11 +36,9 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import DesignGrid, DesignSpectrum
+from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum
 
 log = logging.getLogger("splinesel")
-
-WORKERS_ENV_VAR = "SPLINESEL_WORKERS"
 
 RUNS_COLUMNS = [
     "n", "replicate", "criterion", "lambda_hat", "df_hat",
@@ -67,10 +61,7 @@ class SimConfig:
     output_dir: str = "out"
 
     def validate(self) -> "SimConfig":
-        if not isinstance(self.n_list, list) or not self.n_list:
-            raise ConfigError("n_list must be a nonempty list of integers")
-        if not all(_is_int(n) for n in self.n_list):
-            raise ConfigError(f"n_list must hold integers, got {self.n_list!r}")
+        check_n_list(self.n_list)
         if not _is_int(self.replicates) or self.replicates < 1:
             raise ConfigError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         check_seed(self.seed)
@@ -122,6 +113,17 @@ def check_seed(seed) -> None:
     """Seeds, in configs and --seed flags, are integers in [0, 2**128)."""
     if not _is_int(seed) or not 0 <= seed < 2**128:
         raise ConfigError(f"seed must be an integer in [0, 2**128), got {seed!r}")
+
+
+def check_n_list(n_list, name: str = "n_list") -> list[int]:
+    """Sample sizes, in configs and --n flags, are a nonempty list of
+    distinct integers >= MIN_DESIGN_POINTS."""
+    if (not isinstance(n_list, list) or not n_list
+            or not all(_is_int(n) and n >= MIN_DESIGN_POINTS for n in n_list)
+            or len(set(n_list)) != len(n_list)):
+        raise ConfigError(f"{name} must be a nonempty list of distinct integers >= "
+                          f"{MIN_DESIGN_POINTS}, got {n_list!r}")
+    return n_list
 
 
 def check_sigma(sigma) -> float:
@@ -273,11 +275,12 @@ def spectra_cache_dir(cfg: SimConfig) -> Path:
 
 def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
                        criteria: list[Criterion], cfg: SimConfig, window,
-                       block: range) -> list[RunRecord]:
+                       sigma_mode: tuple[bool, int], block: range) -> list[RunRecord]:
     """Records of one block of replicates, each criterion selecting the
-    whole block at once.  A replicate whose noise-scale estimate collapsed
-    gets an error record per criterion."""
-    estimated, M = _parse_sigma_mode(cfg.sigma_mode, spec.n)
+    whole block at once; sigma_mode is _parse_sigma_mode's (estimated?, M).
+    A replicate whose noise-scale estimate collapsed gets an error record
+    per criterion."""
+    estimated, M = sigma_mode
     sigma = cfg.sigma
     y = replicate_block(cfg.seed, spec.n, block.start, block.stop)
     y *= sigma
@@ -314,34 +317,15 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     return out
 
 
-def _chunk_worker(args) -> list[RunRecord]:
-    spec, truth, criteria, cfg, blocks = args
-    window = selection_window(spec)
-    return [rec for block in blocks
-            for rec in _replicate_records(spec, truth, criteria, cfg, window, block)]
-
-
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR, "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{WORKERS_ENV_VAR}={raw!r} is not an integer") from exc
-    return max(count, 1)
-
-
 def run_simulation(cfg: SimConfig):
     """Yield RunRecords for the whole campaign in deterministic order.
 
-    Ordering is (n in cfg order, replicate, criterion in cfg order)
-    regardless of worker count: workers get whole blocks of replicates, and
-    with fewer than two blocks the run stays in-process.  A spectrum failure
-    aborts that n with a logged error; single-replicate numeric failures
-    yield an error-flagged record rather than disappearing.
+    Ordering is (n in cfg order, replicate, criterion in cfg order).  A
+    spectrum failure aborts that n with a logged error; single-replicate
+    numeric failures yield an error-flagged record rather than disappearing.
     """
     cfg.validate()
     cache = spectra_cache_dir(cfg)
-    workers = worker_count()
     criteria = [criterion_by_name(name) for name in cfg.criteria]
     truth_gen = partial(truth_curve, cfg.truth)
     for n in cfg.n_list:
@@ -350,20 +334,11 @@ def run_simulation(cfg: SimConfig):
         except (ValueError, NumericError) as exc:
             log.error("n=%d aborted: %s", n, exc)
             continue
-        blocks = [range(lo, min(lo + BLOCK_ROWS, cfg.replicates))
-                  for lo in range(0, cfg.replicates, BLOCK_ROWS)]
-        if workers == 1 or len(blocks) < 2:
-            window = selection_window(spec)
-            for block in blocks:
-                yield from _replicate_records(spec, truth, criteria, cfg, window, block)
-        else:
-            jobs_n = min(workers, len(blocks))
-            bounds = np.linspace(0, len(blocks), jobs_n + 1).astype(int)
-            jobs = [(spec, truth, criteria, cfg, blocks[lo:hi])
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            with ProcessPoolExecutor(max_workers=jobs_n) as pool:
-                for batch in pool.map(_chunk_worker, jobs):
-                    yield from batch
+        window = selection_window(spec)
+        sigma_mode = _parse_sigma_mode(cfg.sigma_mode, spec.n)
+        for lo in range(0, cfg.replicates, BLOCK_ROWS):
+            block = range(lo, min(lo + BLOCK_ROWS, cfg.replicates))
+            yield from _replicate_records(spec, truth, criteria, cfg, window, sigma_mode, block)
 
 
 def _format(v) -> str:

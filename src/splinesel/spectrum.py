@@ -23,6 +23,7 @@ from .errors import NumericError
 log = logging.getLogger("splinesel")
 
 CACHE_FORMAT_VERSION = 1
+MIN_DESIGN_POINTS = 4  # the fewest points a design may have
 
 # Eigenvalues below _NULL_CLAMP_EPS_MULT * eps * max(k) are treated as exact
 # zeros; the penalty has rank n - 2, so more than two such values means the
@@ -89,24 +90,24 @@ def build_design(kind: str, n: int | None = None, *, lo: float | None = None,
     if kind == "equispaced":
         if n is None or lo is None or hi is None:
             raise ValueError("equispaced design needs lo, hi, and n")
-        if n < 4:
-            raise ValueError(f"design needs n >= 4, got {n}")
+        if n < MIN_DESIGN_POINTS:
+            raise ValueError(f"design needs n >= {MIN_DESIGN_POINTS}, got {n}")
         if not hi > lo:
             raise ValueError(f"equispaced design needs hi > lo, got ({lo}, {hi})")
         x = np.linspace(float(lo), float(hi), n)
     elif kind == "quantile":
         if n is None or dist is None:
             raise ValueError("quantile design needs dist and n")
-        if n < 4:
-            raise ValueError(f"design needs n >= 4, got {n}")
+        if n < MIN_DESIGN_POINTS:
+            raise ValueError(f"design needs n >= {MIN_DESIGN_POINTS}, got {n}")
         u = (2.0 * np.arange(1, n + 1) - 1.0) / (2.0 * n)
         x = _quantile_fn(dist)(u)
     elif kind == "explicit":
         if points is None:
             raise ValueError("explicit design needs points")
         x = np.asarray(points, dtype=float)
-        if x.ndim != 1 or len(x) < 4:
-            raise ValueError("explicit design needs a flat list of >= 4 points")
+        if x.ndim != 1 or len(x) < MIN_DESIGN_POINTS:
+            raise ValueError(f"explicit design needs a flat list of >= {MIN_DESIGN_POINTS} points")
     else:
         raise ValueError(f"unknown design kind {kind!r}")
     if not np.all(np.diff(x) > 0):

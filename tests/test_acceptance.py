@@ -16,7 +16,10 @@ import numpy as np
 import pytest
 
 import splinesel as ss
-from splinesel.simlab import WORKERS_ENV_VAR
+
+# Campaigns once read a process-pool size from this variable; acceptance 8
+# checks that a leftover setting cannot change runs.csv.
+WORKERS_ENV_VAR = "SPLINESEL_WORKERS"
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 

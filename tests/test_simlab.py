@@ -13,10 +13,9 @@ import pytest
 from splinesel import geometry, oracle, simlab
 from splinesel.cli import cli
 from splinesel.criteria import BLOCK_ROWS, criterion_by_name
-from splinesel.errors import ConfigError
+from splinesel.errors import ConfigError, NumericError
 from splinesel.simlab import (
     RUNS_COLUMNS,
-    WORKERS_ENV_VAR,
     RunRecord,
     SimConfig,
     _parse_sigma_mode,
@@ -25,7 +24,6 @@ from splinesel.simlab import (
     run_simulation,
     spectra_cache_dir,
     truth_curve,
-    worker_count,
     write_runs_csv,
 )
 from splinesel.spectrum import build_design, cached_decompose
@@ -190,6 +188,8 @@ def test_config_unknown_and_missing_fields():
     (dict(design={"lo": 0.0}), "kind"),
     (dict(criteria=["bogus"]), "bogus"),
     (dict(sigma_mode="sometimes"), "sigma_mode"),
+    (dict(n_list=[3, 31]), "integers >= 4"),
+    (dict(n_list=[31, 61, 31]), "distinct"),
 ])
 def test_config_validation_errors(tmp_path, overrides, fragment):
     cfg = base_config(tmp_path, **overrides)
@@ -221,18 +221,6 @@ def test_sigma_mode_checked_at_every_n(tmp_path):
         base_config(tmp_path, n_list=[61, 24], sigma_mode="estimated").validate()
     with pytest.raises(ConfigError, match="n=61"):
         base_config(tmp_path, n_list=[121, 61], sigma_mode="estimated:100").validate()
-
-
-def test_worker_count_parsing(monkeypatch):
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "4")
-    assert worker_count() == 4
-    monkeypatch.setenv(WORKERS_ENV_VAR, "0")
-    assert worker_count() == 1
-    monkeypatch.setenv(WORKERS_ENV_VAR, "two")
-    with pytest.raises(ConfigError, match="not an integer"):
-        worker_count()
 
 
 # --- campaign runs ----------------------------------------------------------
@@ -271,31 +259,16 @@ def test_campaign_identical_data_across_criteria(campaign):
     assert len(set(per_rep)) == len(per_rep)
 
 
-def test_worker_fanout_is_byte_identical(tmp_path, monkeypatch):
-    cfg = base_config(tmp_path / "w", n_list=[31], replicates=6, seed=99)
-    monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    serial = tmp_path / "serial.csv"
-    write_runs_csv(run_simulation(cfg), serial)
-    monkeypatch.setenv(WORKERS_ENV_VAR, "2")
-    fanned = tmp_path / "fanned.csv"
-    write_runs_csv(run_simulation(cfg), fanned)
-    assert serial.read_bytes() == fanned.read_bytes()
-
-
 @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
-def test_runs_csv_identical_across_worker_counts(tmp_path, monkeypatch, sigma_mode):
-    # Two whole blocks and a partial one: every worker split must hand out
-    # the same blocks, since a block's rows round differently when the
-    # screen's matrix product changes shape.
+def test_runs_csv_identical_across_worker_counts(tmp_path, sigma_mode):
+    # Two whole blocks and a partial one, written in (replicate, criterion)
+    # order across the block seams.
     cfg = base_config(tmp_path / "w", n_list=[31], replicates=2 * BLOCK_ROWS + 37,
                       seed=77, sigma_mode=sigma_mode)
-    outputs = []
-    for workers in ("1", "2", "3"):
-        monkeypatch.setenv(WORKERS_ENV_VAR, workers)
-        path = tmp_path / f"runs{workers}.csv"
-        assert write_runs_csv(run_simulation(cfg), path) == 3 * cfg.replicates
-        outputs.append(path.read_bytes())
-    assert outputs[0] == outputs[1] == outputs[2]
+    path = tmp_path / "runs.csv"
+    assert write_runs_csv(run_simulation(cfg), path) == 3 * cfg.replicates
+    assert [(rec.replicate, rec.criterion) for rec in read_runs_csv(path)] == [
+        (r, name) for r in range(cfg.replicates) for name in cfg.criteria]
 
 
 def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, caplog):
@@ -322,8 +295,16 @@ def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, cap
     assert sum("collapsed" in msg for msg in caplog.messages) == 2 * 3
 
 
-def test_bad_sample_size_aborts_that_n_only(tmp_path, caplog):
-    cfg = base_config(tmp_path, n_list=[3, 31], replicates=2)
+def test_bad_sample_size_aborts_that_n_only(tmp_path, monkeypatch, caplog):
+    cfg = base_config(tmp_path, n_list=[25, 31], replicates=2)
+    real = oracle.setting
+
+    def failing_at_25(design, n, *args):
+        if n == 25:
+            raise NumericError("eigendecomposition failed")
+        return real(design, n, *args)
+
+    monkeypatch.setattr(oracle, "setting", failing_at_25)
     with caplog.at_level(logging.ERROR, logger="splinesel"):
         records = list(run_simulation(cfg))
     assert {rec.n for rec in records} == {31}
@@ -491,25 +472,18 @@ def test_module_entry_points(tmp_path, module, args, code):
         assert json.loads(proc.stderr)["error"] == "ValueError"
 
 
-def test_cli_import_leaves_out_scipy_stats():
+@pytest.mark.parametrize("module", [
     # scipy.stats costs about half a second per process and nothing in the
     # package needs it.
-    import splinesel
-
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(splinesel.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, splinesel.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
-
-
-def test_cli_import_leaves_out_scipy_linalg():
+    "scipy.stats",
     # scipy.linalg runs only on a spectrum cache miss (penalty solve and
     # eigendecomposition), so a warm-cache process need not import it.
+    "scipy.linalg",
+    # Every command runs in one process; neither numpy nor scipy loads these.
+    "multiprocessing",
+    "concurrent.futures.process",
+])
+def test_cli_import_leaves_out(module):
     import splinesel
 
     env = dict(os.environ)
@@ -517,7 +491,7 @@ def test_cli_import_leaves_out_scipy_linalg():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, splinesel.cli; print('scipy.linalg' in sys.modules)"],
+         f"import sys, splinesel.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
@@ -762,11 +736,6 @@ def test_cli_rates(tmp_path, capsys):
     slope_df = float(rows[1].split(",")[5])
     assert 0.0 < slope_df < 0.5
 
-    code = cli(["rates", "--n", "31,61", "--criteria", "gml",
-                "--cache-dir", cache, "--out", str(out)])
-    assert code == 1
-    capsys.readouterr()
-
 
 def test_cli_rates_builds_each_setting_once(tmp_path, capsys, monkeypatch):
     calls = []
@@ -808,6 +777,26 @@ def test_cli_bad_criterion_ids_are_config_errors(tmp_path, capsys, argv):
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["reversal", "--n", "31", "--criteria", "gml", "--replicates", "10"],
+    ["reversal", "--n", "31", "--criteria", "", "--replicates", "1000"],
+    ["decompose", "--n", "31", "--criterion", "gml", "--replicates", "50"],
+    ["decompose", "--n", "3", "--criterion", "gml", "--replicates", "100"],
+    ["rates", "--n", "61,121", "--criteria", "gml"],
+    ["rates", "--n", "121,61,241,481", "--criteria", "gml"],
+    ["curvature", "--n", "3", "--criteria", "cp"],
+    ["curvature", "--n", "", "--criteria", "cp"],
+    ["curvature", "--n", "31,61,31", "--criteria", "cp"],
+])
+def test_cli_flags_below_a_minimum_are_config_errors(tmp_path, capsys, argv):
+    out = tmp_path / "result"
+    code = cli(argv + ["--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
+    assert not (tmp_path / "spectra").exists()
 
 
 def test_cli_select_bad_criterion_id_is_config_error(tmp_path, capsys):
