@@ -62,7 +62,6 @@ from .oracle import (
     rate_probes,
     risk,
     setting,
-    stationarity_residual,
 )
 from .geometry import (
     ReversalSummary,
@@ -91,7 +90,6 @@ __all__ = [
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
     "ideal_lambda", "make_truth", "rate_probe", "rate_probes", "risk", "setting",
-    "stationarity_residual",
     "ReversalSummary", "curvature_sq", "curvature_via_matrix", "reversal_moments",
     "reversal_prob_mc", "reversal_probs_mc", "reversal_stat", "reversal_summary",
     "RunRecord", "SimConfig", "emit_tables", "run_simulation", "truth_curve",

@@ -207,13 +207,13 @@ def _cmd_reversal(args) -> str:
     simlab.check_seed(args.seed)
     if args.replicates < geometry.REVERSAL_MIN_REPLICATES:
         raise ConfigError(f"reversal needs --replicates >= {geometry.REVERSAL_MIN_REPLICATES}")
-    # One setting, ideal lambda and set of draws per n, shared by every
-    # criterion; rows stay grouped by criterion.
+    # One setting, ideal lambda and set of draws per n, and one moment set
+    # per distinct q, shared by every criterion; rows stay grouped by criterion.
     rows = [[] for _ in criteria]
     for n in ns:
         spec, truth = _setting(args, design, n)
         lam0 = oracle.ideal_lambda(spec, truth).lam
-        moments = [geometry.reversal_moments(c, spec, truth, lam0) for c in criteria]
+        moments = geometry._reversal_moments_shared(criteria, spec, truth, lam0)
         probs = geometry.reversal_probs_mc(criteria, spec, truth, lam0,
                                            args.replicates, args.seed)
         for block, c, rs, (prob, se) in zip(rows, criteria, moments, probs):

@@ -181,12 +181,23 @@ def reversal_moments(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     (common positive powers of lam0 dropped; they cancel in T_n).
     prob_normal = Phi(-M/sqrt(V)) approximates the lower-tail mass P(R0 < 0).
     """
-    a, b = _penalized_ab(spec, lam0)
+    return _reversal_moments_shared([c], spec, truth, lam0)[0]
+
+
+def _reversal_moments_shared(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
+                             lam0: float) -> list[ReversalSummary]:
+    # reversal_moments for each criterion, with one moment set per distinct q.
     g = truth.g[spec.null_dim:]
+    sets = {q: specfun.moment_set(g, q) for q in dict.fromkeys(c.q for c in criteria)}
+    return [_reversal_moments_at(c, spec, lam0, sets[c.q]) for c in criteria]
+
+
+def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
+                         m: specfun.MomentSet) -> ReversalSummary:
+    a, b = _penalized_ab(spec, lam0)
     p, q = c.p, c.q
     rho, beta = _rho_beta(c, a, b, lam0)
     B = b ** ((p - 1.0) / q)
-    m = specfun.moment_set(g, q)
 
     centered = c.c_q * b ** (1.0 / q) * m.m1 - 1.0
     M = (p / q**2) * (p + q) * c.c_q ** (p - 1.0) * (

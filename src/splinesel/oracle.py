@@ -146,26 +146,14 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     and Newton solve at that u.  For the (2, 1) member this lands on the
     ideal smoothing parameter.
     """
-    picked = _select_at(c, spec, _penalized_power(spec, truth, c.q), window)
+    return _central_at(c, spec, _penalized_power(spec, truth, c.q), window)
+
+
+def _central_at(c: Criterion, spec: DesignSpectrum, eu: np.ndarray,
+                window: SelectionWindow | None) -> LambdaPoint:
+    # central_lambda at a precomputed E|z|^(2/q), shared by criteria of one q.
+    picked = _select_at(c, spec, eu, window)
     return LambdaPoint(lam=picked.lam_hat, df=picked.df_hat, at_boundary=picked.at_boundary)
-
-
-def stationarity_residual(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                          lam: float) -> float:
-    """Normal-equation residual of the expected criterion at lam.
-
-    sum a b^(p/q) (c_q E|z|^(2/q) - 1) - [ sum a b^((p-1)/q) - sum a b^(p/q) ]
-    over penalized components; zero at the central smoothing parameter.
-    Kept as a reference route: tests check that central_lambda zeroes it.
-    """
-    w = weights(spec, lam)
-    nd = spec.null_dim
-    a = w.a[nd:]
-    b = w.b[nd:]
-    eu = _penalized_power(spec, truth, c.q)[nd:]
-    lhs = float(np.sum(a * b ** (c.p / c.q) * (c.c_q * eu - 1.0)))
-    rhs = float(np.sum(a * b ** ((c.p - 1.0) / c.q)) - np.sum(a * b ** (c.p / c.q)))
-    return lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -329,10 +317,10 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
                 cache_dir=None) -> list[RateProbe]:
     """Track how each criterion's central smoothing parameter scales with n.
 
-    For each n, builds the setting (see setting) and its selection window
-    once and locates every criterion's lam_c on them; boundary-flagged fits
-    are excluded and reported.  Slopes are least squares of log lam_c and
-    log df_c against log n.
+    For each n, builds the setting (see setting), its selection window and
+    E|z|^(2/q) for each distinct q once, and locates every criterion's lam_c
+    on them; boundary-flagged fits are excluded and reported.  Slopes are
+    least squares of log lam_c and log df_c against log n.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < RATE_MIN_SIZES or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -342,8 +330,10 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
     for n in n_list:
         spec, truth = setting(design, n, truth_gen, sigma, cache_dir)
         window = selection_window(spec)
+        powers = {q: _penalized_power(spec, truth, q)
+                  for q in dict.fromkeys(c.q for c in criteria)}
         for c, fits, dropped in zip(criteria, rows, excluded):
-            central = central_lambda(c, spec, truth, window)
+            central = _central_at(c, spec, powers[c.q], window)
             if central.at_boundary != "none":
                 dropped.append(n)
             else:

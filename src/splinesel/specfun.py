@@ -6,14 +6,14 @@ module supplies the confluent hypergeometric function, fractional absolute
 moments E|Z|^(2s), the normalizing constant c_q, the moment bundle needed by
 the analytic variance/covariance approximations, and the closed-form
 leading-order value of the spectral sums sum_i a^r b^s.  The series-based
-functions take an array of arguments as readily as one scalar.
+functions take an array of arguments as readily as one scalar.  Log Gamma
+comes from math.lgamma, so the module needs numpy only.
 """
 
 from dataclasses import dataclass
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import NumericError
 
@@ -33,8 +33,8 @@ def log_gamma_and_beta(x: float, y: float) -> tuple[float, float]:
     """
     if x <= 0 or y <= 0:
         raise ValueError(f"log_gamma_and_beta requires x, y > 0, got ({x}, {y})")
-    lg = float(gammaln(x))
-    beta = math.exp(lg + float(gammaln(y)) - float(gammaln(x + y)))
+    lg = math.lgamma(x)
+    beta = math.exp(lg + math.lgamma(y) - math.lgamma(x + y))
     return lg, beta
 
 
@@ -89,7 +89,7 @@ def c_q(q: float) -> float:
     """
     if q < 1:
         raise ValueError(f"c_q requires q >= 1, got {q}")
-    return _SQRT_PI / (2.0 ** (1.0 / q) * math.exp(float(gammaln(0.5 + 1.0 / q))))
+    return _SQRT_PI / (2.0 ** (1.0 / q) * math.exp(math.lgamma(0.5 + 1.0 / q)))
 
 
 def abs_moment(g: float | np.ndarray, s: float) -> float | np.ndarray:
@@ -101,7 +101,7 @@ def abs_moment(g: float | np.ndarray, s: float) -> float | np.ndarray:
     """
     if s <= -0.5:
         raise ValueError(f"abs_moment requires s > -1/2, got {s}")
-    factor = 2.0**s / _SQRT_PI * math.exp(float(gammaln(s + 0.5)))
+    factor = 2.0**s / _SQRT_PI * math.exp(math.lgamma(s + 0.5))
     return factor * kummer_m(-s, 0.5, -0.5 * g * g)
 
 
@@ -114,7 +114,7 @@ def signed_moment(g: float | np.ndarray, s: float) -> float | np.ndarray:
     """
     if s <= -1.0:
         raise ValueError(f"signed_moment requires s > -1, got {s}")
-    factor = 2.0 ** (s + 1.0) / _SQRT_PI * math.exp(float(gammaln(s + 1.5)))
+    factor = 2.0 ** (s + 1.0) / _SQRT_PI * math.exp(math.lgamma(s + 1.5))
     return g * factor * kummer_m(-s, 1.5, -0.5 * g * g)
 
 

@@ -16,7 +16,6 @@ import zipfile
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import NumericError
 
@@ -128,6 +127,9 @@ def _quantile_fn(dist: str):
         raise ValueError(f"normal({p1},{p2}) needs sd > 0")
     # ndtri is the standard normal quantile; ndtri(u) * sd + mu is the same
     # expression scipy.stats.norm.ppf evaluates, without importing scipy.stats.
+    # It is imported here, so only a normal-quantile design loads scipy.special.
+    from scipy.special import ndtri
+
     return lambda u: ndtri(u) * p2 + p1
 
 

@@ -26,11 +26,10 @@ from splinesel import (
     select,
     selection_window,
     setting,
-    stationarity_residual,
     truth_curve,
     weights,
 )
-from splinesel import criteria, oracle
+from splinesel import criteria, oracle, specfun
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
 from splinesel._rng import replicate_normals
 
@@ -247,6 +246,22 @@ def test_central_ignores_large_null_space_signal(spec61, truth61, window61, crit
     assert moved.at_boundary == "none"
 
 
+def stationarity_residual(c, spec, truth, lam):
+    """Normal-equation residual of the expected criterion at lam.
+
+    sum a b^(p/q) (c_q E|z|^(2/q) - 1) - [ sum a b^((p-1)/q) - sum a b^(p/q) ]
+    over penalized components; zero at the central smoothing parameter.
+    """
+    w = weights(spec, lam)
+    nd = spec.null_dim
+    a = w.a[nd:]
+    b = w.b[nd:]
+    eu = specfun.abs_moment(truth.g[nd:], 1.0 / c.q)
+    lhs = float(np.sum(a * b ** (c.p / c.q) * (c.c_q * eu - 1.0)))
+    rhs = float(np.sum(a * b ** ((c.p - 1.0) / c.q)) - np.sum(a * b ** (c.p / c.q)))
+    return lhs - rhs
+
+
 @pytest.mark.parametrize("crit", [CP, GML, EE])
 def test_stationarity_residual_vanishes_at_central(spec61, truth61, window61, crit):
     lam_c = central_lambda(crit, spec61, truth61, window61).lam
@@ -445,6 +460,31 @@ def test_rate_probes_builds_each_setting_and_window_once(cache_dir, monkeypatch)
     rate_probes([CP, GML, EE], design, [61, 81, 101, 121], section_curve_gen,
                 cache_dir=cache_dir)
     assert calls == [(kind, n) for n in (61, 81, 101, 121) for kind in ("setting", "window")]
+
+
+def test_rate_probes_compute_each_power_once_per_q(cache_dir, monkeypatch):
+    # cp and gml share q = 1: one E|z|^(2/q) series per distinct q and n,
+    # and every lam_c is the one central_lambda finds on its own.
+    calls = []
+    real = specfun.abs_moment
+
+    def counting(g, s):
+        calls.append(s)
+        return real(g, s)
+
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    ns = [61, 81, 101, 121]
+    monkeypatch.setattr(specfun, "abs_moment", counting)
+    probes = rate_probes([CP, GML, EE], design, ns, section_curve_gen, cache_dir=cache_dir)
+    assert calls == [s for _ in ns for s in (1.0, 1.0 / 1.5)]
+    monkeypatch.undo()
+    for c, probe in zip((CP, GML, EE), probes):
+        expected = []
+        for n in ns:
+            spec, truth = setting(design, n, section_curve_gen, 1.0, cache_dir)
+            central = central_lambda(c, spec, truth, selection_window(spec))
+            expected.append((n, central.lam, central.df))
+        assert probe.rows == expected
 
 
 def test_rate_probes_names_the_criterion_without_a_slope(cache_dir):

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from splinesel import geometry, oracle, simlab
+from splinesel import geometry, oracle, simlab, specfun
 from splinesel.cli import cli
 from splinesel.criteria import BLOCK_ROWS, criterion_by_name
 from splinesel.errors import ConfigError, NumericError
@@ -479,6 +479,9 @@ def test_module_entry_points(tmp_path, module, args, code):
     # scipy.linalg runs only on a spectrum cache miss (penalty solve and
     # eigendecomposition), so a warm-cache process need not import it.
     "scipy.linalg",
+    # log Gamma comes from math.lgamma, and ndtri is imported only by a
+    # normal-quantile design.
+    "scipy.special",
     # Every command runs in one process; neither numpy nor scipy loads these.
     "multiprocessing",
     "concurrent.futures.process",
@@ -495,6 +498,62 @@ def test_cli_import_leaves_out(module):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+# Runs argv lists (JSON in argv[1]) through cli() in one interpreter and
+# prints, after each group, the loaded modules of the scipy package on a line
+# of their own that starts with "scipy-modules".
+_SCIPY_PROBE = """
+import json, sys
+from splinesel.cli import cli
+for group in json.loads(sys.argv[1]):
+    for argv in group:
+        assert cli(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    print("scipy-modules", json.dumps(loaded))
+"""
+
+
+def test_warm_cache_commands_load_no_scipy(tmp_path):
+    import splinesel
+
+    out_dir = tmp_path / "out"
+    cache = str(out_dir / "spectra")
+    for n in (31, 41, 51, 61):
+        assert cli(["spectrum", "--n", str(n), "--cache-dir", cache]) == 0
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(base_config(out_dir, n_list=[31, 41], replicates=4, seed=3).to_json())
+    model = ["--cache-dir", cache]
+    warm = [
+        ["simulate", "--config", str(cfg_path)],
+        ["tables", "--config", str(cfg_path)],
+        ["rates", "--n", "31,41,51,61", *model, "--out", str(tmp_path / "rates.csv")],
+        ["reversal", "--n", "31", "--replicates", "1000", *model,
+         "--out", str(tmp_path / "reversal.csv")],
+        ["curvature", "--n", "31,41", *model, "--out", str(tmp_path / "curvature.csv")],
+        ["decompose", "--n", "31", "--criterion", "ee", "--replicates", "100", *model,
+         "--out", str(tmp_path / "decomposition.json")],
+    ]
+    # A cold cache still builds its spectrum, through the lazily imported
+    # scipy.linalg; a normal-quantile design also imports scipy.special.ndtri.
+    cold = ["spectrum", "--n", "31", "--cache-dir", str(tmp_path / "cold")]
+    normal = ["spectrum", "--n", "31", "--cache-dir", str(tmp_path / "cold"),
+              "--design", '{"kind": "quantile", "dist": "normal(0, 1)"}']
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, json.dumps([warm, [cold], [normal]])],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    after_warm, after_cold, after_normal = (
+        json.loads(line.split(" ", 1)[1]) for line in proc.stdout.splitlines()
+        if line.startswith("scipy-modules "))
+    assert after_warm == []
+    assert "scipy.linalg" in after_cold and "scipy.special" not in after_cold
+    assert "scipy.special" in after_normal
+    assert len(list((tmp_path / "cold").glob("*.npz"))) == 2
+    assert (out_dir / "table1.csv").exists() and (tmp_path / "decomposition.json").exists()
 
 
 def test_cli_select(tmp_path, capsys):
@@ -712,6 +771,23 @@ def test_cli_reversal_rows_match_per_criterion_summaries(tmp_path, capsys):
     assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
+def test_cli_reversal_computes_one_moment_set_per_q(tmp_path, capsys, monkeypatch):
+    # cp and gml share q = 1, so three criteria need two moment sets per n.
+    calls = []
+    real = specfun.moment_set
+
+    def counting(g, q):
+        calls.append((g.size, q))
+        return real(g, q)
+
+    monkeypatch.setattr(specfun, "moment_set", counting)
+    code = cli(["reversal", "--n", "31,61", "--criteria", "cp,gml,ee",
+                "--replicates", "1000", "--cache-dir", str(tmp_path / "spectra"),
+                "--out", str(tmp_path / "rev.csv")])
+    assert code == 0
+    assert calls == [(n - 2, q) for n in (31, 61) for q in (1.0, 1.5)]
+
+
 def test_cli_decompose(tmp_path, capsys):
     out = tmp_path / "dec.json"
     code = cli(["decompose", "--n", "31", "--criterion", "gml",
@@ -753,6 +829,31 @@ def test_cli_rates_builds_each_setting_once(tmp_path, capsys, monkeypatch):
     assert calls == [31, 45, 61, 91]
     rows = [row.split(",")[:2] for row in out.read_text().splitlines()[1:]]
     assert rows == [[c, str(n)] for c in ("cp", "gml", "ee") for n in (31, 45, 61, 91)]
+
+
+def test_cli_rates_rows_match_per_criterion_central_lambda(tmp_path, capsys):
+    cache = tmp_path / "spectra"
+    out = tmp_path / "rates.csv"
+    ns = (31, 45, 61, 91)
+    code = cli(["rates", "--n", ",".join(map(str, ns)), "--criteria", "cp,gml,ee",
+                "--cache-dir", str(cache), "--out", str(out)])
+    assert code == 0
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    lines = ["criterion,n,lambda_c,df_c,slope_lambda,slope_df"]
+    for name in ("cp", "gml", "ee"):
+        c = criterion_by_name(name)
+        fits = []
+        for n in ns:
+            spec, truth = oracle.setting(design, n, lambda grid: truth_curve("paper-fig3", grid),
+                                         1.0, cache)
+            central = oracle.central_lambda(c, spec, truth, oracle.selection_window(spec))
+            assert central.at_boundary == "none"
+            fits.append((n, central.lam, central.df))
+        logn = np.log(ns)
+        slopes = [np.polyfit(logn, np.log([f[i] for f in fits]), 1)[0] for i in (1, 2)]
+        lines += [",".join([name, str(n)] + [f"{v:.17g}" for v in (lam, dof, *slopes)])
+                  for n, lam, dof in fits]
+    assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 
 def test_cli_rates_with_large_null_space_signal(tmp_path, capsys):
