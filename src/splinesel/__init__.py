@@ -22,7 +22,6 @@ from .spectrum import (
     cached_decompose,
     decompose,
     df,
-    lambda_for_df,
     lambdas_for_df,
     load_spectrum,
     penalty_matrix,
@@ -58,7 +57,6 @@ from .oracle import (
     decomposition_mc,
     ideal_lambda,
     make_truth,
-    rate_probe,
     rate_probes,
     risk,
     setting,
@@ -68,10 +66,8 @@ from .geometry import (
     curvature_sq,
     curvature_via_matrix,
     reversal_moments,
-    reversal_prob_mc,
     reversal_probs_mc,
     reversal_stat,
-    reversal_summary,
 )
 from .simlab import RunRecord, SimConfig, emit_tables, run_simulation, truth_curve
 
@@ -82,15 +78,15 @@ __all__ = [
     "MomentSet", "abs_moment", "asym_sum", "c_q", "kummer_m",
     "log_gamma_and_beta", "moment_set", "signed_moment",
     "DesignGrid", "DesignSpectrum", "SmootherWeights", "build_design",
-    "cached_decompose", "decompose", "df", "lambda_for_df", "lambdas_for_df",
+    "cached_decompose", "decompose", "df", "lambdas_for_df",
     "load_spectrum", "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
     "CP", "EE", "GML", "BlockSelection", "Criterion", "SelectionResult",
     "classic_statistics", "criterion_by_name", "loss", "loss_derivs", "make_criterion",
     "select", "select_block", "selection_window", "sigma_estimate",
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
-    "ideal_lambda", "make_truth", "rate_probe", "rate_probes", "risk", "setting",
+    "ideal_lambda", "make_truth", "rate_probes", "risk", "setting",
     "ReversalSummary", "curvature_sq", "curvature_via_matrix", "reversal_moments",
-    "reversal_prob_mc", "reversal_probs_mc", "reversal_stat", "reversal_summary",
+    "reversal_probs_mc", "reversal_stat",
     "RunRecord", "SimConfig", "emit_tables", "run_simulation", "truth_curve",
 ]

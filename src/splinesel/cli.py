@@ -27,12 +27,12 @@ FAILURE_EXIT = 1
 DEFAULT_DESIGN = '{"kind": "equispaced", "lo": -1.0, "hi": 1.0}'
 
 
-def _parse_design(text: str) -> dict:
+def _parse_design(text: str, ns: list[int]) -> dict:
     try:
         design = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--design is not valid JSON: {exc}") from exc
-    return simlab.check_design(design)
+    return simlab.check_design(design, ns)
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -112,8 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_spectrum(args) -> str:
-    design = _parse_design(args.design)
-    simlab.check_n_list([args.n], "--n")
+    design = _parse_design(args.design, simlab.check_n_list([args.n], "--n"))
     spec, _ = oracle.setting(design, args.n, partial(simlab.truth_curve, "zero"), 1.0,
                              args.cache_dir)
     return (f"spectrum n={spec.n} null_dim={spec.null_dim} "
@@ -128,12 +127,21 @@ def _cmd_select(args) -> str:
         if reader.fieldnames is None or not {"x", "y"} <= set(reader.fieldnames):
             raise ConfigError(f"{args.input} must have columns x,y")
         for row in reader:
-            rows.append((float(row["x"]), float(row["y"])))
+            try:
+                rows.append((float(row["x"]), float(row["y"])))
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{args.input} line {reader.line_num}: x and y must be "
+                                  f"numbers, got {row['x']!r}, {row['y']!r}") from exc
     if len(rows) < 5:
         raise ConfigError("need at least 5 data rows")
     rows.sort()
     x = np.array([r[0] for r in rows])
     y = np.array([r[1] for r in rows])
+    if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+        raise ConfigError(f"{args.input}: x and y must be finite (no nan or inf)")
+    repeated = x[1:][np.diff(x) == 0]
+    if len(repeated):
+        raise ConfigError(f"{args.input}: x values must be distinct, {repeated[0]:g} repeats")
     spec = decompose(build_design("explicit", points=x))
     coeffs = spec.U.T @ y
     mode = args.sigma
@@ -172,9 +180,9 @@ def _cmd_tables(args) -> str:
 
 
 def _model_inputs(args):
-    design = _parse_design(args.design)
-    simlab.check_sigma(args.sigma)
     ns = _parse_n_list(args.n)
+    design = _parse_design(args.design, ns)
+    simlab.check_sigma(args.sigma)
     names = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
     if not names:
         raise ConfigError("--criteria must name at least one criterion")
@@ -213,7 +221,7 @@ def _cmd_reversal(args) -> str:
     for n in ns:
         spec, truth = _setting(args, design, n)
         lam0 = oracle.ideal_lambda(spec, truth).lam
-        moments = geometry._reversal_moments_shared(criteria, spec, truth, lam0)
+        moments = geometry.reversal_moments(criteria, spec, truth, lam0)
         probs = geometry.reversal_probs_mc(criteria, spec, truth, lam0,
                                            args.replicates, args.seed)
         for block, c, rs, (prob, se) in zip(rows, criteria, moments, probs):
@@ -232,10 +240,9 @@ def _cmd_reversal(args) -> str:
 
 
 def _cmd_decompose(args) -> str:
-    design = _parse_design(args.design)
+    design = _parse_design(args.design, simlab.check_n_list([args.n], "--n"))
     simlab.check_sigma(args.sigma)
     simlab.check_seed(args.seed)
-    simlab.check_n_list([args.n], "--n")
     if args.replicates < oracle.DECOMPOSITION_MIN_REPLICATES:
         raise ConfigError(f"decompose needs --replicates >= {oracle.DECOMPOSITION_MIN_REPLICATES}")
     c = criterion_by_name(args.criterion)

@@ -335,12 +335,6 @@ def select(c: Criterion, spec: DesignSpectrum, z,
     return _first(select_block(c, spec, z[None, :], window))
 
 
-def _select_at(c: Criterion, spec: DesignSpectrum, u: np.ndarray,
-               window: SelectionWindow | None) -> SelectionResult:
-    # Minimize the criterion at one full-length u (a block of one row).
-    return _first(_select_rows(c, spec, u[None, :], window))
-
-
 def _first(block: BlockSelection) -> SelectionResult:
     return SelectionResult(lam_hat=float(block.lam_hat[0]), df_hat=float(block.df_hat[0]),
                            loss=float(block.loss[0]), at_boundary=block.at_boundary[0])

@@ -8,7 +8,7 @@ smoothing parameter flips sign, i.e. the criterion locally prefers moving
 away from the optimum.  Low curvature and rare reversals go together.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -28,14 +28,15 @@ REVERSAL_MIN_REPLICATES = 1000  # the fewest draws reversal_probs_mc takes
 
 @dataclass(frozen=True)
 class ReversalSummary:
-    """Reversal diagnostics at the ideal smoothing parameter.
+    """Normal approximation to the reversal probability at the ideal
+    smoothing parameter lam0, for one criterion.
 
     M and V are the mean and variance of R0 (up to the positive factors
-    lam0^2 and lam0^4 respectively, which cancel in the ratio).  M > 0 in
-    well-behaved settings, so reversals are the lower tail of R0 and the
-    approximation quantile T_n = -M/sqrt(V) is negative; prob_normal =
-    Phi(T_n) approximates P(R0 < 0), prob_mc is its Monte Carlo estimate
-    (nan until computed).
+    lam0^2 and lam0^4 respectively, which cancel in the ratio); beta is the
+    projection constant of R0.  M > 0 in well-behaved settings, so
+    reversals are the lower tail of R0 and the approximation quantile
+    T_n = -M/sqrt(V) is negative; prob_normal = Phi(T_n) approximates
+    P(R0 < 0), which reversal_probs_mc estimates by Monte Carlo.
     """
 
     lam0: float
@@ -44,8 +45,6 @@ class ReversalSummary:
     V: float
     T_n: float
     prob_normal: float
-    prob_mc: float = math.nan
-    mc_se: float = math.nan
 
 
 def normal_cdf(t: float) -> float:
@@ -167,9 +166,10 @@ def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float):
     return coeff, base
 
 
-def reversal_moments(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                     lam0: float) -> ReversalSummary:
-    """Mean/variance normal approximation to the reversal probability.
+def reversal_moments(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
+                     lam0: float) -> list[ReversalSummary]:
+    """Mean/variance normal approximation to the reversal probability, for
+    each criterion in a list.
 
     With rho = (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)), B = b^((p-1)/q),
     and w-moments at the true g:
@@ -180,13 +180,9 @@ def reversal_moments(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
 
     (common positive powers of lam0 dropped; they cancel in T_n).
     prob_normal = Phi(-M/sqrt(V)) approximates the lower-tail mass P(R0 < 0).
+    The w-moments are computed once per distinct q and shared by the
+    criteria that have it.
     """
-    return _reversal_moments_shared([c], spec, truth, lam0)[0]
-
-
-def _reversal_moments_shared(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
-                             lam0: float) -> list[ReversalSummary]:
-    # reversal_moments for each criterion, with one moment set per distinct q.
     g = truth.g[spec.null_dim:]
     sets = {q: specfun.moment_set(g, q) for q in dict.fromkeys(c.q for c in criteria)}
     return [_reversal_moments_at(c, spec, lam0, sets[c.q]) for c in criteria]
@@ -254,18 +250,3 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
             del u  # freed before the next q's u exists: one u per chunk at a time
     probs = [h / replicates for h in hits]
     return [(p, math.sqrt(max(p * (1.0 - p), 0.0) / replicates)) for p in probs]
-
-
-def reversal_prob_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                     lam0: float, replicates: int, seed: int) -> tuple[float, float]:
-    """Monte Carlo estimate of P(R0(z) < 0) with binomial standard error:
-    reversal_probs_mc for one criterion."""
-    return reversal_probs_mc([c], spec, truth, lam0, replicates, seed)[0]
-
-
-def reversal_summary(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                     lam0: float, replicates: int, seed: int) -> ReversalSummary:
-    """Normal-approximation moments plus the Monte Carlo probability."""
-    summary = reversal_moments(c, spec, truth, lam0)
-    prob, se = reversal_prob_mc(c, spec, truth, lam0, replicates, seed)
-    return replace(summary, prob_mc=prob, mc_se=se)

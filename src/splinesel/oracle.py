@@ -22,7 +22,7 @@ from .criteria import (
     BLOCK_ROWS,
     Criterion,
     SelectionWindow,
-    _select_at,
+    _select_rows,
     minimize_on_window,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
     select_block,
@@ -121,11 +121,6 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum,
     return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flags[0])
 
 
-def expected_power_vector(truth: TruthSpectrum, q: float) -> np.ndarray:
-    """E|z_i|^(2/q) componentwise for z ~ Normal(g, I)."""
-    return specfun.abs_moment(truth.g, 1.0 / q)
-
-
 def _penalized_power(spec: DesignSpectrum, truth: TruthSpectrum, q: float) -> np.ndarray:
     # E|z|^(2/q) on the penalized components and 0 on the null ones, which
     # no criterion formula reads; a large null-space |g| would otherwise
@@ -151,9 +146,11 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
 
 def _central_at(c: Criterion, spec: DesignSpectrum, eu: np.ndarray,
                 window: SelectionWindow | None) -> LambdaPoint:
-    # central_lambda at a precomputed E|z|^(2/q), shared by criteria of one q.
-    picked = _select_at(c, spec, eu, window)
-    return LambdaPoint(lam=picked.lam_hat, df=picked.df_hat, at_boundary=picked.at_boundary)
+    # central_lambda at a precomputed E|z|^(2/q), shared by criteria of one
+    # q: selection at u = eu as a block of one row.
+    picked = _select_rows(c, spec, eu[None, :], window)
+    return LambdaPoint(lam=float(picked.lam_hat[0]), df=float(picked.df_hat[0]),
+                       at_boundary=picked.at_boundary[0])
 
 
 @dataclass(frozen=True)
@@ -341,7 +338,7 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
     probes = []
     for c, fits, dropped in zip(criteria, rows, excluded):
         if len(fits) < 2:
-            raise NumericError(f"rate_probe ({c.name}): fewer than two interior fits, no slope")
+            raise NumericError(f"rate_probes ({c.name}): fewer than two interior fits, no slope")
         logn = np.log([r[0] for r in fits])
         probes.append(RateProbe(
             rows=fits,
@@ -350,9 +347,3 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
             excluded=dropped,
         ))
     return probes
-
-
-def rate_probe(c: Criterion, design: dict, n_list, truth_gen, sigma: float = 1.0,
-               cache_dir=None) -> RateProbe:
-    """rate_probes for one criterion."""
-    return rate_probes([c], design, n_list, truth_gen, sigma, cache_dir)[0]

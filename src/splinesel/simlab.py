@@ -72,7 +72,7 @@ class SimConfig:
         if (not isinstance(self.criteria, list) or not self.criteria
                 or not all(isinstance(name, str) for name in self.criteria)):
             raise ConfigError("criteria must be a nonempty list of criterion ids")
-        check_design(self.design)
+        check_design(self.design, self.n_list)
         for n in self.n_list:
             _parse_sigma_mode(self.sigma_mode, n)
         for name in self.criteria:
@@ -142,10 +142,12 @@ _DESIGN_FIELDS = {
 }
 
 
-def check_design(design) -> dict:
-    """Check a design object: a known kind with exactly that kind's fields.
+def check_design(design, n_list) -> dict:
+    """Check a design object: a known kind with exactly that kind's fields,
+    buildable at every sample size in n_list.
 
-    Shared by config validation and the CLI's --design flag.
+    An explicit design has one size, its point count.  Shared by config
+    validation and the CLI's --design flag, with the sizes of n_list or --n.
     """
     if not isinstance(design, dict) or "kind" not in design:
         raise ConfigError("design must be an object with a 'kind' field")
@@ -161,6 +163,12 @@ def check_design(design) -> dict:
     for name, ok in fields.items():
         if not ok(design[name]):
             raise ConfigError(f"bad design field {name}: {design[name]!r}")
+    if design["kind"] == "explicit":
+        size = len(design["points"])
+        bad = [n for n in n_list if n != size]
+        if bad:
+            raise ConfigError(f"explicit design has {size} points, so n must be {size}, "
+                              f"got n={bad[0]}")
     return design
 
 

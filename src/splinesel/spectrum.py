@@ -301,15 +301,6 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     raise NumericError(f"lambdas_for_df did not converge for targets {targets[active]}")
 
 
-def lambda_for_df(spec: DesignSpectrum, target: float) -> float:
-    """Invert the monotone df map: lam with df(lam) = target to 1e-9.
-
-    One target of lambdas_for_df; target must lie strictly between null_dim
-    and n.
-    """
-    return float(lambdas_for_df(spec, [target])[0])
-
-
 def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
     """Apply the smoother: f_hat = U diag(a) U' y."""
     y = np.asarray(y, dtype=float)

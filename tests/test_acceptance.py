@@ -186,9 +186,9 @@ def test_acceptance_5_spectral_sum_asymptotics(spec_unit961):
 def test_acceptance_6_rate_slopes(spectra, truths, lam0s, cache_dir):
     df_slopes = {}
     for name, c in CRITERIA:
-        probe = ss.rate_probe(c, DESIGN, list(STANDARD_NS),
-                              lambda grid: ss.truth_curve("paper-fig3", grid),
-                              sigma=1.0, cache_dir=cache_dir)
+        (probe,) = ss.rate_probes([c], DESIGN, list(STANDARD_NS),
+                                  lambda grid: ss.truth_curve("paper-fig3", grid),
+                                  sigma=1.0, cache_dir=cache_dir)
         df_slopes[name] = probe.slope_df
 
     logn = np.log([n for n in STANDARD_NS])
@@ -218,10 +218,11 @@ def test_acceptance_7_reversal_probabilities(spectra, truths, lam0s):
     for name, c in CRITERIA:
         row = []
         for n in ns:
-            rs = ss.reversal_summary(c, spectra[n], truths[n],
-                                     lam0s[n].lam, 10000, 0)
+            (rs,) = ss.reversal_moments([c], spectra[n], truths[n], lam0s[n].lam)
+            ((prob, _),) = ss.reversal_probs_mc([c], spectra[n], truths[n],
+                                                lam0s[n].lam, 10000, 0)
             t_negative &= rs.T_n < 0.0
-            row.append(rs.prob_mc)
+            row.append(prob)
         probs[name] = row
     ordered = probs["cp"][0] > probs["ee"][0] > probs["gml"][0]
     decaying = all(seq[0] > seq[1] > seq[2] for seq in probs.values())

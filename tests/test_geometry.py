@@ -19,17 +19,14 @@ from splinesel import (
     make_criterion,
     make_truth,
     reversal_moments,
-    reversal_prob_mc,
     reversal_probs_mc,
     reversal_stat,
-    reversal_summary,
     weights,
 )
 from splinesel._rng import replicate_normals
 from splinesel.criteria import loss, loss_derivs
 from splinesel.geometry import _r0_affine, eta_curve, normal_cdf, reversal_beta
-from splinesel.oracle import expected_power_vector
-from splinesel.specfun import moment_set
+from splinesel.specfun import abs_moment, moment_set
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 CRITERIA = (CP, GML, EE)
@@ -236,7 +233,7 @@ def test_moments_pure_noise_collapse(spec61):
     m_direct = 2.0 * np.sum(a**2 * b) - 6.0 * np.sum(a**2 * b * (a - rho))
     v_direct = 72.0 * np.sum(a**2 * b**4 * (a - rho) ** 2)
 
-    summary = reversal_moments(CP, spec61, truth, lam)
+    (summary,) = reversal_moments([CP], spec61, truth, lam)
     assert summary.M == pytest.approx(m_direct, rel=1e-12)
     assert summary.V == pytest.approx(v_direct, rel=1e-12)
 
@@ -246,9 +243,9 @@ def test_moments_are_moments_of_the_statistic(spec61, truth61, lam0s, crit):
     # M and V carry fixed powers of lam0 relative to R0 itself; both must
     # be exact moments of the affine statistic
     lam0 = lam0s[61]
-    summary = reversal_moments(crit, spec61, truth61, lam0)
+    (summary,) = reversal_moments([crit], spec61, truth61, lam0)
 
-    eu = expected_power_vector(truth61, crit.q)
+    eu = abs_moment(truth61.g, 1.0 / crit.q)
     ld, ldd = loss_derivs(crit, spec61, lam0, eu)
     r0_at_mean = ldd - reversal_beta(crit, spec61, lam0) * ld
     assert summary.M == pytest.approx(lam0**2 * r0_at_mean, rel=1e-10)
@@ -262,7 +259,7 @@ def test_moments_are_moments_of_the_statistic(spec61, truth61, lam0s, crit):
 
 def test_moments_match_monte_carlo(spec61, truth61, lam0s):
     lam0 = lam0s[61]
-    summary = reversal_moments(GML, spec61, truth61, lam0)
+    (summary,) = reversal_moments([GML], spec61, truth61, lam0)
     coeff, base = _r0_affine(GML, spec61, lam0)
     rng = np.random.default_rng(515)
     z = truth61.g + rng.standard_normal((50000, 61))
@@ -275,7 +272,7 @@ def test_moments_match_monte_carlo(spec61, truth61, lam0s):
 def test_tail_quantile_negative_and_growing(spectra, truths, lam0s):
     for crit in CRITERIA:
         ts = [
-            reversal_moments(crit, spectra[n], truths[n], lam0s[n]).T_n
+            reversal_moments([crit], spectra[n], truths[n], lam0s[n])[0].T_n
             for n in STANDARD_NS
         ]
         assert all(t < 0 for t in ts)
@@ -284,12 +281,13 @@ def test_tail_quantile_negative_and_growing(spectra, truths, lam0s):
 
 
 def test_summary_consistency(spec61, truth61, lam0s):
-    s = reversal_summary(CP, spec61, truth61, lam0s[61], 2000, seed=3)
+    (s,) = reversal_moments([CP], spec61, truth61, lam0s[61])
+    ((prob, se),) = reversal_probs_mc([CP], spec61, truth61, lam0s[61], 2000, seed=3)
     assert s.T_n == pytest.approx(-s.M / math.sqrt(s.V), rel=1e-12)
     assert s.prob_normal == pytest.approx(normal_cdf(s.T_n), abs=1e-15)
     assert 0.0 < s.prob_normal < 0.5
-    assert 0.0 <= s.prob_mc <= 1.0
-    assert s.mc_se > 0.0
+    assert 0.0 <= prob <= 1.0
+    assert se > 0.0
     assert s.beta == reversal_beta(CP, spec61, lam0s[61])
     assert s.lam0 == lam0s[61]
 
@@ -299,15 +297,17 @@ def test_summary_consistency(spec61, truth61, lam0s):
 
 def test_normal_approximation_tracks_monte_carlo(spectra, truths, lam0s):
     n = 241
-    for crit in CRITERIA:
-        s = reversal_summary(crit, spectra[n], truths[n], lam0s[n], 10000, seed=17)
-        assert abs(s.prob_normal - s.prob_mc) <= 0.05
+    crits = list(CRITERIA)
+    moments = reversal_moments(crits, spectra[n], truths[n], lam0s[n])
+    probs = reversal_probs_mc(crits, spectra[n], truths[n], lam0s[n], 10000, seed=17)
+    for s, (prob, _) in zip(moments, probs):
+        assert abs(s.prob_normal - prob) <= 0.05
 
 
 def test_reversal_probability_ordering(spec61, truth61, lam0s):
     probs = {
-        crit.name: reversal_prob_mc(crit, spec61, truth61, lam0s[61], 10000, 29)[0]
-        for crit in CRITERIA
+        crit.name: prob for crit, (prob, _) in
+        zip(CRITERIA, reversal_probs_mc(list(CRITERIA), spec61, truth61, lam0s[61], 10000, 29))
     }
     assert probs["cp"] > probs["gml"]
     assert probs["cp"] > probs["ee"]
@@ -321,8 +321,18 @@ def test_reversal_probability_ordering(spec61, truth61, lam0s):
 ])
 def test_reversal_probs_mc_matches_single_criterion_route(spec61, truth61, lam0s, crits):
     shared = reversal_probs_mc(list(crits), spec61, truth61, lam0s[61], 3000, 41)
-    assert shared == [reversal_prob_mc(c, spec61, truth61, lam0s[61], 3000, 41)
+    assert shared == [reversal_probs_mc([c], spec61, truth61, lam0s[61], 3000, 41)[0]
                       for c in crits]
+
+
+@pytest.mark.parametrize("crits", [
+    (CP, GML),  # shared q
+    (EE, make_criterion(1.2, 2.5), CP),  # distinct q
+    (GML, CP, GML),  # a repeated criterion
+])
+def test_reversal_moments_match_single_criterion_route(spec61, truth61, lam0s, crits):
+    shared = reversal_moments(list(crits), spec61, truth61, lam0s[61])
+    assert shared == [reversal_moments([c], spec61, truth61, lam0s[61])[0] for c in crits]
 
 
 def test_reversal_probs_mc_partial_last_chunk(spec61, truth61, lam0s):
@@ -356,14 +366,14 @@ def test_reversal_probs_mc_working_set_does_not_grow_with_criteria(spectra, trut
 
 def test_reversal_prob_mc_degenerate_truth(spec61):
     truth = make_truth(spec61, np.zeros(61), 1.0)
-    prob, se = reversal_prob_mc(CP, spec61, truth, 0.5, 1000, seed=1)
+    ((prob, se),) = reversal_probs_mc([CP], spec61, truth, 0.5, 1000, seed=1)
     assert 0.0 <= prob <= 1.0
     assert se >= 0.0
 
 
 def test_reversal_prob_mc_replicate_floor(spec61, truth61, lam0s):
     with pytest.raises(ValueError):
-        reversal_prob_mc(CP, spec61, truth61, lam0s[61], 999, seed=0)
+        reversal_probs_mc([CP], spec61, truth61, lam0s[61], 999, seed=0)
 
 
 def test_normal_cdf_against_scipy():

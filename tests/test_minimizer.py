@@ -23,7 +23,7 @@ from splinesel.criteria import (
     select_block,
     selection_window,
 )
-from splinesel.spectrum import df, lambda_for_df, weights
+from splinesel.spectrum import df, lambdas_for_df, weights
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -31,7 +31,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def df_window(spec):
     """The 201-point df-equispaced window the golden-section route screens."""
     targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
-    lams = np.array([lambda_for_df(spec, t) for t in targets])
+    lams = lambdas_for_df(spec, targets)
     lk = lams[:, None] * spec.k[None, :]
     return SelectionWindow(spec=spec, lambdas=lams, b=lk / (1.0 + lk))
 

@@ -17,10 +17,9 @@ from splinesel import (
     decomposition_mc,
     decompose,
     ideal_lambda,
-    lambda_for_df,
+    lambdas_for_df,
     make_criterion,
     make_truth,
-    rate_probe,
     rate_probes,
     risk,
     select,
@@ -101,7 +100,7 @@ def test_risk_matches_monte_carlo(spec61, truth61):
     rng = np.random.default_rng(20240815)
     z = truth61.g + rng.standard_normal((20000, 61))
     for target_df in (30.0, 15.0, 8.0, 5.0, 3.0):
-        lam = lambda_for_df(spec61, target_df)
+        (lam,) = lambdas_for_df(spec61, [target_df])
         a = weights(spec61, lam).a
         sq = np.sum((a * z - truth61.g) ** 2, axis=1)
         se = sq.std(ddof=1) / math.sqrt(len(sq))
@@ -393,8 +392,8 @@ def test_asym_prediction_doubles_with_n():
 
 def test_rate_probe_slopes(cache_dir):
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
-    probe = rate_probe(
-        CP, design, [61, 121, 241, 481], section_curve_gen, cache_dir=cache_dir
+    (probe,) = rate_probes(
+        [CP], design, [61, 121, 241, 481], section_curve_gen, cache_dir=cache_dir
     )
     assert len(probe.rows) == 4
     assert probe.excluded == []
@@ -408,16 +407,16 @@ def test_rate_probe_slopes(cache_dir):
 def test_rate_probe_validates():
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     with pytest.raises(ValueError):
-        rate_probe(CP, design, [61, 121, 241], section_curve_gen)
+        rate_probes([CP], design, [61, 121, 241], section_curve_gen)
     with pytest.raises(ValueError):
-        rate_probe(CP, design, [61, 121, 121, 241], section_curve_gen)
+        rate_probes([CP], design, [61, 121, 121, 241], section_curve_gen)
 
 
 def test_rate_probe_excludes_boundary_fits(cache_dir):
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     with pytest.raises(NumericError, match="interior"):
-        rate_probe(
-            CP,
+        rate_probes(
+            [CP],
             design,
             [61, 81, 101, 121],
             lambda grid: np.zeros(grid.n),
@@ -437,7 +436,7 @@ def test_rate_probes_match_single_criterion_probes(cache_dir, amp, excluded_ee):
 
     crits = [CP, GML, EE]
     probes = rate_probes(crits, design, ns, gen, sigma=1.0, cache_dir=cache_dir)
-    assert probes == [rate_probe(c, design, ns, gen, sigma=1.0, cache_dir=cache_dir)
+    assert probes == [rate_probes([c], design, ns, gen, sigma=1.0, cache_dir=cache_dir)[0]
                       for c in crits]
     assert [p.excluded for p in probes] == [[], [], excluded_ee]
 

@@ -190,6 +190,8 @@ def test_config_unknown_and_missing_fields():
     (dict(sigma_mode="sometimes"), "sigma_mode"),
     (dict(n_list=[3, 31]), "integers >= 4"),
     (dict(n_list=[31, 61, 31]), "distinct"),
+    (dict(design={"kind": "explicit", "points": list(range(50))}, n_list=[50, 61]),
+     "explicit design has 50 points, so n must be 50, got n=61"),
 ])
 def test_config_validation_errors(tmp_path, overrides, fragment):
     cfg = base_config(tmp_path, **overrides)
@@ -574,14 +576,23 @@ def test_cli_select(tmp_path, capsys):
 @pytest.mark.parametrize("rows,fragment", [
     ("a,b\n1,2\n", "columns x,y"),
     ("x,y\n0.0,1.0\n0.5,0.0\n1.0,1.0\n", "at least 5"),
+    ("x,y\n0,1\n1,2\n2,abc\n3,1\n4,0\n", "line 4: x and y must be numbers"),
+    ("x,y\n0,1\n1,2\n2,nan\n3,1\n4,0\n", "must be finite"),
+    ("x,y\n0,1\n1,2\n1,3\n3,1\n4,0\n", "x values must be distinct, 1 repeats"),
 ])
-def test_cli_select_rejects_bad_input(tmp_path, capsys, rows, fragment):
+def test_cli_select_rejects_bad_input(tmp_path, capsys, monkeypatch, rows, fragment):
+    # Every rejection comes before the O(n^3) decomposition.
+    def no_decompose(grid):
+        raise AssertionError("decompose reached")
+
+    monkeypatch.setattr("splinesel.cli.decompose", no_decompose)
     path = tmp_path / "data.csv"
     path.write_text(rows)
     code = cli(["select", "--input", str(path), "--criterion", "cp",
                 "--sigma", "known:1.0"])
     err = capsys.readouterr().err
     assert code == 2
+    assert json.loads(err)["error"] == "config"
     assert fragment in json.loads(err)["message"]
 
 
@@ -702,6 +713,60 @@ def test_cli_design_flag_shares_config_check(tmp_path, capsys, design):
     assert json.loads(capsys.readouterr().err)["error"] == "config"
 
 
+def explicit_design(size):
+    return {"kind": "explicit", "points": [float(v) for v in np.linspace(-1.0, 1.0, size)]}
+
+
+def test_cli_explicit_design_needs_its_point_count_as_n(tmp_path, capsys):
+    # simulate and tables both refuse a config that would label records
+    # from a 50-point design as n = 61 and 121; at n = 50 it runs.
+    payload = json.loads(base_config(tmp_path / "out").to_json())
+    payload.update(design=explicit_design(50), n_list=[61, 121], replicates=2)
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps(payload))
+    for command in ("simulate", "tables"):
+        assert cli([command, "--config", str(cfg_path)]) == 2
+        message = json.loads(capsys.readouterr().err)["message"]
+        assert "explicit design has 50 points" in message
+    assert not (tmp_path / "out").exists()
+    payload.update(n_list=[50])
+    cfg_path.write_text(json.dumps(payload))
+    assert cli(["simulate", "--config", str(cfg_path)]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "runs.csv").read_text().splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {"50"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "61"],
+    ["curvature", "--n", "61", "--criteria", "cp"],
+    ["curvature", "--n", "7,61", "--criteria", "cp"],
+    ["reversal", "--n", "61", "--criteria", "cp", "--replicates", "1000"],
+    ["decompose", "--n", "61", "--criterion", "cp", "--replicates", "100"],
+    ["rates", "--n", "7,21,31,41", "--criteria", "cp"],
+])
+def test_cli_n_flag_must_match_an_explicit_design(tmp_path, capsys, argv):
+    out = tmp_path / "result"
+    extra = [] if argv[0] == "spectrum" else ["--out", str(out)]
+    code = cli(argv + ["--design", json.dumps(explicit_design(7)),
+                       "--cache-dir", str(tmp_path / "spectra")] + extra)
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config"
+    assert "explicit design has 7 points" in err["message"]
+    assert not out.exists()
+    assert not (tmp_path / "spectra").exists()
+
+
+def test_cli_curvature_at_an_explicit_design_size(tmp_path, capsys):
+    out = tmp_path / "t1.csv"
+    code = cli(["curvature", "--n", "7", "--criteria", "cp",
+                "--design", json.dumps(explicit_design(7)),
+                "--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    assert out.read_text().splitlines()[1].split(",")[0] == "7"
+
+
 def test_cli_curvature(tmp_path, capsys):
     out = tmp_path / "t1.csv"
     code = cli(["curvature", "--n", "31", "--criteria", "cp,gml",
@@ -764,10 +829,11 @@ def test_cli_reversal_rows_match_per_criterion_summaries(tmp_path, capsys):
             spec, truth = oracle.setting(design, n, lambda grid: truth_curve("paper-fig3", grid),
                                          1.0, cache)
             lam0 = oracle.ideal_lambda(spec, truth).lam
-            rs = geometry.reversal_summary(c, spec, truth, lam0, 2500, 12)
+            (rs,) = geometry.reversal_moments([c], spec, truth, lam0)
+            ((prob, se),) = geometry.reversal_probs_mc([c], spec, truth, lam0, 2500, 12)
             lines.append(",".join([name, str(n)] + [
                 f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
-                                      rs.prob_normal, rs.prob_mc, rs.mc_se)]))
+                                      rs.prob_normal, prob, se)]))
     assert out.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
 
 

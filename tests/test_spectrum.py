@@ -16,7 +16,6 @@ from splinesel import (
     cached_decompose,
     decompose,
     df,
-    lambda_for_df,
     lambdas_for_df,
     load_spectrum,
     penalty_matrix,
@@ -218,16 +217,16 @@ def test_df_strictly_decreasing(spec61):
 
 @pytest.mark.parametrize("target", [3.0, 10.0, 60.0])
 def test_lambda_for_df_round_trip(spec61, target):
-    lam = lambda_for_df(spec61, target)
+    (lam,) = lambdas_for_df(spec61, [target])
     assert lam > 0
     assert df(spec61, lam) == pytest.approx(target, abs=1e-9)
 
 
 def test_lambda_for_df_extremes(spec61):
-    lam = lambda_for_df(spec61, 61.0 - 1e-3)
+    (lam,) = lambdas_for_df(spec61, [61.0 - 1e-3])
     assert 0 < lam < 1e-3
 
-    lam = lambda_for_df(spec61, 2.5)
+    (lam,) = lambdas_for_df(spec61, [2.5])
     assert math.isfinite(lam) and lam > 0
     assert df(spec61, lam) == pytest.approx(2.5, abs=1e-9)
 
@@ -235,7 +234,7 @@ def test_lambda_for_df_extremes(spec61):
 @pytest.mark.parametrize("target", [1.5, 2.0, 61.0, 200.0])
 def test_lambda_for_df_domain(spec61, target):
     with pytest.raises(ValueError):
-        lambda_for_df(spec61, target)
+        lambdas_for_df(spec61, [target])
 
 
 @st.composite
@@ -274,7 +273,7 @@ def test_lambdas_for_df_properties(problem):
     for lam, target in zip(lams, targets):
         assert abs(df(spec, lam) - target) <= 1e-9
         # One solver: a single-target call is the same computation.
-        assert lambda_for_df(spec, target) == lam
+        assert lambdas_for_df(spec, [target])[0] == lam
     # Targets further apart than twice the tolerance are strictly ordered.
     order = np.argsort(targets)
     for i, j in zip(order, order[1:]):
@@ -316,7 +315,7 @@ def test_smooth_matches_dense_solve(spec61):
     # Oracle: U diag(a) U' y is (I + lam K)^{-1} y.
     rng = np.random.default_rng(7)
     y = np.sin(np.pi * (spec61.x + 1.0)) + 0.3 * rng.standard_normal(61)
-    lam = lambda_for_df(spec61, 10.0)
+    (lam,) = lambdas_for_df(spec61, [10.0])
     K = penalty_matrix(DesignGrid(x=spec61.x))
     direct = np.linalg.solve(np.eye(61) + lam * K, y)
     assert np.abs(smooth(spec61, lam, y) - direct).max() <= 1e-8
