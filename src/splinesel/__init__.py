@@ -64,7 +64,6 @@ from .oracle import (
 from .geometry import (
     ReversalSummary,
     curvature_sq,
-    curvature_via_matrix,
     reversal_moments,
     reversal_probs_mc,
     reversal_stat,
@@ -86,7 +85,7 @@ __all__ = [
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
     "ideal_lambda", "make_truth", "rate_probes", "risk", "setting",
-    "ReversalSummary", "curvature_sq", "curvature_via_matrix", "reversal_moments",
-    "reversal_probs_mc", "reversal_stat",
+    "ReversalSummary", "curvature_sq", "reversal_moments", "reversal_probs_mc",
+    "reversal_stat",
     "RunRecord", "SimConfig", "emit_tables", "run_simulation", "truth_curve",
 ]

@@ -144,18 +144,13 @@ def _cmd_select(args) -> str:
         raise ConfigError(f"{args.input}: x values must be distinct, {repeated[0]:g} repeats")
     spec = decompose(build_design("explicit", points=x))
     coeffs = spec.U.T @ y
-    mode = args.sigma
-    if mode.startswith("known:"):
-        try:
-            sigma = float(mode.split(":", 1)[1])
-        except ValueError as exc:
-            raise ConfigError(f"bad --sigma {mode!r}") from exc
-        simlab.check_sigma(sigma)
-    else:
-        estimated, M = simlab._parse_sigma_mode(mode, spec.n)
-        if not estimated:
-            raise ConfigError("--sigma known needs a value: known:VALUE")
-        sigma = float(np.sqrt(sigma_estimate(coeffs, M)))
+    estimated, M, sigma = simlab.parse_sigma_mode(args.sigma, spec.n, known_value=True)
+    if estimated:
+        s2 = sigma_estimate(coeffs, M)
+        if not s2 > 0:
+            raise NumericError("noise-scale estimate collapsed to zero "
+                               f"(sigma_estimate over the top {M + 2} rotated components)")
+        sigma = float(np.sqrt(s2))
     picked = select(c, spec, coeffs / sigma)
     return (f"select criterion={c.name} n={spec.n} lambda_hat={picked.lam_hat:.8g} "
             f"df_hat={picked.df_hat:.4f} sigma={sigma:.6g} "
@@ -196,18 +191,11 @@ def _setting(args, design: dict, n: int):
 
 
 def _cmd_curvature(args) -> str:
-    design, ns, names, criteria = _model_inputs(args)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + names)
-        for n in ns:
-            spec, truth = _setting(args, design, n)
-            lam0 = oracle.ideal_lambda(spec, truth).lam
-            writer.writerow(
-                [n] + [f"{geometry.curvature_sq(c, spec, lam0):.17g}" for c in criteria])
-    return f"curvature wrote {out} for n={ns} criteria={names}"
+    design, ns, names, _ = _model_inputs(args)
+    simlab.write_curvature_table(args.out, names, design, ns,
+                                 partial(simlab.truth_curve, args.truth), args.sigma,
+                                 args.cache_dir)
+    return f"curvature wrote {Path(args.out)} for n={ns} criteria={names}"
 
 
 def _cmd_reversal(args) -> str:

@@ -198,10 +198,11 @@ class SelectionWindow:
     points plus log-uniform fill-ins wherever a log-lam gap exceeds
     MAX_LOG_GAP.  b is the (candidates x n) shrunk-fraction table.  Power
     tables per criterion are cached lazily since they do not depend on the
-    data.
+    data.  The spectrum owns its window (DesignSpectrum.window); the window
+    keeps only its null_dim, so the two form no reference cycle.
     """
 
-    spec: DesignSpectrum
+    null_dim: int
     lambdas: np.ndarray
     b: np.ndarray
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -210,7 +211,7 @@ class SelectionWindow:
         """(T, offset): coarse losses are T @ u_penalized + offset."""
         key = (c.p, c.q)
         if key not in self._powers:
-            self._powers[key] = _value_tables(c, self.b[:, self.spec.null_dim:])
+            self._powers[key] = _value_tables(c, self.b[:, self.null_dim:])
         return self._powers[key]
 
 
@@ -231,7 +232,7 @@ def selection_window(spec: DesignSpectrum) -> SelectionWindow:
         parts.append(coarse[i + 1:i + 2])
     lambdas = np.concatenate(parts)
     lk = lambdas[:, None] * spec.k[None, :]
-    return SelectionWindow(spec=spec, lambdas=lambdas, b=lk / (1.0 + lk))
+    return SelectionWindow(null_dim=spec.null_dim, lambdas=lambdas, b=lk / (1.0 + lk))
 
 
 def minimize_on_window(window: SelectionWindow, coarse_values, objective,
@@ -304,26 +305,24 @@ def minimize_on_window(window: SelectionWindow, coarse_values, objective,
     return lam, value, flags
 
 
-def select_block(c: Criterion, spec: DesignSpectrum, Z,
-                 window: SelectionWindow | None = None) -> BlockSelection:
+def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
     """Data-driven smoothing parameters for a block of replicates at once.
 
     Z is (rows x n) rotated data, one replicate per row; u = |Z|^(2/q) is
     formed internally.  The coarse screen is one matrix product of the
     block with the window's criterion table, and the refinement one Newton
-    solve over every bracketed row (see minimize_on_window).  Pass a
-    prebuilt window when selecting many blocks on one spectrum.
+    solve over every bracketed row (see minimize_on_window).  The window is
+    the spectrum's own, built on its first selection and reused by the rest.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != spec.n:
         raise ValueError(f"Z must be a nonempty (rows x {spec.n}) block, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise ValueError("z must be finite")
-    return _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q), window)
+    return _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q))
 
 
-def select(c: Criterion, spec: DesignSpectrum, z,
-           window: SelectionWindow | None = None) -> SelectionResult:
+def select(c: Criterion, spec: DesignSpectrum, z) -> SelectionResult:
     """Data-driven smoothing parameter: global minimizer of the criterion.
 
     z is the rotated data of one replicate, selected as a block of one row
@@ -332,7 +331,7 @@ def select(c: Criterion, spec: DesignSpectrum, z,
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.n,):
         raise ValueError(f"z must have length {spec.n}, got shape {z.shape}")
-    return _first(select_block(c, spec, z[None, :], window))
+    return _first(select_block(c, spec, z[None, :]))
 
 
 def _first(block: BlockSelection) -> SelectionResult:
@@ -340,13 +339,11 @@ def _first(block: BlockSelection) -> SelectionResult:
                            loss=float(block.loss[0]), at_boundary=block.at_boundary[0])
 
 
-def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray,
-                 window: SelectionWindow | None) -> BlockSelection:
+def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSelection:
     # Minimize the criterion at every row of full-length u over the window:
     # the table screen, then the Newton refinement on the exact value and
     # slope.  df is summed row by row exactly as df() sums it.
-    if window is None:
-        window = selection_window(spec)
+    window = spec.window
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
     T, offset = window.criterion_tables(c)

@@ -60,24 +60,6 @@ def _penalized_ab(spec: DesignSpectrum, lam: float):
     return w.a[nd:], w.b[nd:]
 
 
-def eta_curve(c: Criterion, spec: DesignSpectrum, lam: float):
-    """(eta_dot, eta_ddot, mu) on penalized components.
-
-    eta_dot_i = -(p/(q lam)) a_i t_i^p with t_i = c_q b_i^(1/q);
-    differentiating again via da/dlam = -ab/lam, db/dlam = ab/lam gives
-    eta_ddot_i = (p/(q lam^2)) a_i t_i^p (1 + b_i - (p/q) a_i).
-    mu_i = 1/t_i.
-    """
-    a, b = _penalized_ab(spec, lam)
-    p, q = c.p, c.q
-    t = c.c_q * b ** (1.0 / q)
-    atp = a * t**p
-    eta_dot = -(p / (q * lam)) * atp
-    eta_ddot = p / (q * lam * lam) * atp * (1.0 + b - (p / q) * a)
-    mu = 1.0 / t
-    return eta_dot, eta_ddot, mu
-
-
 def curvature_sq(c: Criterion, spec: DesignSpectrum, lam: float) -> float:
     """Squared statistical curvature, spectral-sum form.
 
@@ -95,25 +77,6 @@ def curvature_sq(c: Criterion, spec: DesignSpectrum, lam: float) -> float:
     s3 = float(np.sum(a**3 * B))
     s4 = float(np.sum(a**4 * B))
     return (p + q) ** 2 / (p * c.c_q ** (p - 1.0)) * (s4 / s2**2 - s3**2 / s2**3)
-
-
-def curvature_via_matrix(c: Criterion, spec: DesignSpectrum, lam: float) -> float:
-    """Squared curvature from the defining Gram construction.
-
-    gamma^2 = det(M) / (eta_dot' V eta_dot)^3 with V = diag(c_q^-(p+1)
-    b^-(p+1)/q / p) and M the 2x2 Gram matrix of (eta_dot, eta_ddot) under
-    V.  Agrees with curvature_sq to rounding; kept as the independent route
-    that tests check curvature_sq against.
-    """
-    a, b = _penalized_ab(spec, lam)
-    eta_dot, eta_ddot, _ = eta_curve(c, spec, lam)
-    p, q = c.p, c.q
-    V = c.c_q ** (-(p + 1.0)) * b ** (-(p + 1.0) / q) / p
-    m11 = float(np.sum(eta_dot * V * eta_dot))
-    m12 = float(np.sum(eta_ddot * V * eta_dot))
-    m22 = float(np.sum(eta_ddot * V * eta_ddot))
-    det = m11 * m22 - m12 * m12
-    return det / m11**3
 
 
 def reversal_beta(c: Criterion, spec: DesignSpectrum, lam0: float) -> float:

@@ -21,12 +21,11 @@ from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
     Criterion,
-    SelectionWindow,
     _select_rows,
     minimize_on_window,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
     select_block,
-    selection_window,
+    selection_window,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
 from .errors import NumericError
 from .spectrum import (DesignSpectrum, build_design, cached_decompose, decompose, df,
@@ -98,9 +97,8 @@ def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum, lam) -> tuple:
     return 2.0 * (ab * e).sum(axis=-1), 2.0 * (ab * ((a - b) * e + ab * (g2 + 1.0))).sum(axis=-1)
 
 
-def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum,
-                 window: SelectionWindow | None = None) -> LambdaPoint:
-    """Risk-minimizing smoothing parameter over the selection window.
+def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
+    """Risk-minimizing smoothing parameter over the spectrum's selection window.
 
     Uses the selection minimizer on a block of one row: a coarse screen of
     the risk over the window rows, (b*b) @ g^2 + sum a^2 as one table
@@ -108,12 +106,10 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum,
     closed-form log-lam slope.
     A boundary winner is flagged, never clipped.
     """
-    if window is None:
-        window = selection_window(spec)
-    b = window.b
+    b = spec.window.b
     coarse = (b * b) @ (truth.g**2) + np.sum((1.0 - b) ** 2, axis=1)
     picked, _, flags = minimize_on_window(
-        window, coarse[None, :],
+        spec.window, coarse[None, :],
         lambda lams, rows: np.array([risk(spec, truth, float(lam)) for lam in lams]),
         lambda lams, rows: _risk_log_derivs(spec, truth, lams),
     )
@@ -131,8 +127,7 @@ def _penalized_power(spec: DesignSpectrum, truth: TruthSpectrum, q: float) -> np
     return eu
 
 
-def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                   window: SelectionWindow | None = None) -> LambdaPoint:
+def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
     """Minimizer of the expected criterion: where selection is centered.
 
     The criterion is linear in u, so the expected criterion is the criterion
@@ -141,14 +136,13 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     and Newton solve at that u.  For the (2, 1) member this lands on the
     ideal smoothing parameter.
     """
-    return _central_at(c, spec, _penalized_power(spec, truth, c.q), window)
+    return _central_at(c, spec, _penalized_power(spec, truth, c.q))
 
 
-def _central_at(c: Criterion, spec: DesignSpectrum, eu: np.ndarray,
-                window: SelectionWindow | None) -> LambdaPoint:
+def _central_at(c: Criterion, spec: DesignSpectrum, eu: np.ndarray) -> LambdaPoint:
     # central_lambda at a precomputed E|z|^(2/q), shared by criteria of one
     # q: selection at u = eu as a block of one row.
-    picked = _select_rows(c, spec, eu[None, :], window)
+    picked = _select_rows(c, spec, eu[None, :])
     return LambdaPoint(lam=float(picked.lam_hat[0]), df=float(picked.df_hat[0]),
                        at_boundary=picked.at_boundary[0])
 
@@ -183,8 +177,7 @@ class DecompositionReport:
 
 
 def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                     replicates: int, seed: int,
-                     window: SelectionWindow | None = None) -> DecompositionReport:
+                     replicates: int, seed: int) -> DecompositionReport:
     """Estimate the risk decomposition by Monte Carlo.
 
     Per replicate r, z = g + eps with eps keyed by (seed, n, r) -- the same
@@ -197,10 +190,8 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     if replicates < DECOMPOSITION_MIN_REPLICATES:
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
                          f"replicates, got {replicates}")
-    if window is None:
-        window = selection_window(spec)
-    ideal = ideal_lambda(spec, truth, window)
-    central = central_lambda(c, spec, truth, window)
+    ideal = ideal_lambda(spec, truth)
+    central = central_lambda(c, spec, truth)
     risk0 = risk(spec, truth, ideal.lam)
     bias = risk(spec, truth, central.lam) - risk0
 
@@ -215,7 +206,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         Z = replicate_block(seed, spec.n, block.start, block.stop,
                             out=buf[:block.stop - block.start])
         Z += truth.g
-        picked = select_block(c, spec, Z, window)
+        picked = select_block(c, spec, Z)
         boundary += sum(flag != "none" for flag in picked.at_boundary)
         ghat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k) * Z
         gcen = a_c * Z
@@ -261,8 +252,8 @@ def curvature_denominator(c: Criterion, spec: DesignSpectrum, lam: float, u) -> 
     return float(np.sum(a * B * inner))
 
 
-def decomposition_approx(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
-                         window: SelectionWindow | None = None) -> tuple[float, float]:
+def decomposition_approx(c: Criterion, spec: DesignSpectrum,
+                         truth: TruthSpectrum) -> tuple[float, float]:
     """First-order analytic approximations to variability and covariance.
 
     Both come from linearizing the selection equation around the central
@@ -276,7 +267,7 @@ def decomposition_approx(c: Criterion, spec: DesignSpectrum, truth: TruthSpectru
     evaluated at u = E|z|^(2/q).  Approximate by construction; the Monte
     Carlo decomposition is the ground truth it is compared against.
     """
-    central = central_lambda(c, spec, truth, window)
+    central = central_lambda(c, spec, truth)
     w = weights(spec, central.lam)
     nd = spec.null_dim
     a = w.a[nd:]
@@ -314,10 +305,11 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
                 cache_dir=None) -> list[RateProbe]:
     """Track how each criterion's central smoothing parameter scales with n.
 
-    For each n, builds the setting (see setting), its selection window and
-    E|z|^(2/q) for each distinct q once, and locates every criterion's lam_c
-    on them; boundary-flagged fits are excluded and reported.  Slopes are
-    least squares of log lam_c and log df_c against log n.
+    For each n, builds the setting (see setting) and E|z|^(2/q) for each
+    distinct q once, and locates every criterion's lam_c on them (the
+    spectrum builds its selection window on first use, once per n);
+    boundary-flagged fits are excluded and reported.  Slopes are least
+    squares of log lam_c and log df_c against log n.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < RATE_MIN_SIZES or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -326,11 +318,10 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
     excluded: list[list[int]] = [[] for _ in criteria]
     for n in n_list:
         spec, truth = setting(design, n, truth_gen, sigma, cache_dir)
-        window = selection_window(spec)
         powers = {q: _penalized_power(spec, truth, q)
                   for q in dict.fromkeys(c.q for c in criteria)}
         for c, fits, dropped in zip(criteria, rows, excluded):
-            central = _central_at(c, spec, powers[c.q], window)
+            central = _central_at(c, spec, powers[c.q])
             if central.at_boundary != "none":
                 dropped.append(n)
             else:

@@ -32,7 +32,6 @@ from .criteria import (
     default_sigma_m,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
     select_block,
-    selection_window,
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
@@ -74,7 +73,7 @@ class SimConfig:
             raise ConfigError("criteria must be a nonempty list of criterion ids")
         check_design(self.design, self.n_list)
         for n in self.n_list:
-            _parse_sigma_mode(self.sigma_mode, n)
+            parse_sigma_mode(self.sigma_mode, n)
         for name in self.criteria:
             criterion_by_name(name)
         return self
@@ -172,14 +171,26 @@ def check_design(design, n_list) -> dict:
     return design
 
 
-def _parse_sigma_mode(mode: str, n: int) -> tuple[bool, int]:
-    """-> (estimated?, M) at sample size n.
+def parse_sigma_mode(mode: str, n: int, *,
+                     known_value: bool = False) -> tuple[bool, int, float | None]:
+    """The one sigma-mode grammar -> (estimated?, M, sigma) at sample size n.
 
-    Accepts 'known', 'estimated' (M = default_sigma_m(n)) and 'estimated:M';
-    the tail size M of sigma_estimate must satisfy 5 <= M <= n - 5.
+    'estimated' takes M = default_sigma_m(n) and 'estimated:M' its own M,
+    the tail size of sigma_estimate, with 5 <= M <= n - 5.  A config's
+    sigma_mode says 'known' and takes sigma from the config (None here).
+    The select command's --sigma (known_value) says 'known:VALUE' instead,
+    and sigma is VALUE, positive and finite.
     """
+    if known_value and mode.startswith("known:"):
+        try:
+            sigma = float(mode.split(":", 1)[1])
+        except ValueError as exc:
+            raise ConfigError(f"bad --sigma {mode!r}") from exc
+        return False, 0, check_sigma(sigma)
     if mode == "known":
-        return False, 0
+        if known_value:
+            raise ConfigError("--sigma known needs a value: known:VALUE")
+        return False, 0, None
     if mode == "estimated":
         M = default_sigma_m(n)
     elif mode.startswith("estimated:"):
@@ -191,7 +202,7 @@ def _parse_sigma_mode(mode: str, n: int) -> tuple[bool, int]:
         raise ConfigError(f"bad sigma_mode {mode!r} (known | estimated | estimated:M)")
     if not 5 <= M <= n - 5:
         raise ConfigError(f"sigma_mode {mode!r} needs 5 <= M <= n - 5, got M={M} at n={n}")
-    return True, M
+    return True, M, None
 
 
 _EXPR_FUNCS = {
@@ -282,13 +293,13 @@ def spectra_cache_dir(cfg: SimConfig) -> Path:
 
 
 def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
-                       criteria: list[Criterion], cfg: SimConfig, window,
-                       sigma_mode: tuple[bool, int], block: range) -> list[RunRecord]:
+                       criteria: list[Criterion], cfg: SimConfig,
+                       sigma_mode: tuple, block: range) -> list[RunRecord]:
     """Records of one block of replicates, each criterion selecting the
-    whole block at once; sigma_mode is _parse_sigma_mode's (estimated?, M).
-    A replicate whose noise-scale estimate collapsed gets an error record
+    whole block at once; sigma_mode is parse_sigma_mode's result.  A
+    replicate whose noise-scale estimate collapsed gets an error record
     per criterion."""
-    estimated, M = sigma_mode
+    estimated, M, _ = sigma_mode
     sigma = cfg.sigma
     y = replicate_block(cfg.seed, spec.n, block.start, block.stop)
     y *= sigma
@@ -303,7 +314,7 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     picks, sqerrs = [], []
     if ok.any():
         for c in criteria:
-            picked = select_block(c, spec, coeffs[ok] / sigma_use[ok, None], window)
+            picked = select_block(c, spec, coeffs[ok] / sigma_use[ok, None])
             ahat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k)
             picks.append(picked)
             sqerrs.append(((ahat * coeffs[ok] / sigma - truth.g) ** 2).sum(axis=1))
@@ -342,11 +353,10 @@ def run_simulation(cfg: SimConfig):
         except (ValueError, NumericError) as exc:
             log.error("n=%d aborted: %s", n, exc)
             continue
-        window = selection_window(spec)
-        sigma_mode = _parse_sigma_mode(cfg.sigma_mode, spec.n)
+        sigma_mode = parse_sigma_mode(cfg.sigma_mode, spec.n)
         for lo in range(0, cfg.replicates, BLOCK_ROWS):
             block = range(lo, min(lo + BLOCK_ROWS, cfg.replicates))
-            yield from _replicate_records(spec, truth, criteria, cfg, window, sigma_mode, block)
+            yield from _replicate_records(spec, truth, criteria, cfg, sigma_mode, block)
 
 
 def _format(v) -> str:
@@ -389,11 +399,36 @@ def read_runs_csv(path) -> list[RunRecord]:
 # --- summary tables ---------------------------------------------------------
 
 
+def write_curvature_table(path, names, design: dict, n_list, truth_gen, sigma: float,
+                          cache_dir) -> dict[int, oracle.LambdaPoint]:
+    """Write the curvature table (table1.csv): the squared curvature of each
+    named criterion at the ideal smoothing parameter, one row per n.
+
+    Each n's setting (see oracle.setting) is built, used and dropped in
+    turn.  Returns the ideal point of each n.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    criteria = [criterion_by_name(name) for name in names]
+    ideal_points = {}
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["n"] + list(names))
+        for n in n_list:
+            spec, truth = oracle.setting(design, n, truth_gen, sigma, cache_dir)
+            ideal_points[n] = oracle.ideal_lambda(spec, truth)
+            lam0 = ideal_points[n].lam
+            writer.writerow([n] + [_format(geometry.curvature_sq(c, spec, lam0))
+                                   for c in criteria])
+    return ideal_points
+
+
 def emit_tables(records, cfg: SimConfig, out_dir=None) -> dict[str, Path]:
     """Write the four summary CSVs from a finished run.
 
     table1.csv:    squared curvature of each criterion at the ideal
-                   smoothing parameter, one row per n (deterministic).
+                   smoothing parameter, one row per n (deterministic; see
+                   write_curvature_table).
     table2.csv:    mean and sample sd of the spectral squared error per
                    (criterion, n) cell.
     fig4_hist.csv: df_hat histogram counts, unit-width bins anchored at
@@ -405,30 +440,10 @@ def emit_tables(records, cfg: SimConfig, out_dir=None) -> dict[str, Path]:
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     records = list(records)
-    cache = spectra_cache_dir(cfg)
-
-    ideal_points = {}
-    specs = {}
-    for n in cfg.n_list:
-        spec, truth = oracle.setting(cfg.design, n, partial(truth_curve, cfg.truth),
-                                     cfg.sigma, cache)
-        specs[n] = spec
-        ideal_points[n] = oracle.ideal_lambda(spec, truth)
-
-    paths = {}
-
-    path1 = out / "table1.csv"
-    with open(path1, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + list(cfg.criteria))
-        for n in cfg.n_list:
-            lam0 = ideal_points[n].lam
-            row = [n] + [
-                _format(geometry.curvature_sq(criterion_by_name(name), specs[n], lam0))
-                for name in cfg.criteria
-            ]
-            writer.writerow(row)
-    paths["table1"] = path1
+    paths = {"table1": out / "table1.csv"}
+    ideal_points = write_curvature_table(paths["table1"], cfg.criteria, cfg.design, cfg.n_list,
+                                         partial(truth_curve, cfg.truth), cfg.sigma,
+                                         spectra_cache_dir(cfg))
 
     path2 = out / "table2.csv"
     with open(path2, "w", newline="") as fh:

@@ -177,21 +177,6 @@ def moment_set(g: float | np.ndarray, q: float) -> MomentSet:
     )
 
 
-def gauss_hermite_expectation(g: float, fn, nodes: int = 64) -> float:
-    """E[fn(Z)] for Z ~ Normal(g, 1) by fixed-node Gauss-Hermite quadrature.
-
-    Cross-check companion for moment_set: exact for polynomial integrands up
-    to degree 2*nodes - 1, a few digits short of that for integrands with a
-    kink at zero (fractional powers of |z|).
-    """
-    x, w = np.polynomial.hermite.hermgauss(nodes)
-    z = g + math.sqrt(2.0) * x
-    vals = w * np.asarray(fn(z), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NumericError(f"gauss_hermite_expectation hit non-finite values at g={g}")
-    return float(vals.sum() / _SQRT_PI)
-
-
 def asym_sum(r: float, s: float, n: int, lam: float) -> float:
     """Leading-order value of the spectral sum sum_i a_i^r b_i^s.
 

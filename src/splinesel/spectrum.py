@@ -7,6 +7,7 @@ with the shrinkage weights a_i = 1/(1 + lam * k_i) in the rotated basis.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 import hashlib
 import logging
 import math
@@ -52,7 +53,8 @@ class DesignSpectrum:
 
     U is orthogonal with columns ordered by ascending eigenvalue k; the first
     null_dim = 2 eigenvalues are exactly zero (constant and linear functions
-    are never penalized).
+    are never penalized).  window is its selection window, built on first
+    use and kept for the spectrum's lifetime.
     """
 
     n: int
@@ -60,6 +62,12 @@ class DesignSpectrum:
     U: np.ndarray
     k: np.ndarray
     null_dim: int
+
+    @cached_property
+    def window(self):
+        from . import criteria  # criteria imports this module
+
+        return criteria.selection_window(self)
 
 
 @dataclass(frozen=True)

@@ -50,11 +50,6 @@ def truths(spectra, grids):
 
 
 @pytest.fixture(scope="session")
-def windows(spectra):
-    return {n: ss.selection_window(spec) for n, spec in spectra.items()}
-
-
-@pytest.fixture(scope="session")
 def spec_unit961(cache_dir):
     """Unit-interval design used by the spectral-sum approximation checks."""
     grid = ss.build_design("equispaced", 961, lo=0.0, hi=1.0)
@@ -72,5 +67,6 @@ def truth61(truths):
 
 
 @pytest.fixture(scope="session")
-def window61(windows):
-    return windows[61]
+def window61(spec61):
+    """The n = 61 spectrum's own selection window."""
+    return spec61.window

@@ -17,6 +17,8 @@ import pytest
 
 import splinesel as ss
 
+from crosscheck import curvature_via_matrix
+
 # Campaigns once read a process-pool size from this variable; acceptance 8
 # checks that a leftover setting cannot change runs.csv.
 WORKERS_ENV_VAR = "SPLINESEL_WORKERS"
@@ -275,7 +277,7 @@ def test_acceptance_8_property_suite(spec61, truth61, window61, tmp_path,
     for _, c in CRITERIA:
         for lam in (0.01, 0.1, 1.0):
             g1 = ss.curvature_sq(c, spec61, lam)
-            g2 = ss.curvature_via_matrix(c, spec61, lam)
+            g2 = curvature_via_matrix(c, spec61, lam)
             curv_ok &= abs(g1 - g2) <= 1e-8 * abs(g1)
     checks["curvature two-route"] = curv_ok
 
@@ -293,7 +295,7 @@ def test_acceptance_8_property_suite(spec61, truth61, window61, tmp_path,
     step = math.log(grid[1]) - math.log(grid[0])
     brute_ok = True
     for _, c in CRITERIA:
-        picked = ss.select(c, spec61, z, window=window61)
+        picked = ss.select(c, spec61, z)
         u = np.abs(z) ** (2.0 / c.q)
         vals = np.array([ss.loss(c, ss.weights(spec61, lam), u) for lam in grid])
         best = int(np.argmin(vals))
@@ -301,7 +303,7 @@ def test_acceptance_8_property_suite(spec61, truth61, window61, tmp_path,
         brute_ok &= picked.loss <= vals[best] + 1e-10 * abs(vals[best])
     risks = np.array([ss.risk(spec61, truth61, lam) for lam in grid])
     best = int(np.argmin(risks))
-    p0 = ss.ideal_lambda(spec61, truth61, window=window61)
+    p0 = ss.ideal_lambda(spec61, truth61)
     brute_ok &= abs(math.log(p0.lam) - math.log(grid[best])) <= step
     brute_ok &= ss.risk(spec61, truth61, p0.lam) <= risks[best] + 1e-12 * risks[best]
     checks["brute-force oracles"] = brute_ok

@@ -180,14 +180,14 @@ def test_loss_derivs_domain(spec61):
 
 
 @pytest.mark.parametrize("crit", [CP, GML, EE])
-def test_select_matches_brute_force_grid(spec61, truth61, window61, crit):
+def test_select_matches_brute_force_grid(spec61, truth61, crit):
     z = rotated_dataset(spec61, truth61, 20240)
-    result = select(crit, spec61, z, window=window61)
+    result = select(crit, spec61, z)
 
     u = np.abs(z) ** (2.0 / crit.q)
     grid = np.exp(
         np.linspace(
-            math.log(window61.lambdas[0]), math.log(window61.lambdas[-1]), 10001
+            math.log(spec61.window.lambdas[0]), math.log(spec61.window.lambdas[-1]), 10001
         )
     )
     vals = np.array([loss(crit, weights(spec61, lam), u) for lam in grid])
@@ -201,22 +201,22 @@ def test_select_matches_brute_force_grid(spec61, truth61, window61, crit):
     )
 
 
-def test_select_sign_invariance(spec61, truth61, window61):
+def test_select_sign_invariance(spec61, truth61):
     z = rotated_dataset(spec61, truth61, 5150)
     for crit in (CP, GML, EE):
-        r_pos = select(crit, spec61, z, window=window61)
-        r_neg = select(crit, spec61, -z, window=window61)
+        r_pos = select(crit, spec61, z)
+        r_neg = select(crit, spec61, -z)
         assert r_pos.lam_hat == r_neg.lam_hat
         assert r_pos.loss == r_neg.loss
 
 
-def test_select_pure_noise(spec61, window61):
+def test_select_pure_noise(spec61):
     # constant-zero truth: heavy smoothing expected, runs must be replayable
     rng = np.random.default_rng(314)
     z = rng.standard_normal(61)
     for crit in (CP, GML, EE):
-        first = select(crit, spec61, z, window=window61)
-        again = select(crit, spec61, z.copy(), window=window61)
+        first = select(crit, spec61, z)
+        again = select(crit, spec61, z.copy())
         assert first == again
         assert first.df_hat < 10.0
         assert first.at_boundary == "high-lambda"
@@ -231,22 +231,22 @@ def test_select_validates_z(spec61):
         select(CP, spec61, bad)
 
 
-def test_gml_never_selects_zero(spec61, truth61, window61):
+def test_gml_never_selects_zero(spec61, truth61):
     # p = 1 losses blow up as lam -> 0, so the minimizer stays positive
     for seed in range(5):
         z = rotated_dataset(spec61, truth61, 800 + seed)
-        r = select(GML, spec61, z, window=window61)
+        r = select(GML, spec61, z)
         assert r.lam_hat > 0
 
 
 @pytest.mark.parametrize("crit", [CP, GML, EE, criterion_by_name("p3q1")])
-def test_loss_matches_window_table_rows(spec61, window61, crit):
+def test_loss_matches_window_table_rows(spec61, crit):
     # One encoding of the criterion value: loss at each window lam equals
     # that row of the screen table.
     u = np.abs(np.random.default_rng(61).standard_normal(61) + 1.5) ** (2.0 / crit.q)
-    T, offset = window61.criterion_tables(crit)
+    T, offset = spec61.window.criterion_tables(crit)
     rows = T @ u[2:] + offset
-    for lam, row in zip(window61.lambdas, rows):
+    for lam, row in zip(spec61.window.lambdas, rows):
         assert loss(crit, weights(spec61, lam), u) == pytest.approx(row, rel=1e-13)
 
 
@@ -288,20 +288,20 @@ def test_classic_statistics_validates(spec61):
         classic_statistics(spec61, 1.0, y, 1.0, omega=-2.0)
 
 
-def test_cp_argmin_matches_select(spec61, truth61, window61):
+def test_cp_argmin_matches_select(spec61, truth61):
     # minimizing the residual-form statistic over the candidate grid must
     # land in the bracket around the rotated-form minimizer
     z = rotated_dataset(spec61, truth61, 424242)
     y = truth61.sigma * (spec61.U @ z)
     vals = [
         classic_statistics(spec61, lam, y, truth61.sigma)[0]
-        for lam in window61.lambdas
+        for lam in spec61.window.lambdas
     ]
     best = int(np.argmin(vals))
-    lo = window61.lambdas[max(best - 1, 0)]
-    hi = window61.lambdas[min(best + 1, len(window61.lambdas) - 1)]
+    lo = spec61.window.lambdas[max(best - 1, 0)]
+    hi = spec61.window.lambdas[min(best + 1, len(spec61.window.lambdas) - 1)]
 
-    r = select(CP, spec61, z, window=window61)
+    r = select(CP, spec61, z)
     assert lo * (1 - 1e-12) <= r.lam_hat <= hi * (1 + 1e-12)
 
 

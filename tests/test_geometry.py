@@ -13,7 +13,6 @@ from splinesel import (
     GML,
     build_design,
     curvature_sq,
-    curvature_via_matrix,
     decompose,
     ideal_lambda,
     make_criterion,
@@ -25,18 +24,18 @@ from splinesel import (
 )
 from splinesel._rng import replicate_normals
 from splinesel.criteria import loss, loss_derivs
-from splinesel.geometry import _r0_affine, eta_curve, normal_cdf, reversal_beta
+from splinesel.geometry import _r0_affine, normal_cdf, reversal_beta
 from splinesel.specfun import abs_moment, moment_set
+
+from crosscheck import curvature_via_matrix, eta_curve
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 CRITERIA = (CP, GML, EE)
 
 
 @pytest.fixture(scope="module")
-def lam0s(spectra, truths, windows):
-    return {
-        n: ideal_lambda(spectra[n], truths[n], windows[n]).lam for n in STANDARD_NS
-    }
+def lam0s(spectra, truths):
+    return {n: ideal_lambda(spectra[n], truths[n]).lam for n in STANDARD_NS}
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 """Truth-known quantities: risk, ideal and central parameters, decompositions."""
 
+import inspect
 import json
 import math
 
@@ -23,12 +24,13 @@ from splinesel import (
     rate_probes,
     risk,
     select,
-    selection_window,
+    select_block,
     setting,
     truth_curve,
     weights,
 )
-from splinesel import criteria, oracle, specfun
+import splinesel
+from splinesel import criteria, oracle, simlab, specfun
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
 from splinesel._rng import replicate_normals
 
@@ -133,11 +135,11 @@ def test_risk_log_derivs_match_finite_differences(spec61, truth61, lam):
 # --- ideal smoothing parameter ----------------------------------------------
 
 
-def test_ideal_lambda_brute_force(spec61, truth61, window61):
-    point = ideal_lambda(spec61, truth61, window61)
+def test_ideal_lambda_brute_force(spec61, truth61):
+    point = ideal_lambda(spec61, truth61)
     grid = np.exp(
         np.linspace(
-            math.log(window61.lambdas[0]), math.log(window61.lambdas[-1]), 10001
+            math.log(spec61.window.lambdas[0]), math.log(spec61.window.lambdas[-1]), 10001
         )
     )
     vals = np.array([risk(spec61, truth61, lam) for lam in grid])
@@ -148,9 +150,9 @@ def test_ideal_lambda_brute_force(spec61, truth61, window61):
     assert risk(spec61, truth61, point.lam) <= vals[best]
 
 
-def test_ideal_lambda_pure_noise_hits_boundary(spec61, window61):
+def test_ideal_lambda_pure_noise_hits_boundary(spec61):
     truth = make_truth(spec61, np.zeros(61), 1.0)
-    point = ideal_lambda(spec61, truth, window61)
+    point = ideal_lambda(spec61, truth)
     assert point.at_boundary == "high-lambda"
 
 
@@ -158,13 +160,13 @@ def test_ideal_lambda_pure_noise_hits_boundary(spec61, window61):
 
 
 @pytest.mark.parametrize("n", [61, 241])
-def test_central_cp_is_ideal(spectra, truths, windows, n):
-    ideal = ideal_lambda(spectra[n], truths[n], windows[n])
-    central = central_lambda(CP, spectra[n], truths[n], windows[n])
+def test_central_cp_is_ideal(spectra, truths, n):
+    ideal = ideal_lambda(spectra[n], truths[n])
+    central = central_lambda(CP, spectra[n], truths[n])
     assert abs(central.lam - ideal.lam) / ideal.lam <= 1e-6
 
 
-def test_central_gml_matches_mean_selected_df(spectra, truths, windows):
+def test_central_gml_matches_mean_selected_df(spectra, truths):
     # the central df is where selection is centered: it agrees with the
     # empirical mean of df_hat up to Monte Carlo error.  This is an
     # asymptotic-mean statement; n = 61 still carries a visible
@@ -172,23 +174,23 @@ def test_central_gml_matches_mean_selected_df(spectra, truths, windows):
     # at 1000 replicates), so the comparison runs at n = 241 where the
     # offset has decayed below the Monte Carlo resolution.
     n = 241
-    central = central_lambda(GML, spectra[n], truths[n], windows[n])
+    central = central_lambda(GML, spectra[n], truths[n])
     dfs = np.empty(1000)
     for r in range(1000):
         z = truths[n].g + replicate_normals(9090, n, r, n)
-        dfs[r] = select(GML, spectra[n], z, window=windows[n]).df_hat
+        dfs[r] = select(GML, spectra[n], z).df_hat
     se = dfs.std(ddof=1) / math.sqrt(len(dfs))
     assert abs(dfs.mean() - central.df) <= 3.0 * se
 
 
 @pytest.mark.parametrize("crit", [GML, EE])
-def test_central_zeroes_expected_score(spec61, truth61, window61, crit):
+def test_central_zeroes_expected_score(spec61, truth61, crit):
     # exact finite-n centering: the loss is linear in u, so the slope at
     # lam_c has mean zero over Normal(g, I) draws -- a Monte Carlo check of
     # the analytic E|z|^(2/q) chain that feeds central_lambda
     from splinesel.criteria import loss_derivs
 
-    lam_c = central_lambda(crit, spec61, truth61, window61).lam
+    lam_c = central_lambda(crit, spec61, truth61).lam
     scores = np.empty(1000)
     for r in range(1000):
         z = truth61.g + replicate_normals(4321, 61, r, 61)
@@ -198,10 +200,10 @@ def test_central_zeroes_expected_score(spec61, truth61, window61, crit):
     assert abs(scores.mean()) <= 3.0 * se
 
 
-def test_central_pure_noise_hits_boundary(spec61, window61):
+def test_central_pure_noise_hits_boundary(spec61):
     truth = make_truth(spec61, np.zeros(61), 1.0)
     for crit in (CP, GML, EE):
-        point = central_lambda(crit, spec61, truth, window61)
+        point = central_lambda(crit, spec61, truth)
         assert point.at_boundary == "high-lambda"
 
 
@@ -217,30 +219,29 @@ def counting(monkeypatch, module, name):
     return calls
 
 
-def test_oracles_screen_with_one_table_product(monkeypatch, spec61, truth61, window61):
+def test_oracles_screen_with_one_table_product(monkeypatch, spec61, truth61):
     # The coarse screen is a table product over the window; only the Newton
     # refinement evaluates the exact risk or loss, once at its root.
     risk_calls = counting(monkeypatch, oracle, "risk")
-    ideal_lambda(spec61, truth61, window61)
+    ideal_lambda(spec61, truth61)
     assert len(risk_calls) <= 2
     loss_calls = counting(monkeypatch, criteria, "loss")
     for crit in (CP, GML, EE):
         loss_calls.clear()
-        central_lambda(crit, spec61, truth61, window61)
+        central_lambda(crit, spec61, truth61)
         assert len(loss_calls) <= 1
 
 
 @pytest.mark.parametrize("crit", [CP, GML, EE])
-def test_central_ignores_large_null_space_signal(spec61, truth61, window61, crit):
+def test_central_ignores_large_null_space_signal(spec61, truth61, crit):
     # Adding 300 x moves only the null-space components of g (to |g| near
     # 1181 at n = 61), which no criterion formula reads: the central lambda
     # must not change, and no series runs on those components.
     f = section_curve(spec61.x) + 300.0 * spec61.x
     shifted = make_truth(spec61, f, 1.0)
     assert np.max(np.abs(shifted.g[:2])) > 1000.0
-    base = central_lambda(crit, spec61, make_truth(spec61, section_curve(spec61.x), 1.0),
-                          window61)
-    moved = central_lambda(crit, spec61, shifted, window61)
+    base = central_lambda(crit, spec61, make_truth(spec61, section_curve(spec61.x), 1.0))
+    moved = central_lambda(crit, spec61, shifted)
     assert moved.lam == pytest.approx(base.lam, rel=1e-6)
     assert moved.at_boundary == "none"
 
@@ -262,8 +263,8 @@ def stationarity_residual(c, spec, truth, lam):
 
 
 @pytest.mark.parametrize("crit", [CP, GML, EE])
-def test_stationarity_residual_vanishes_at_central(spec61, truth61, window61, crit):
-    lam_c = central_lambda(crit, spec61, truth61, window61).lam
+def test_stationarity_residual_vanishes_at_central(spec61, truth61, crit):
+    lam_c = central_lambda(crit, spec61, truth61).lam
     res = stationarity_residual(crit, spec61, truth61, lam_c)
     res_lo = stationarity_residual(crit, spec61, truth61, 0.99 * lam_c)
     res_hi = stationarity_residual(crit, spec61, truth61, 1.01 * lam_c)
@@ -274,8 +275,8 @@ def test_stationarity_residual_vanishes_at_central(spec61, truth61, window61, cr
 # --- risk decomposition -----------------------------------------------------
 
 
-def test_decomposition_cp(spec61, truth61, window61):
-    report = decomposition_mc(CP, spec61, truth61, 1000, seed=777, window=window61)
+def test_decomposition_cp(spec61, truth61):
+    report = decomposition_mc(CP, spec61, truth61, 1000, seed=777)
     risk0 = risk(spec61, truth61, report.lambda0)
     assert 0.0 <= report.bias_term <= 1e-9 * risk0
     assert report.mc_replicates == 1000
@@ -285,29 +286,29 @@ def test_decomposition_cp(spec61, truth61, window61):
     assert abs(gap - report.extra_risk) <= 3.0 * (2.0 * se_cov + se_var + se_extra)
 
 
-def test_decomposition_bias_nonnegative(spec61, truth61, window61):
+def test_decomposition_bias_nonnegative(spec61, truth61):
     for crit in (GML, EE):
-        report = decomposition_mc(crit, spec61, truth61, 200, seed=5, window=window61)
+        report = decomposition_mc(crit, spec61, truth61, 200, seed=5)
         assert report.bias_term >= 0.0
 
 
-def test_decomposition_gml_bias_grows(spectra, truths, windows):
+def test_decomposition_gml_bias_grows(spectra, truths):
     ratios = []
     for n in (61, 241):
         report = decomposition_mc(
-            GML, spectra[n], truths[n], 400, seed=42, window=windows[n]
+            GML, spectra[n], truths[n], 400, seed=42
         )
         ratios.append(report.bias_term / report.variability_term)
     assert ratios[1] > ratios[0]
 
 
-def test_decomposition_replicate_floor(spec61, truth61, window61):
+def test_decomposition_replicate_floor(spec61, truth61):
     with pytest.raises(ValueError):
-        decomposition_mc(CP, spec61, truth61, 99, seed=0, window=window61)
+        decomposition_mc(CP, spec61, truth61, 99, seed=0)
 
 
-def test_decomposition_report_json_fields(spec61, truth61, window61):
-    report = decomposition_mc(CP, spec61, truth61, 100, seed=1, window=window61)
+def test_decomposition_report_json_fields(spec61, truth61):
+    report = decomposition_mc(CP, spec61, truth61, 100, seed=1)
     payload = json.loads(report.to_json())
     assert set(payload) == {
         "lambda0",
@@ -331,10 +332,9 @@ def test_decomposition_counts_boundary_picks():
     grid = build_design("equispaced", 31, lo=-1.0, hi=1.0)
     spec = decompose(grid)
     truth = make_truth(spec, truth_curve("paper-fig3", grid), 1.0)
-    window = selection_window(spec)
-    report = decomposition_mc(GML, spec, truth, 200, seed=3, window=window)
+    report = decomposition_mc(GML, spec, truth, 200, seed=3)
     flagged = sum(
-        select(GML, spec, truth.g + replicate_normals(3, 31, r, 31), window).at_boundary != "none"
+        select(GML, spec, truth.g + replicate_normals(3, 31, r, 31)).at_boundary != "none"
         for r in range(200)
     )
     assert report.boundary_count == flagged
@@ -356,25 +356,25 @@ def test_normalizer_collapses_at_mean_response(spec61):
         assert got == pytest.approx(expect, rel=1e-12)
 
 
-def test_variability_approx_tracks_monte_carlo(spectra, truths, windows):
+def test_variability_approx_tracks_monte_carlo(spectra, truths):
     # The analytic variability comes from linearizing the selection
     # equation, so it is quantitative only while the selection spread is
     # small.  GML at n = 241 sits well inside that regime (sd of log
     # lam_hat ~ 0.5): the approximation lands within a few percent of the
     # Monte Carlo value, tested here at 25%.
     n = 241
-    var_approx, _ = decomposition_approx(GML, spectra[n], truths[n], windows[n])
-    report = decomposition_mc(GML, spectra[n], truths[n], 2000, seed=99, window=windows[n])
+    var_approx, _ = decomposition_approx(GML, spectra[n], truths[n])
+    report = decomposition_mc(GML, spectra[n], truths[n], 2000, seed=99)
     assert var_approx == pytest.approx(report.variability_term, rel=0.25)
 
 
-def test_variability_approx_cp_underestimates(spec61, truth61, window61):
+def test_variability_approx_cp_underestimates(spec61, truth61):
     # the (2, 1) member violates the linearization premise at n = 61
     # (sd of log lam_hat ~ 1.4), and the first-order value comes out at
     # roughly a third of the truth; pin the direction and the rough size
     # so a silent change in either side gets noticed
-    var_approx, _ = decomposition_approx(CP, spec61, truth61, window61)
-    report = decomposition_mc(CP, spec61, truth61, 2000, seed=99, window=window61)
+    var_approx, _ = decomposition_approx(CP, spec61, truth61)
+    report = decomposition_mc(CP, spec61, truth61, 2000, seed=99)
     assert var_approx < 0.6 * report.variability_term
     assert var_approx > 0.15 * report.variability_term
 
@@ -443,7 +443,7 @@ def test_rate_probes_match_single_criterion_probes(cache_dir, amp, excluded_ee):
 
 def test_rate_probes_builds_each_setting_and_window_once(cache_dir, monkeypatch):
     calls = []
-    real_setting, real_window = oracle.setting, oracle.selection_window
+    real_setting, real_window = oracle.setting, criteria.selection_window
 
     def counting_setting(design, n, *args):
         calls.append(("setting", n))
@@ -454,7 +454,7 @@ def test_rate_probes_builds_each_setting_and_window_once(cache_dir, monkeypatch)
         return real_window(spec)
 
     monkeypatch.setattr(oracle, "setting", counting_setting)
-    monkeypatch.setattr(oracle, "selection_window", counting_window)
+    monkeypatch.setattr(criteria, "selection_window", counting_window)
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     rate_probes([CP, GML, EE], design, [61, 81, 101, 121], section_curve_gen,
                 cache_dir=cache_dir)
@@ -481,7 +481,7 @@ def test_rate_probes_compute_each_power_once_per_q(cache_dir, monkeypatch):
         expected = []
         for n in ns:
             spec, truth = setting(design, n, section_curve_gen, 1.0, cache_dir)
-            central = central_lambda(c, spec, truth, selection_window(spec))
+            central = central_lambda(c, spec, truth)
             expected.append((n, central.lam, central.df))
         assert probe.rows == expected
 
@@ -491,3 +491,42 @@ def test_rate_probes_names_the_criterion_without_a_slope(cache_dir):
     with pytest.raises(NumericError, match=r"\(cp\).*interior"):
         rate_probes([CP, GML], design, [61, 81, 101, 121], lambda grid: np.zeros(grid.n),
                     cache_dir=cache_dir)
+
+
+# --- the spectrum's own selection window ------------------------------------
+
+
+def test_each_spectrum_builds_its_window_once(monkeypatch):
+    # Every route that screens a window takes the spectrum's own: one build
+    # per spectrum object, whichever route comes first.
+    built = []
+    real = criteria.selection_window
+
+    def counting(spec):
+        built.append(id(spec))
+        return real(spec)
+
+    monkeypatch.setattr(criteria, "selection_window", counting)
+    grid = build_design("equispaced", 31, lo=-1.0, hi=1.0)
+    specs = [decompose(grid), decompose(grid)]
+    for spec in specs:
+        truth = make_truth(spec, truth_curve("paper-fig3", grid), 1.0)
+        z = truth.g + replicate_normals(5, 31, 0, 31)
+        select(GML, spec, z)
+        select_block(CP, spec, np.vstack([z, -z]))
+        ideal_lambda(spec, truth)
+        central_lambda(EE, spec, truth)
+        decomposition_mc(GML, spec, truth, 100, seed=5)
+        decomposition_approx(CP, spec, truth)
+    assert built == [id(spec) for spec in specs]
+
+
+def test_no_function_takes_a_window_but_the_minimizer():
+    takers = {f"{fn.__module__}.{fn.__qualname__}"
+              for module in (criteria, oracle, simlab) for fn in vars(module).values()
+              if inspect.isfunction(fn) and "window" in inspect.signature(fn).parameters}
+    assert takers == {"splinesel.criteria.minimize_on_window"}
+    public = [name for name in splinesel.__all__
+              if inspect.isfunction(getattr(splinesel, name))
+              and "window" in inspect.signature(getattr(splinesel, name)).parameters]
+    assert public == []

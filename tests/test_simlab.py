@@ -18,8 +18,8 @@ from splinesel.simlab import (
     RUNS_COLUMNS,
     RunRecord,
     SimConfig,
-    _parse_sigma_mode,
     emit_tables,
+    parse_sigma_mode,
     read_runs_csv,
     run_simulation,
     spectra_cache_dir,
@@ -200,12 +200,27 @@ def test_config_validation_errors(tmp_path, overrides, fragment):
 
 
 def test_sigma_mode_forms():
-    assert _parse_sigma_mode("known", 100) == (False, 0)
-    assert _parse_sigma_mode("estimated", 300) == (True, 30)
-    assert _parse_sigma_mode("estimated", 61) == (True, 20)
-    assert _parse_sigma_mode("estimated:12", 61) == (True, 12)
+    assert parse_sigma_mode("known", 100) == (False, 0, None)
+    assert parse_sigma_mode("estimated", 300) == (True, 30, None)
+    assert parse_sigma_mode("estimated", 61) == (True, 20, None)
+    assert parse_sigma_mode("estimated:12", 61) == (True, 12, None)
     with pytest.raises(ConfigError):
-        _parse_sigma_mode("estimated:x", 61)
+        parse_sigma_mode("estimated:x", 61)
+
+
+def test_sigma_mode_known_value_form():
+    # The select command's --sigma names its known value; a config's
+    # sigma_mode takes sigma from the config and has no such form.
+    assert parse_sigma_mode("known:0.25", 61, known_value=True) == (False, 0, 0.25)
+    assert parse_sigma_mode("estimated:12", 61, known_value=True) == (True, 12, None)
+    with pytest.raises(ConfigError, match="needs a value"):
+        parse_sigma_mode("known", 61, known_value=True)
+    with pytest.raises(ConfigError, match=r"bad --sigma 'known:abc'"):
+        parse_sigma_mode("known:abc", 61, known_value=True)
+    with pytest.raises(ConfigError, match="sigma must be positive"):
+        parse_sigma_mode("known:-1", 61, known_value=True)
+    with pytest.raises(ConfigError, match=r"\(known \| estimated \| estimated:M\)"):
+        parse_sigma_mode("known:0.25", 61)
 
 
 @pytest.mark.parametrize("mode,n", [
@@ -214,7 +229,7 @@ def test_sigma_mode_forms():
 ])
 def test_sigma_mode_tail_range(mode, n):
     with pytest.raises(ConfigError, match="5 <= M <= n - 5"):
-        _parse_sigma_mode(mode, n)
+        parse_sigma_mode(mode, n)
 
 
 def test_sigma_mode_checked_at_every_n(tmp_path):
@@ -295,6 +310,24 @@ def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, cap
             assert rec.at_boundary == ref.at_boundary
             assert rec.lambda_hat == pytest.approx(ref.lambda_hat, rel=1e-12)
     assert sum("collapsed" in msg for msg in caplog.messages) == 2 * 3
+
+
+def test_run_simulation_builds_one_window_per_n(tmp_path, monkeypatch):
+    # Every block of an n selects on that n's spectrum, which builds its
+    # window on the first block and keeps it for the rest.
+    from splinesel import criteria
+
+    built = []
+    real = criteria.selection_window
+
+    def counting(spec):
+        built.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(criteria, "selection_window", counting)
+    cfg = base_config(tmp_path, n_list=[31, 41], replicates=2 * BLOCK_ROWS + 3, seed=4)
+    assert len(list(run_simulation(cfg))) == 2 * cfg.replicates * len(cfg.criteria)
+    assert built == [31, 41]
 
 
 def test_bad_sample_size_aborts_that_n_only(tmp_path, monkeypatch, caplog):
@@ -594,6 +627,28 @@ def test_cli_select_rejects_bad_input(tmp_path, capsys, monkeypatch, rows, fragm
     assert code == 2
     assert json.loads(err)["error"] == "config"
     assert fragment in json.loads(err)["message"]
+
+
+def test_cli_select_collapsed_noise_estimate_is_a_numeric_error(tmp_path):
+    # y = 0 everywhere rotates to an exactly zero tail: sigma_estimate is 0,
+    # which the command reports instead of dividing the data by it.
+    import splinesel
+
+    path = tmp_path / "zero.csv"
+    path.write_text("x,y\n" + "".join(f"{i / 39:.17g},0\n" for i in range(40)))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "splinesel", "select", "--input", str(path),
+         "--criterion", "cp", "--sigma", "estimated"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()  # the JSON error and no warning
+    err = json.loads(line)
+    assert err["error"] == "NumericError"
+    assert "noise-scale estimate collapsed to zero" in err["message"]
 
 
 def test_cli_select_missing_file(tmp_path, capsys):
@@ -912,7 +967,7 @@ def test_cli_rates_rows_match_per_criterion_central_lambda(tmp_path, capsys):
         for n in ns:
             spec, truth = oracle.setting(design, n, lambda grid: truth_curve("paper-fig3", grid),
                                          1.0, cache)
-            central = oracle.central_lambda(c, spec, truth, oracle.selection_window(spec))
+            central = oracle.central_lambda(c, spec, truth)
             assert central.at_boundary == "none"
             fits.append((n, central.lam, central.df))
         logn = np.log(ns)

@@ -13,7 +13,9 @@ from scipy.special import gammaln, hyp1f1
 
 import splinesel as ss
 from splinesel.errors import NumericError
-from splinesel.specfun import gauss_hermite_expectation, signed_moment
+from splinesel.specfun import signed_moment
+
+from crosscheck import gauss_hermite_expectation
 
 SQRT_PI = math.sqrt(math.pi)
 
