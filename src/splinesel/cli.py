@@ -27,12 +27,14 @@ FAILURE_EXIT = 1
 DEFAULT_DESIGN = '{"kind": "equispaced", "lo": -1.0, "hi": 1.0}'
 
 
-def _parse_design(text: str, ns: list[int]) -> dict:
+def _parse_design(text: str, ns: list[int], truth: str = "zero") -> dict:
     try:
         design = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"--design is not valid JSON: {exc}") from exc
-    return simlab.check_design(design, ns)
+    for grid in simlab.check_design(design, ns):
+        simlab.truth_curve(truth, grid)
+    return design
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -176,7 +178,7 @@ def _cmd_tables(args) -> str:
 
 def _model_inputs(args):
     ns = _parse_n_list(args.n)
-    design = _parse_design(args.design, ns)
+    design = _parse_design(args.design, ns, args.truth)
     simlab.check_sigma(args.sigma)
     names = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
     if not names:
@@ -228,7 +230,7 @@ def _cmd_reversal(args) -> str:
 
 
 def _cmd_decompose(args) -> str:
-    design = _parse_design(args.design, simlab.check_n_list([args.n], "--n"))
+    design = _parse_design(args.design, simlab.check_n_list([args.n], "--n"), args.truth)
     simlab.check_sigma(args.sigma)
     simlab.check_seed(args.seed)
     if args.replicates < oracle.DECOMPOSITION_MIN_REPLICATES:

@@ -138,30 +138,43 @@ def _value_tables(c: Criterion, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t**c.p, -np.sum((c.p / (c.p - 1.0)) * excess, axis=-1)
 
 
-def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray, lam) -> tuple:
-    """First and second log-lam derivatives of the criterion, unchecked.
+def _deriv_terms(c: Criterion, kp: np.ndarray, lam) -> tuple:
+    """(s, e, s0, c0): the one encoding of the criterion's log-lam
+    derivatives, affine in the penalized u, unchecked.
 
-    kp holds the penalized eigenvalues and up the penalized entries of u,
-    one row per value of lam (components last; a scalar lam takes one row).
-    With da/dlog lam = -ab, db/dlog lam = ab and t = c_q b^(1/q):
+    kp holds the penalized eigenvalues; lam is a scalar or one value per row
+    (components last).  From da/dlog lam = -ab, db/dlog lam = ab, with
+    t = c_q b^(1/q), s = a t^p, e = (p/q) a - b, s0 = sum a t^(p-1) and
+    c0 = sum a t^(p-1) (((p-1)/q) a - b):
 
-        dl/dlog lam   = (p/q) [ sum a t^p u - sum a t^(p-1) ]
-        d2l/dlog lam2 = (p/q) [ sum a t^p ((p/q)a - b) u
-                                - sum a t^(p-1) (((p-1)/q)a - b) ]
+        d1 = dl/dlog lam = (p/q) [ sum s u - s0 ]
+        d2 = d2l/dlog lam2 = (p/q) [ sum s e u - c0 ]
     """
+    # In place (out=, -=, *=): fewer block-sized allocations, the same values.
     p, q = c.p, c.q
     lk = np.asarray(lam, dtype=float)[..., None] * kp
     denom = 1.0 + lk
     a = 1.0 / denom
-    b = lk / denom
+    b = np.divide(lk, denom, out=lk)
     t = c.c_q * b ** (1.0 / q)
     atp1 = a * t ** (p - 1.0)
-    atpu = atp1 * t * up
-    r = p / q
-    d1 = r * (atpu.sum(axis=-1) - atp1.sum(axis=-1))
-    d2 = r * ((atpu * (r * a - b)).sum(axis=-1)
-              - (atp1 * (((p - 1.0) / q) * a - b)).sum(axis=-1))
-    return d1, d2
+    e = (p / q) * a
+    e -= b
+    w = np.multiply((p - 1.0) / q, a, out=a)
+    w -= b
+    w *= atp1
+    return np.multiply(atp1, t, out=t), e, atp1.sum(axis=-1), w.sum(axis=-1)
+
+
+def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray, lam) -> tuple:
+    """(d1, d2): the first and second log-lam derivatives of the criterion at
+    the penalized entries up of u, contracted from _deriv_terms, unchecked."""
+    s, e, s0, c0 = _deriv_terms(c, kp, lam)
+    su = np.multiply(s, up, out=s)
+    r = c.p / c.q
+    d1 = r * (su.sum(axis=-1) - s0)
+    su *= e
+    return d1, r * (su.sum(axis=-1) - c0)
 
 
 def _values(c: Criterion, kp: np.ndarray, up: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from ._rng import (
     replicate_block,
     replicate_normals,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
-from .criteria import Criterion, loss_derivs
+from .criteria import Criterion, _deriv_terms, loss_derivs
 from .errors import NumericError
 from .oracle import TruthSpectrum
 from .spectrum import DesignSpectrum, weights
@@ -85,14 +85,10 @@ def reversal_beta(c: Criterion, spec: DesignSpectrum, lam0: float) -> float:
     beta = -(1/lam0) [ 2 - (1 + p/q) (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)) ]
     over penalized components; the b-exponent is -2/q for every (p, q).
     """
-    return _rho_beta(c, *_penalized_ab(spec, lam0), lam0)[1]
-
-
-def _rho_beta(c: Criterion, a: np.ndarray, b: np.ndarray, lam0: float) -> tuple[float, float]:
-    # rho = (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)) and beta built from it.
+    a, b = _penalized_ab(spec, lam0)
     wb = b ** (-2.0 / c.q)
     rho = float(np.sum(a**3 * wb) / np.sum(a**2 * wb))
-    return rho, -(2.0 - (1.0 + c.p / c.q) * rho) / lam0
+    return -(2.0 - (1.0 + c.p / c.q) * rho) / lam0
 
 
 def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
@@ -110,23 +106,17 @@ def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
 def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float):
     """R0 is affine in u: return (coeff on penalized u, constant).
 
-    From the log-lam derivatives d1, d2 of the criterion (see
-    criteria._log_derivs), R0 = (d2 - d1)/lam0^2 - beta d1/lam0.  With
-    r = p/q and t = c_q b^(1/q) on the penalized components:
+    From the log-lam derivatives d1, d2 of the criterion,
+    lam0^2 R0 = d2 - d1 - beta lam0 d1.  With the affine terms
+    (s, e, s0, c0) of criteria._deriv_terms:
 
-        coeff = r a t^p [(r a - b - 1)/lam0^2 - beta/lam0]
-        base  = r sum a t^(p-1) [(1 - ((p-1)/q) a + b)/lam0^2 + beta/lam0]
+        coeff = (p/q) s (e - 1 - beta lam0) / lam0^2
+        base  = (p/q) [ (1 + beta lam0) s0 - c0 ] / lam0^2
     """
-    a, b = _penalized_ab(spec, lam0)
-    beta = _rho_beta(c, a, b, lam0)[1]
-    p, q = c.p, c.q
-    r = p / q
-    lam2 = lam0 * lam0
-    t = c.c_q * b ** (1.0 / q)
-    atp1 = a * t ** (p - 1.0)
-    coeff = r * atp1 * t * ((r * a - b - 1.0) / lam2 - beta / lam0)
-    base = r * float(np.sum(atp1 * ((1.0 - ((p - 1.0) / q) * a + b) / lam2 + beta / lam0)))
-    return coeff, base
+    bl = reversal_beta(c, spec, lam0) * lam0
+    s, e, s0, c0 = _deriv_terms(c, spec.k[spec.null_dim:], lam0)
+    scale = c.p / c.q / (lam0 * lam0)
+    return scale * s * (e - 1.0 - bl), scale * float((1.0 + bl) * s0 - c0)
 
 
 def reversal_moments(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
@@ -134,14 +124,12 @@ def reversal_moments(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
     """Mean/variance normal approximation to the reversal probability, for
     each criterion in a list.
 
-    With rho = (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)), B = b^((p-1)/q),
-    and w-moments at the true g:
+    R0 = coeff . w + base is affine in w = |z|^(2/q) (see _r0_affine), so
+    with the w-moments at the true g
 
-        M = (p/q^2)(p+q) c_q^(p-1) { (1/(p+q)) sum a^2 B
-              + sum a B (a - rho)(c_q b^(1/q) E|z|^(2/q) - 1) }
-        V = (p^2/q^4)(p+q)^2 c_q^(2p) sum a^2 b^(2p/q) (a - rho)^2 var w
+        M = lam0^2 E[R0] = lam0^2 (sum coeff E w + base)
+        V = lam0^4 Var[R0] = lam0^4 sum coeff^2 var w
 
-    (common positive powers of lam0 dropped; they cancel in T_n).
     prob_normal = Phi(-M/sqrt(V)) approximates the lower-tail mass P(R0 < 0).
     The w-moments are computed once per distinct q and shared by the
     criteria that have it.
@@ -153,19 +141,10 @@ def reversal_moments(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
 
 def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
                          m: specfun.MomentSet) -> ReversalSummary:
-    a, b = _penalized_ab(spec, lam0)
-    p, q = c.p, c.q
-    rho, beta = _rho_beta(c, a, b, lam0)
-    B = b ** ((p - 1.0) / q)
-
-    centered = c.c_q * b ** (1.0 / q) * m.m1 - 1.0
-    M = (p / q**2) * (p + q) * c.c_q ** (p - 1.0) * (
-        float(np.sum(a**2 * B)) / (p + q)
-        + float(np.sum(a * B * (a - rho) * centered))
-    )
-    V = (p**2 / q**4) * (p + q) ** 2 * c.c_q ** (2.0 * p) * float(
-        np.sum(a**2 * b ** (2.0 * p / q) * (a - rho) ** 2 * m.var_w)
-    )
+    coeff, base = _r0_affine(c, spec, lam0)
+    lam2 = lam0 * lam0
+    M = lam2 * (float(np.sum(coeff * m.m1)) + base)
+    V = lam2 * lam2 * float(np.sum(coeff * coeff * m.var_w))
     if V <= 0:
         raise NumericError(f"reversal variance V = {V:.3e} is not positive")
     # M is the (positive) mean of R0, so reversals R0 < 0 are the lower
@@ -173,7 +152,7 @@ def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
     # magnitude growing in n as the reversal probability vanishes.
     t_n = -M / math.sqrt(V)
     return ReversalSummary(
-        lam0=lam0, beta=beta, M=M, V=V,
+        lam0=lam0, beta=reversal_beta(c, spec, lam0), M=M, V=V,
         T_n=t_n, prob_normal=normal_cdf(t_n),
     )
 

@@ -21,6 +21,7 @@ from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
     Criterion,
+    _log_derivs,
     _select_rows,
     minimize_on_window,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
@@ -237,19 +238,14 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
 def curvature_denominator(c: Criterion, spec: DesignSpectrum, lam: float, u) -> float:
     """The normalizer Q_lam(u) of the first-order selection expansion.
 
-    sum a b^((p-1)/q) { (1/q) a + [ (1 + p/q) a - 2 ] (c_q b^(1/q) u - 1) }
-    over penalized components; at u with c_q b^(1/q) u = 1 it collapses to
-    sum (1/q) a^2 b^((p-1)/q).
+    Q = (d2 - d1) / ((p/q) c_q^(p-1)) = lam^2 l''(u) / ((p/q) c_q^(p-1)),
+    from the criterion's log-lam derivatives d1, d2 at u.  At u with
+    c_q b^(1/q) u = 1 it collapses to sum (1/q) a^2 b^((p-1)/q) over the
+    penalized components.
     """
-    w = weights(spec, lam)
     nd = spec.null_dim
-    a = w.a[nd:]
-    b = w.b[nd:]
-    up = np.asarray(u, dtype=float)[nd:]
-    p, q = c.p, c.q
-    B = b ** ((p - 1.0) / q)
-    inner = a / q + ((1.0 + p / q) * a - 2.0) * (c.c_q * b ** (1.0 / q) * up - 1.0)
-    return float(np.sum(a * B * inner))
+    d1, d2 = _log_derivs(c, spec.k[nd:], np.asarray(u, dtype=float)[nd:], lam)
+    return float(d2 - d1) / (c.p / c.q * c.c_q ** (c.p - 1.0))
 
 
 def decomposition_approx(c: Criterion, spec: DesignSpectrum,

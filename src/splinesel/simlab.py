@@ -35,7 +35,7 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum
+from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, build_design
 
 log = logging.getLogger("splinesel")
 
@@ -71,9 +71,9 @@ class SimConfig:
         if (not isinstance(self.criteria, list) or not self.criteria
                 or not all(isinstance(name, str) for name in self.criteria)):
             raise ConfigError("criteria must be a nonempty list of criterion ids")
-        check_design(self.design, self.n_list)
-        for n in self.n_list:
-            parse_sigma_mode(self.sigma_mode, n)
+        for grid in check_design(self.design, self.n_list):
+            truth_curve(self.truth, grid)
+            parse_sigma_mode(self.sigma_mode, grid.n)
         for name in self.criteria:
             criterion_by_name(name)
         return self
@@ -132,8 +132,8 @@ def check_sigma(sigma) -> float:
     return sigma
 
 
-# The fields each design kind takes besides "kind", with their checks; the
-# values themselves (n >= 4, hi > lo, ...) are checked by build_design.
+# The fields each design kind takes besides "kind", with their types; the
+# values themselves (hi > lo, a known dist, ...) are checked by build_design.
 _DESIGN_FIELDS = {
     "equispaced": {"lo": _is_real, "hi": _is_real},
     "quantile": {"dist": lambda v: isinstance(v, str)},
@@ -141,12 +141,13 @@ _DESIGN_FIELDS = {
 }
 
 
-def check_design(design, n_list) -> dict:
+def check_design(design, n_list) -> list[DesignGrid]:
     """Check a design object: a known kind with exactly that kind's fields,
-    buildable at every sample size in n_list.
+    buildable at every sample size in n_list.  Returns the grid of each size.
 
     An explicit design has one size, its point count.  Shared by config
     validation and the CLI's --design flag, with the sizes of n_list or --n.
+    A grid is built in O(n), so a bad value fails here, before any work.
     """
     if not isinstance(design, dict) or "kind" not in design:
         raise ConfigError("design must be an object with a 'kind' field")
@@ -168,7 +169,11 @@ def check_design(design, n_list) -> dict:
         if bad:
             raise ConfigError(f"explicit design has {size} points, so n must be {size}, "
                               f"got n={bad[0]}")
-    return design
+    values = {name: design[name] for name in fields}
+    try:
+        return [build_design(design["kind"], n, **values) for n in n_list]
+    except ValueError as exc:
+        raise ConfigError(f"bad {design['kind']} design: {exc}") from exc
 
 
 def parse_sigma_mode(mode: str, n: int, *,

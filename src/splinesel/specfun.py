@@ -45,16 +45,18 @@ def kummer_m(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
     stopping at its own convergence point, and a scalar z returns a float.
     For z < 0 the series alternates and cancels badly, so it is evaluated
     through M(a, b, z) = exp(z) M(b - a, b, -z), whose terms are
-    better-behaved.  b must not be a nonpositive integer.
+    better-behaved, unless a is a nonpositive integer: M is then a polynomial
+    with terms >= 0 for z < 0, summed directly, as the transformed series
+    would hit the term cap at large |z|.  b must not be a nonpositive integer.
     """
     if b <= 0 and b == math.floor(b):
         raise ValueError(f"kummer_m undefined for nonpositive integer b={b}")
     zf = np.asarray(z, dtype=float).ravel()
-    neg = zf < 0
-    # One series in (a, |z|), with b - a for a where z < 0, runs across the
-    # elements; each leaves the active set once its relative term has stayed
-    # below _KUMMER_RTOL for three terms running.
-    a, x = np.where(neg, b - a, a), np.abs(zf)
+    flip = (zf < 0) & (a > 0 or a != math.floor(a))
+    # One series in (a, z), with (b - a, -z) where z < 0 is transformed, runs
+    # across the elements; each leaves the active set once its relative term
+    # has stayed below _KUMMER_RTOL for three terms running.
+    a, x = np.where(flip, b - a, a), np.where(flip, -zf, zf)
     out = np.empty(zf.shape)
     idx = np.arange(zf.size)
     term, total = np.ones(zf.shape), np.ones(zf.shape)
@@ -78,7 +80,7 @@ def kummer_m(a: float, b: float, z: float | np.ndarray) -> float | np.ndarray:
             f"(a={a[0]}, b={b}, z={x[0]})"
         )
     # math.exp per element: np.exp can differ from it in the last bit.
-    out[neg] *= [math.exp(v) for v in zf[neg]]
+    out[flip] *= [math.exp(v) for v in zf[flip]]
     return float(out[0]) if np.ndim(z) == 0 else out.reshape(np.shape(z))
 
 

@@ -117,6 +117,8 @@ def build_design(kind: str, n: int | None = None, *, lo: float | None = None,
             raise ValueError(f"explicit design needs a flat list of >= {MIN_DESIGN_POINTS} points")
     else:
         raise ValueError(f"unknown design kind {kind!r}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("design points must be finite")
     if not np.all(np.diff(x) > 0):
         raise ValueError("design points must be strictly increasing")
     return DesignGrid(x=x)

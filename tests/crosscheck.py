@@ -10,6 +10,7 @@ import numpy as np
 
 from splinesel.errors import NumericError
 from splinesel.geometry import _penalized_ab
+from splinesel.specfun import moment_set
 
 
 def gauss_hermite_expectation(g: float, fn, nodes: int = 64) -> float:
@@ -61,3 +62,45 @@ def curvature_via_matrix(c, spec, lam: float) -> float:
     m22 = float(np.sum(eta_ddot * V * eta_ddot))
     det = m11 * m22 - m12 * m12
     return det / m11**3
+
+
+def reversal_moments_closed_form(c, spec, g, lam0: float) -> tuple[float, float]:
+    """(M, V) of the reversal statistic by the paper's closed form.
+
+    With rho = (sum a^3 b^(-2/q)) / (sum a^2 b^(-2/q)), B = b^((p-1)/q), and
+    w-moments at penalized g:
+
+        M = (p/q^2)(p+q) c_q^(p-1) { (1/(p+q)) sum a^2 B
+              + sum a B (a - rho)(c_q b^(1/q) E|z|^(2/q) - 1) }
+        V = (p^2/q^4)(p+q)^2 c_q^(2p) sum a^2 b^(2p/q) (a - rho)^2 var w
+
+    geometry.reversal_moments builds both from the affine form of R0
+    instead; they agree to rounding.
+    """
+    a, b = _penalized_ab(spec, lam0)
+    p, q = c.p, c.q
+    wb = b ** (-2.0 / q)
+    rho = float(np.sum(a**3 * wb) / np.sum(a**2 * wb))
+    B = b ** ((p - 1.0) / q)
+    m = moment_set(np.asarray(g, dtype=float)[spec.null_dim:], q)
+    centered = c.c_q * b ** (1.0 / q) * m.m1 - 1.0
+    M = (p / q**2) * (p + q) * c.c_q ** (p - 1.0) * (
+        float(np.sum(a**2 * B)) / (p + q) + float(np.sum(a * B * (a - rho) * centered)))
+    V = (p**2 / q**4) * (p + q) ** 2 * c.c_q ** (2.0 * p) * float(
+        np.sum(a**2 * b ** (2.0 * p / q) * (a - rho) ** 2 * m.var_w))
+    return M, V
+
+
+def curvature_denominator_closed_form(c, spec, lam: float, u) -> float:
+    """The selection normalizer Q by the paper's closed form:
+
+        sum a b^((p-1)/q) { (1/q) a + [ (1 + p/q) a - 2 ] (c_q b^(1/q) u - 1) }
+
+    over penalized components.  oracle.curvature_denominator takes it from
+    the criterion's log-lam derivatives instead; they agree to rounding.
+    """
+    a, b = _penalized_ab(spec, lam)
+    up = np.asarray(u, dtype=float)[spec.null_dim:]
+    p, q = c.p, c.q
+    inner = a / q + ((1.0 + p / q) * a - 2.0) * (c.c_q * b ** (1.0 / q) * up - 1.0)
+    return float(np.sum(a * b ** ((p - 1.0) / q) * inner))

@@ -27,7 +27,7 @@ from splinesel.criteria import loss, loss_derivs
 from splinesel.geometry import _r0_affine, normal_cdf, reversal_beta
 from splinesel.specfun import abs_moment, moment_set
 
-from crosscheck import curvature_via_matrix, eta_curve
+from crosscheck import curvature_via_matrix, eta_curve, reversal_moments_closed_form
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 CRITERIA = (CP, GML, EE)
@@ -254,6 +254,21 @@ def test_moments_are_moments_of_the_statistic(spec61, truth61, lam0s, crit):
     assert summary.V == pytest.approx(
         lam0**4 * float(np.sum(coeff**2 * var_w)), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("crit", CRITERIA + (make_criterion(2.5, 1.7), make_criterion(1.2, 3.0)),
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("n", [61, 241])
+def test_moments_match_paper_closed_form(spectra, truths, lam0s, crit, n):
+    # M and V come from the affine form of R0; the paper's closed form is an
+    # independent route to both, at the true g and at a random g.
+    spec = spectra[n]
+    rng = np.random.default_rng(n)
+    for truth in (truths[n], make_truth(spec, 3.0 * rng.standard_normal(n), 1.0)):
+        (summary,) = reversal_moments([crit], spec, truth, lam0s[n])
+        M, V = reversal_moments_closed_form(crit, spec, truth.g, lam0s[n])
+        assert summary.M == pytest.approx(M, rel=1e-12)
+        assert summary.V == pytest.approx(V, rel=1e-12)
 
 
 def test_moments_match_monte_carlo(spec61, truth61, lam0s):

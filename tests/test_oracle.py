@@ -34,6 +34,8 @@ from splinesel import criteria, oracle, simlab, specfun
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
 from splinesel._rng import replicate_normals
 
+from crosscheck import curvature_denominator_closed_form
+
 
 def section_curve(x):
     return np.sin(np.pi * (x + 1.0)) / (x / 2.0 + 1.0)
@@ -354,6 +356,21 @@ def test_normalizer_collapses_at_mean_response(spec61):
             np.sum(w.a[2:] ** 2 * w.b[2:] ** ((crit.p - 1.0) / crit.q)) / crit.q
         )
         assert got == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("crit", (CP, GML, EE, make_criterion(2.5, 1.7), make_criterion(1.2, 3.0)),
+                         ids=lambda c: c.name)
+@pytest.mark.parametrize("n", [61, 241])
+def test_normalizer_matches_paper_closed_form(spectra, truths, crit, n):
+    # Q comes from the criterion's log-lam derivatives; the paper's closed
+    # form is an independent route, at u = E|z|^(2/q) of the true g and at
+    # a random u.
+    spec, truth = spectra[n], truths[n]
+    lam = central_lambda(crit, spec, truth).lam
+    eu = np.concatenate((np.zeros(2), specfun.abs_moment(truth.g[2:], 1.0 / crit.q)))
+    for u in (eu, np.random.default_rng(n).exponential(2.0, size=n)):
+        assert curvature_denominator(crit, spec, lam, u) == pytest.approx(
+            curvature_denominator_closed_form(crit, spec, lam, u), rel=1e-12)
 
 
 def test_variability_approx_tracks_monte_carlo(spectra, truths):

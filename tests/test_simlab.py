@@ -192,6 +192,14 @@ def test_config_unknown_and_missing_fields():
     (dict(n_list=[31, 61, 31]), "distinct"),
     (dict(design={"kind": "explicit", "points": list(range(50))}, n_list=[50, 61]),
      "explicit design has 50 points, so n must be 50, got n=61"),
+    (dict(design={"kind": "equispaced", "lo": 1, "hi": -1}), "hi > lo"),
+    (dict(design={"kind": "quantile", "dist": "gamma(1,2)"}), "unknown distribution"),
+    (dict(design={"kind": "explicit", "points": [0.0, 1.0, 1.0, 2.0, 3.0]}, n_list=[5]),
+     "strictly increasing"),
+    (dict(design={"kind": "explicit", "points": [0.0, 1.0, 2.0, 3.0, math.inf]}, n_list=[5]),
+     "must be finite"),
+    (dict(truth="foo(x)"), "foo"),
+    (dict(truth="log(x)"), r"truth curve .log\(x\)."),
 ])
 def test_config_validation_errors(tmp_path, overrides, fragment):
     cfg = base_config(tmp_path, **overrides)
@@ -489,7 +497,7 @@ def test_cli_spectrum_rebuilds_truncated_cache(tmp_path, capsys):
 @pytest.mark.parametrize("module, args, code", [
     ("splinesel", ["spectrum", "--n", "8", "--cache-dir", "TMP"], 0),
     ("splinesel", ["spectrum", "--n", "8", "--cache-dir", "TMP",
-                   "--design", '{"kind": "equispaced", "lo": 1, "hi": 0}'], 1),
+                   "--design", '{"kind": "equispaced", "lo": 1, "hi": 0}'], 2),
     ("splinesel", ["no-such-command"], 2),
     ("splinesel.cli", [], 2),
 ])
@@ -760,12 +768,45 @@ def test_cli_seed_and_sigma_flags_share_config_checks(tmp_path, capsys, argv):
     '{"kind": "grid", "lo": -1, "hi": 1}',
     '{"kind": "quantile", "dist": 3}',
     '{"kind": ["equispaced"]}',
+    '{"kind": "equispaced", "lo": 1, "hi": -1}',
+    '{"kind": "quantile", "dist": "gamma(1,2)"}',
 ])
 def test_cli_design_flag_shares_config_check(tmp_path, capsys, design):
     code = cli(["spectrum", "--n", "8", "--design", design,
                 "--cache-dir", str(tmp_path)])
     assert code == 2
     assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(design={"kind": "equispaced", "lo": 1, "hi": -1}),
+    dict(design={"kind": "explicit", "points": [0.0, 1.0, 2.0, 3.0, math.inf]}, n_list=[5]),
+    dict(truth="foo(x)"),
+])
+def test_cli_bad_design_value_or_truth_is_a_config_error_before_any_work(
+        tmp_path, capsys, overrides):
+    # A value the config check can refute from the grid alone, with no
+    # decomposition, fails simulate with exit 2 and writes nothing.
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(json.dumps({**json.loads(base_config(tmp_path / "out").to_json()),
+                                    **overrides}))
+    assert cli(["simulate", "--config", str(cfg_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["curvature", "--design", '{"kind": "equispaced", "lo": 1, "hi": -1}'], "hi > lo"),
+    (["curvature", "--truth", "foo(x)"], "foo"),
+    (["decompose", "--criterion", "cp", "--truth", "foo(x)"], "foo"),
+])
+def test_cli_bad_design_value_or_truth_decomposes_nothing(tmp_path, capsys, argv, fragment):
+    extra = ["--criteria", "cp"] if argv[0] == "curvature" else []
+    code = cli(argv + extra + ["--n", "31", "--cache-dir", str(tmp_path / "spectra"),
+                               "--out", str(tmp_path / "result")])
+    assert code == 2
+    assert fragment in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "spectra").exists()
 
 
 def explicit_design(size):

@@ -170,6 +170,15 @@ def test_signed_moment_identities():
         signed_moment(1.0, -1.0)
 
 
+def test_integer_moments_exact_at_large_argument():
+    # s = 1 is the q = 1 moment: M(-1, b, z) is a polynomial, summed
+    # directly, so it holds to rounding however large |g| is.
+    g = np.concatenate((np.linspace(-400.0, 400.0, 81), [0.3, -29.7, 33.1, 399.99]))
+    assert ss.abs_moment(-400.0, 1.0) == pytest.approx(160001.0, rel=1e-15)
+    np.testing.assert_allclose(ss.abs_moment(g, 1.0), 1.0 + g * g, rtol=1e-15, atol=0)
+    np.testing.assert_allclose(signed_moment(g, 1.0), g**3 + 3.0 * g, rtol=1e-15, atol=0)
+
+
 # --- math.lgamma against scipy's gammaln ------------------------------------
 #
 # specfun takes log Gamma from math.lgamma, which differs from
@@ -405,7 +414,9 @@ def ref_series(a, b, z):
 
 
 def ref_kummer(a, b, z):
-    if z < 0:
+    # Same branch as kummer_m: a nonpositive integer a sums the direct
+    # polynomial, any other a transforms z < 0.
+    if z < 0 and (a > 0 or a != math.floor(a)):
         return math.exp(z) * ref_series(b - a, b, -z)
     return ref_series(a, b, z)
 
