@@ -29,7 +29,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError
-from .spectrum import DesignSpectrum, SmootherWeights, df, lambdas_for_df, smooth
+from .spectrum import (DesignSpectrum, SmootherWeights, _log_lam_root, df,
+                       lambdas_for_df, smooth)
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -41,8 +42,6 @@ COARSE_CANDIDATES = 201
 MAX_LOG_GAP = 0.25
 # A pick within 2 * REFINE_LOG_TOL (in log lam) of a window end is flagged.
 REFINE_LOG_TOL = 1e-6
-# The Newton solve stops once a step in log lam is smaller than this.
-NEWTON_STEP_TOL = 1e-12
 # Replicates are selected in blocks of this many rows, counted from replicate
 # 0.  A block bounds the working set at any replicate count, and a fixed
 # block size fixes the shapes of the coarse screen's matrix products, whose
@@ -260,13 +259,12 @@ def minimize_on_window(window: SelectionWindow, coarse_values, objective,
     downhill side of the winner's slope can hold a minimum; when the slope
     changes sign across it, a safeguarded Newton solve finds the root.
 
-    The solve runs on all bracketed rows at once and drops each row as it
-    finishes.  A Newton step that would leave the row's bracket, or that
-    does not halve its previous step, becomes a bisection step; a row stops
-    once a step is below NEWTON_STEP_TOL.  The pick is the lower of the
-    coarse winner and the root, ties again to the larger lam; it is flagged
-    when it lies within 2 * REFINE_LOG_TOL of a window end.  Returns per-row
-    (lam, value, boundary flag).
+    The solve is spectrum._log_lam_root, the one Newton solve in log lam
+    (the df inverse uses it too), run on all bracketed rows at once and
+    started from the coarse winner's slope and curvature.  The pick is the
+    lower of the coarse winner and the root, ties again to the larger lam;
+    it is flagged when it lies within 2 * REFINE_LOG_TOL of a window end.
+    Returns per-row (lam, value, boundary flag).
     """
     lams = window.lambdas
     logs = np.log(lams)
@@ -282,27 +280,10 @@ def minimize_on_window(window: SelectionWindow, coarse_values, objective,
     bracketed = rows[(g != 0) & (side >= 0) & (side < len(lams))]
     bracketed = bracketed[derivs(lams[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
 
-    # The solve keeps only its live rows; live indexes into bracketed.
     x = logs[best[bracketed]]
     lo = np.minimum(x, logs[side[bracketed]])
     hi = np.maximum(x, logs[side[bracketed]])
-    step_old = hi - lo
-    g, h = g[bracketed], h[bracketed]
-    root = np.empty(len(bracketed))
-    live = np.arange(len(bracketed))
-    while len(live):
-        lo = np.where(g < 0, x, lo)
-        hi = np.where(g > 0, x, hi)
-        step = np.divide(-g, h, out=np.full(len(live), np.inf), where=h > 0)
-        newton = (lo <= x + step) & (x + step <= hi) & (np.abs(step) <= 0.5 * np.abs(step_old))
-        # A row whose slope is exactly zero stops where it is.
-        step = np.where(newton, step, 0.5 * (lo + hi) - x) * (g != 0)
-        x = x + step
-        done = np.abs(step) < NEWTON_STEP_TOL
-        root[live[done]] = np.exp(x[done])
-        live, x, lo, hi, step_old = (v[~done] for v in (live, x, lo, hi, step))
-        if len(live):
-            g, h = derivs(np.exp(x), bracketed[live])
+    root = _log_lam_root(x, lo, hi, g[bracketed], h[bracketed], derivs, bracketed)
 
     root_value = objective(root, bracketed)
     coarse_value, coarse_lam = value[bracketed], lam[bracketed]

@@ -103,7 +103,7 @@ def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
     return ldd - reversal_beta(c, spec, lam0) * ld
 
 
-def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float):
+def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float, beta: float | None = None):
     """R0 is affine in u: return (coeff on penalized u, constant).
 
     From the log-lam derivatives d1, d2 of the criterion,
@@ -112,8 +112,12 @@ def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float):
 
         coeff = (p/q) s (e - 1 - beta lam0) / lam0^2
         base  = (p/q) [ (1 + beta lam0) s0 - c0 ] / lam0^2
+
+    beta is reversal_beta at lam0, computed here unless the caller has it.
     """
-    bl = reversal_beta(c, spec, lam0) * lam0
+    if beta is None:
+        beta = reversal_beta(c, spec, lam0)
+    bl = beta * lam0
     s, e, s0, c0 = _deriv_terms(c, spec.k[spec.null_dim:], lam0)
     scale = c.p / c.q / (lam0 * lam0)
     return scale * s * (e - 1.0 - bl), scale * float((1.0 + bl) * s0 - c0)
@@ -141,7 +145,8 @@ def reversal_moments(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
 
 def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
                          m: specfun.MomentSet) -> ReversalSummary:
-    coeff, base = _r0_affine(c, spec, lam0)
+    beta = reversal_beta(c, spec, lam0)
+    coeff, base = _r0_affine(c, spec, lam0, beta)
     lam2 = lam0 * lam0
     M = lam2 * (float(np.sum(coeff * m.m1)) + base)
     V = lam2 * lam2 * float(np.sum(coeff * coeff * m.var_w))
@@ -152,7 +157,7 @@ def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
     # magnitude growing in n as the reversal probability vanishes.
     t_n = -M / math.sqrt(V)
     return ReversalSummary(
-        lam0=lam0, beta=reversal_beta(c, spec, lam0), M=M, V=V,
+        lam0=lam0, beta=beta, M=M, V=V,
         T_n=t_n, prob_normal=normal_cdf(t_n),
     )
 

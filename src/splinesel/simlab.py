@@ -256,21 +256,25 @@ def truth_curve(curve_id: str, grid: DesignGrid) -> np.ndarray:
     the numpy functions sin/cos/tan/exp/log/sqrt/abs of one argument.
     """
     x = grid.x
-    if curve_id == "paper-fig3":
-        return np.sin(np.pi * (x + 1.0)) / (x / 2.0 + 1.0)
-    if curve_id == "zero":
-        return np.zeros_like(x)
     m = re.fullmatch(r"linear\(\s*([^,]+)\s*,\s*([^)]+)\s*\)", curve_id)
-    if m:
-        try:
-            a, b = float(m.group(1)), float(m.group(2))
-        except ValueError as exc:
-            raise ConfigError(f"bad linear(...) parameters in {curve_id!r}") from exc
-        return a + b * x
-    try:
-        value = _eval_expr(ast.parse(curve_id, mode="eval").body, x)
-    except Exception as exc:  # ConfigError, SyntaxError, arithmetic errors
-        raise ConfigError(f"cannot interpret truth curve {curve_id!r}: {exc}") from exc
+    # Every curve goes through the one finiteness check below; numpy's
+    # warnings on the way there would only precede the error on stderr.
+    with np.errstate(all="ignore"):
+        if curve_id == "paper-fig3":
+            value = np.sin(np.pi * (x + 1.0)) / (x / 2.0 + 1.0)
+        elif curve_id == "zero":
+            value = np.zeros_like(x)
+        elif m:
+            try:
+                a, b = float(m.group(1)), float(m.group(2))
+            except ValueError as exc:
+                raise ConfigError(f"bad linear(...) parameters in {curve_id!r}") from exc
+            value = a + b * x
+        else:
+            try:
+                value = _eval_expr(ast.parse(curve_id, mode="eval").body, x)
+            except Exception as exc:  # ConfigError, SyntaxError, arithmetic errors
+                raise ConfigError(f"cannot interpret truth curve {curve_id!r}: {exc}") from exc
     value = np.asarray(value, dtype=float)
     if value.shape != x.shape or not np.all(np.isfinite(value)):
         raise ConfigError(f"truth curve {curve_id!r} did not produce a finite vector")

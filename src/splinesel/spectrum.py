@@ -223,92 +223,99 @@ def df(spec: DesignSpectrum, lam: float) -> float:
 
 
 # The df inversion starts from df on _DF_GRID_POINTS log-lam points spanning
-# lam = 1e-8 / k_max .. 1e8 / k_min (penalized k); targets beyond the grid
-# widen their bracket in _DF_WIDEN steps of log lam, at most _DF_MAX_WIDEN
-# times.  A target is solved once |df - target| <= _DF_TOL; _DF_MAX_SWEEPS
-# bounds the Newton sweeps.
+# lam = 1e-8 / k_max .. 1e8 / k_min (penalized k); a target beyond the grid
+# is bracketed in closed form (lambdas_for_df).  Both root searches in log
+# lam, the df inverse and selection's refinement, stop once a step is below
+# NEWTON_STEP_TOL.
 _DF_GRID_POINTS = 33
-_DF_WIDEN = 5.0
-_DF_MAX_WIDEN = 60
-_DF_TOL = 1e-9
-_DF_MAX_SWEEPS = 200
+NEWTON_STEP_TOL = 1e-12
 
 
-def _df_and_slope(k: np.ndarray, log_lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # df = sum a and d df / d log lam = -sum a b, one row per log lam.
-    lk = np.exp(log_lams)[:, None] * k[None, :]
+def _df_and_slope(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # df = sum a and -d df / d log lam = sum a b, one row per lam.
+    lk = lams[:, None] * k[None, :]
     a = 1.0 / (1.0 + lk)
-    return a.sum(axis=1), -(a * a * lk).sum(axis=1)
+    return a.sum(axis=1), (a * a * lk).sum(axis=1)
+
+
+def _log_lam_root(x, lo, hi, g, h, slope, rows) -> np.ndarray:
+    """The one safeguarded Newton solve in log lam, for many rows at once.
+
+    Row i starts at x[i] inside its bracket [lo[i], hi[i]] with the function
+    g[i] and its log-lam derivative h[i] there; g must rise through zero
+    across the bracket.  slope(lams, rows) evaluates (g, h) of rows rows[j]
+    at lams[j].  Rows drop out as they finish.  A Newton step that would
+    leave the row's bracket, or that does not halve its previous step,
+    becomes a bisection step; a row stops once a step is below
+    NEWTON_STEP_TOL, or where its g is exactly zero.  Returns each row's
+    root as lam.
+    """
+    step_old = hi - lo
+    root = np.empty(len(rows))
+    live = np.arange(len(rows))
+    while len(live):
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        step = np.divide(-g, h, out=np.full(len(live), np.inf), where=h > 0)
+        newton = (lo <= x + step) & (x + step <= hi) & (np.abs(step) <= 0.5 * np.abs(step_old))
+        step = np.where(newton, step, 0.5 * (lo + hi) - x) * (g != 0)
+        x = x + step
+        done = np.abs(step) < NEWTON_STEP_TOL
+        root[live[done]] = np.exp(x[done])
+        live, x, lo, hi, step_old = (v[~done] for v in (live, x, lo, hi, step))
+        if len(live):
+            g, h = slope(np.exp(x), rows[live])
+    return root
 
 
 def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
-    """Invert the monotone df map for many targets at once, each to 1e-9.
+    """Invert the monotone df map for many targets at once.
 
     Every target must lie strictly between null_dim and n.  Each target is
-    bracketed by a cell of a coarse log-lam grid (widened for targets beyond
-    its ends), started by linear interpolation in that cell, and solved by
-    safeguarded Newton in log lam on d df / d log lam = -sum a b: a step that
-    leaves the bracket becomes a bisection step.  Targets are solved
-    independently, so an element does not depend on the other targets.
+    bracketed by a cell of a coarse log-lam grid, started by linear
+    interpolation in that cell, and solved for the root of target - df,
+    whose log-lam slope is sum a b, by selection's safeguarded Newton solve
+    (_log_lam_root).  With m penalized components, df lies between
+    null_dim + m / (1 + lam k_max) and null_dim + m / (1 + lam k_min), so a
+    target beyond a grid end is bracketed in closed form and started at the
+    bracket's middle.  Targets are solved independently, so an element does
+    not depend on the other targets.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
         raise ValueError("df targets must be a flat list")
-    bad = ~((spec.null_dim < targets) & (targets < spec.n))
+    nd = spec.null_dim
+    bad = ~((nd < targets) & (targets < spec.n))
     if np.any(bad):
-        raise ValueError(
-            f"df target must lie in ({spec.null_dim}, {spec.n}), got {targets[bad][0]}"
-        )
+        raise ValueError(f"df target must lie in ({nd}, {spec.n}), got {targets[bad][0]}")
     k = spec.k
-    kpos = k[spec.null_dim:]
+    kpos = k[nd:]
     grid = np.linspace(math.log(1e-8 / kpos[-1]), math.log(1e8 / kpos[0]), _DF_GRID_POINTS)
-    grid_df, _ = _df_and_slope(k, grid)
+    grid_df, _ = _df_and_slope(k, np.exp(grid))
     # Cell j holds the target: grid_df[j] >= target > grid_df[j + 1].  Start
     # by linear interpolation of df in the cell.
     cell = np.sum(grid_df[:, None] >= targets[None, :], axis=0) - 1
     j = np.clip(cell, 0, _DF_GRID_POINTS - 2)
     lo, hi = grid[j], grid[j + 1]
     x = lo + (grid_df[j] - targets) / (grid_df[j] - grid_df[j + 1]) * (hi - lo)
-    # Targets beyond a grid end widen their bracket and start at its middle.
-    # A spectrum whose df cannot reach a target (k not matching n) fails
-    # instead of widening forever.
-    for i in np.flatnonzero(cell < 0):
-        lo[i], hi[i] = grid[0] - _DF_WIDEN, grid[0]
-        for _ in range(_DF_MAX_WIDEN):
-            if df(spec, math.exp(lo[i])) >= targets[i]:
-                break
-            lo[i] -= _DF_WIDEN
-        else:
-            raise NumericError(f"lambdas_for_df cannot bracket df target {targets[i]}")
-        x[i] = 0.5 * (lo[i] + hi[i])
-    for i in np.flatnonzero(cell == _DF_GRID_POINTS - 1):
-        lo[i], hi[i] = grid[-1], grid[-1] + _DF_WIDEN
-        for _ in range(_DF_MAX_WIDEN):
-            if df(spec, math.exp(hi[i])) <= targets[i]:
-                break
-            hi[i] += _DF_WIDEN
-        else:
-            raise NumericError(f"lambdas_for_df cannot bracket df target {targets[i]}")
-        x[i] = 0.5 * (lo[i] + hi[i])
+    # Beyond a grid end, the df bound's lam at the target closes the bracket.
+    # A spectrum whose df cannot reach a target (k not matching n) fails.
+    m, excess = len(kpos), targets - nd
+    low, high = cell < 0, cell == _DF_GRID_POINTS - 1
+    if np.any(low & (excess >= m)):
+        raise NumericError(f"lambdas_for_df cannot bracket df target {targets[low].max()}")
+    lo[low] = np.log((m - excess[low]) / (excess[low] * kpos[-1]))
+    hi[high] = np.log((m - excess[high]) / (excess[high] * kpos[0]))
+    ends = low | high
+    x[ends] = 0.5 * (lo[ends] + hi[ends])
 
-    active = np.arange(len(targets))
-    for _ in range(_DF_MAX_SWEEPS):
-        if len(active) == 0:
-            return np.exp(x)
-        xa = x[active]
-        val, slope = _df_and_slope(k, xa)
-        resid = val - targets[active]
-        done = np.abs(resid) <= _DF_TOL
-        # df falls as lam grows: above the target means lam is too small.
-        lo[active] = np.where(resid > 0, xa, lo[active])
-        hi[active] = np.where(resid < 0, xa, hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = xa - resid / slope
-        la, ha = lo[active], hi[active]
-        inside = (la < newton) & (newton < ha)
-        x[active] = np.where(done, xa, np.where(inside, newton, 0.5 * (la + ha)))
-        active = active[~done]
-    raise NumericError(f"lambdas_for_df did not converge for targets {targets[active]}")
+    def slope(lams, rows):
+        val, ab = _df_and_slope(k, lams)
+        return targets[rows] - val, ab
+
+    rows = np.arange(len(targets))
+    g, h = slope(np.exp(x), rows)
+    return _log_lam_root(x, lo, hi, g, h, slope, rows)
 
 
 def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:

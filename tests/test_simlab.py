@@ -143,6 +143,37 @@ def test_nonfinite_curve_rejected():
             truth_curve("sqrt(x)", grid)
 
 
+@pytest.mark.parametrize("config, argv", [
+    # A built-in curve with a non-finite parameter.
+    ({"truth": "linear(nan,1)"}, ["simulate", "--config", "sim.json"]),
+    # paper-fig3 divides by x/2 + 1, which is zero at x = -2.
+    (None, ["curvature", "--n", "61", "--design",
+            '{"kind": "equispaced", "lo": -2, "hi": 1}']),
+    # log of the negative half of the design.
+    (None, ["rates", "--n", "61,121,241,481", "--criteria", "cp", "--truth", "log(x)"]),
+])
+def test_cli_nonfinite_truth_is_one_config_error(tmp_path, config, argv):
+    # Every truth goes through the one finiteness check, before any spectrum
+    # is built, and numpy's warnings do not reach stderr ahead of the error.
+    import splinesel
+
+    if config is not None:
+        cfg = base_config(tmp_path / "out", **config)
+        (tmp_path / "sim.json").write_text(json.dumps(vars(cfg)))
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "splinesel"] + argv, capture_output=True,
+                          text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "config"
+    assert "finite" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["sim.json"] if config else [])
+
+
 # --- config parsing ---------------------------------------------------------
 
 

@@ -24,6 +24,8 @@ from splinesel import (
     smooth,
     weights,
 )
+from splinesel import criteria, spectrum
+from splinesel.criteria import CP, GML, select, select_block
 from splinesel.spectrum import CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
 
 
@@ -294,6 +296,43 @@ def test_lambdas_for_df_fails_on_unreachable_target(spec61):
     short = DesignSpectrum(n=61, x=spec61.x, U=spec61.U[:, :60], k=spec61.k[:60], null_dim=2)
     with pytest.raises(NumericError, match="cannot bracket"):
         lambdas_for_df(short, [60.5])
+
+
+@pytest.mark.parametrize("n", [61, 241])
+def test_lambdas_for_df_beyond_the_grid(n):
+    # The coarse grid spans lam = 1e-8 / k_max .. 1e8 / k_min; a target past
+    # either end is bracketed by the closed-form df bounds.
+    spec = decompose(build_design("equispaced", n, lo=-1.0, hi=1.0))
+    kpos = spec.k[spec.null_dim:]
+    low = [2.0 + 1e-12, 2.0 + 1e-10]
+    high = [n - 1e-10, n - 1e-12]
+    assert max(low) < df(spec, 1e8 / kpos[0])
+    assert min(high) > df(spec, 1e-8 / kpos[-1])
+    targets = low + high
+    lams = lambdas_for_df(spec, targets)
+    for lam, target in zip(lams, targets):
+        assert 0 < lam < math.inf
+        assert abs(df(spec, lam) - target) <= 1e-9
+    assert lams[0] > lams[1] > lams[2] > lams[3]
+
+
+def test_df_inverse_and_selection_share_one_root_finder(monkeypatch, spec61):
+    # The df inverse and selection's refinement are the one Newton solve in
+    # log lam, one call per inversion and one per selected block.
+    calls = []
+    for module, caller in ((spectrum, "df"), (criteria, "select")):
+        def counting(*args, real=module._log_lam_root, caller=caller):
+            calls.append(caller)
+            return real(*args)
+
+        monkeypatch.setattr(module, "_log_lam_root", counting)
+    spec = DesignSpectrum(n=61, x=spec61.x, U=spec61.U, k=spec61.k, null_dim=2)
+    z = spec.U.T @ np.sin(3.0 * spec.x) / 0.3 + np.random.default_rng(4).standard_normal(61)
+    select(GML, spec, z)  # builds the window: one df inversion
+    select_block(CP, spec, np.vstack([z, -z, 2.0 * z]))
+    select(CP, spec, z)
+    lambdas_for_df(spec, [3.0, 10.0])
+    assert calls == ["df", "select", "select", "select", "df"]
 
 
 # --- smoothing and rotation -------------------------------------------------
