@@ -19,7 +19,7 @@ from . import geometry, oracle, simlab
 from .criteria import criterion_by_name, select, sigma_estimate
 from .errors import ConfigError, NumericError
 from .simlab import SimConfig
-from .spectrum import build_design, decompose
+from .spectrum import build_design, decompose, rotate
 
 USAGE_EXIT = 2
 FAILURE_EXIT = 1
@@ -145,7 +145,7 @@ def _cmd_select(args) -> str:
     if len(repeated):
         raise ConfigError(f"{args.input}: x values must be distinct, {repeated[0]:g} repeats")
     spec = decompose(build_design("explicit", points=x))
-    coeffs = spec.U.T @ y
+    coeffs = rotate(spec, y, 1.0)
     estimated, M, sigma = simlab.parse_sigma_mode(args.sigma, spec.n, known_value=True)
     if estimated:
         s2 = sigma_estimate(coeffs, M)
@@ -218,6 +218,7 @@ def _cmd_reversal(args) -> str:
             block.append([c.name, n] + [
                 f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
                                       rs.prob_normal, prob, se)])
+        del spec, truth  # released before the next n's setting is built
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="") as fh:

@@ -378,22 +378,25 @@ def classic_statistics(spec: DesignSpectrum, lam: float, y, sigma: float,
     return cp, gcv
 
 
-def sigma_estimate(coeffs, M: int) -> float:
+def sigma_estimate(coeffs, M: int):
     """Noise-variance estimate from the M + 2 highest rotated components.
 
-    coeffs is the rotated data U'y.  Returns the sum of its top M + 2
-    squares divided by M - 2.  High components of a smooth signal are
-    essentially zero, so for noisy data the estimate is close to sigma^2
-    inflated by (M + 2)/(M - 2); the index/divisor asymmetry is intentional,
-    matching the estimator this implements.
+    coeffs is the rotated data U'y, a vector or a (rows x n) block of them.
+    Returns the sum of its top M + 2 squares divided by M - 2: a float for
+    a vector, one value per row for a block (each row's bits equal its
+    vector estimate).  High components of a smooth signal are essentially
+    zero, so for noisy data the estimate is close to sigma^2 inflated by
+    (M + 2)/(M - 2); the index/divisor asymmetry is intentional, matching
+    the estimator this implements.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    n = coeffs.shape[0]
+    n = coeffs.shape[-1]
     M = int(M)
     if not (5 <= M <= n - 5):
         raise ValueError(f"sigma_estimate requires 5 <= M <= n - 5, got M={M}, n={n}")
-    tail = coeffs[n - 2 - M:]
-    return float(np.sum(tail * tail) / (M - 2.0))
+    tail = coeffs[..., n - 2 - M:]
+    s2 = np.sum(tail * tail, axis=-1) / (M - 2.0)
+    return float(s2) if coeffs.ndim == 1 else s2
 
 
 def default_sigma_m(n: int) -> int:

@@ -18,7 +18,7 @@ from ._rng import (
     replicate_block,
     replicate_normals,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
-from .criteria import Criterion, _deriv_terms, loss_derivs
+from .criteria import BLOCK_ROWS, Criterion, _deriv_terms, loss_derivs
 from .errors import NumericError
 from .oracle import TruthSpectrum
 from .spectrum import DesignSpectrum, weights
@@ -169,9 +169,10 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
 
     z ~ Normal(g, I) is keyed by (seed, n, replicate), not by criterion, so
     every criterion is evaluated on the same draws (common random numbers).
-    Each chunk of draws is made once, in place; u = |z|^(2/q) is formed once
-    per distinct q on the penalized components, and each criterion's affine
-    R0 is evaluated on it.
+    Draws are made BLOCK_ROWS at a time, in place, so the working set is one
+    block whatever the replicate count; u = |z|^(2/q) is formed once per
+    distinct q on the penalized components, and each criterion's affine R0
+    is evaluated on it.
     """
     if replicates < REVERSAL_MIN_REPLICATES:
         raise ValueError(f"reversal_probs_mc needs >= {REVERSAL_MIN_REPLICATES} replicates, "
@@ -182,10 +183,9 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
         by_q.setdefault(c.q, []).append(i)
     nd = spec.null_dim
     hits = [0] * len(forms)
-    chunk = 2000
-    z = np.empty((min(chunk, replicates), spec.n))
-    for start in range(0, replicates, chunk):
-        stop = min(start + chunk, replicates)
+    z = np.empty((BLOCK_ROWS, spec.n))
+    for start in range(0, replicates, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, replicates)
         block = replicate_block(seed, spec.n, start, stop, out=z[:stop - start])
         block += truth.g
         for q, members in by_q.items():
@@ -194,6 +194,6 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
             for i in members:
                 coeff, base = forms[i]
                 hits[i] += int(np.sum(u @ coeff + base < 0.0))
-            del u  # freed before the next q's u exists: one u per chunk at a time
+            del u  # freed before the next q's u exists: one u per block at a time
     probs = [h / replicates for h in hits]
     return [(p, math.sqrt(max(p * (1.0 - p), 0.0) / replicates)) for p in probs]

@@ -322,6 +322,7 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
                 dropped.append(n)
             else:
                 fits.append((n, central.lam, central.df))
+        del spec, truth  # released before the next n's setting is built
     probes = []
     for c, fits, dropped in zip(criteria, rows, excluded):
         if len(fits) < 2:

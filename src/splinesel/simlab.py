@@ -35,7 +35,7 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, build_design
+from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, build_design, rotate
 
 log = logging.getLogger("splinesel")
 
@@ -313,9 +313,9 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     y = replicate_block(cfg.seed, spec.n, block.start, block.stop)
     y *= sigma
     y += truth.f
-    coeffs = np.array([spec.U.T @ row for row in y])
+    coeffs = rotate(spec, y, 1.0)
     if estimated:
-        s2 = np.array([sigma_estimate(row, M) for row in coeffs])
+        s2 = sigma_estimate(coeffs, M)
         sigma_use = np.sqrt(s2, out=np.full(len(block), math.nan), where=s2 > 0)
     else:
         sigma_use = np.full(len(block), sigma)
@@ -366,6 +366,7 @@ def run_simulation(cfg: SimConfig):
         for lo in range(0, cfg.replicates, BLOCK_ROWS):
             block = range(lo, min(lo + BLOCK_ROWS, cfg.replicates))
             yield from _replicate_records(spec, truth, criteria, cfg, sigma_mode, block)
+        del spec, truth  # released before the next n's setting is built
 
 
 def _format(v) -> str:
@@ -429,6 +430,7 @@ def write_curvature_table(path, names, design: dict, n_list, truth_gen, sigma: f
             lam0 = ideal_points[n].lam
             writer.writerow([n] + [_format(geometry.curvature_sq(c, spec, lam0))
                                    for c in criteria])
+            del spec, truth  # released before the next n's setting is built
     return ideal_points
 
 

@@ -149,7 +149,9 @@ def penalty_matrix(grid: DesignGrid) -> np.ndarray:
     Q is the n x (n-2) second-difference matrix built from the gaps
     h_i = x_{i+1} - x_i, R the symmetric tridiagonal Gram matrix with
     diagonal (h_{i-1} + h_i)/3 and off-diagonal h_i/6.  R is eliminated by
-    a banded Cholesky solve, never inverted densely.
+    a banded Cholesky solve, never inverted densely.  At most three n x n
+    arrays are alive at once (Q, R^{-1}Q' and K, during the product); K is
+    symmetrized in place, which gives the same bits as 0.5 * (K + K').
     """
     # scipy.linalg is imported on a cache miss only: a warm cache never
     # builds a penalty.
@@ -167,7 +169,10 @@ def penalty_matrix(grid: DesignGrid) -> np.ndarray:
     band[0] = (h[:-1] + h[1:]) / 3.0
     band[1, :-1] = h[1:-1] / 6.0
     K = Q @ solveh_banded(band, Q.T, lower=True)
-    return 0.5 * (K + K.T)
+    del Q
+    K += K.T
+    K *= 0.5
+    return K
 
 
 def decompose(grid: DesignGrid) -> DesignSpectrum:
@@ -181,9 +186,12 @@ def decompose(grid: DesignGrid) -> DesignSpectrum:
 
     K = penalty_matrix(grid)
     try:
-        k, U = eigh(K)
+        # K is exactly symmetric, so K' is the same matrix, and Fortran-ordered:
+        # LAPACK works in K's own buffer instead of a copy.
+        k, U = eigh(K.T, overwrite_a=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise NumericError(f"penalty eigendecomposition failed: {exc}") from exc
+    del K  # overwritten by the solve; freed before U's C-ordered copy
     kmax = float(k[-1])
     if not math.isfinite(kmax) or kmax <= 0:
         raise NumericError("penalty spectrum is degenerate (no positive eigenvalues)")
@@ -324,17 +332,23 @@ def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
     if y.shape != (spec.n,):
         raise ValueError(f"y must have length {spec.n}, got shape {y.shape}")
     w = weights(spec, lam)
-    return spec.U @ (w.a * (spec.U.T @ y))
+    return spec.U @ (w.a * rotate(spec, y, 1.0))
 
 
 def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:
-    """Rotate into spectral coordinates: U'v / sigma."""
+    """Rotate into spectral coordinates: U'v / sigma, for a vector v or for
+    each row of a (rows x n) block, as one product (v @ U) / sigma.
+
+    The package's one route that applies U'.  For a vector, v @ U equals
+    U'v bit for bit; for a block, each row's rounding depends on the block's
+    shape, which callers fix.
+    """
     if sigma <= 0:
         raise ValueError(f"rotate requires sigma > 0, got {sigma}")
     v = np.asarray(v, dtype=float)
-    if v.shape != (spec.n,):
-        raise ValueError(f"v must have length {spec.n}, got shape {v.shape}")
-    return (spec.U.T @ v) / sigma
+    if v.ndim not in (1, 2) or v.shape[-1] != spec.n:
+        raise ValueError(f"v must have length {spec.n} (or rows of it), got shape {v.shape}")
+    return (v @ spec.U) / sigma
 
 
 # --- disk cache -------------------------------------------------------------

@@ -7,6 +7,7 @@ them, and each recomputes a package result by a different construction.
 import math
 
 import numpy as np
+from scipy.linalg import eigh, solveh_banded
 
 from splinesel.errors import NumericError
 from splinesel.geometry import _penalized_ab
@@ -104,3 +105,31 @@ def curvature_denominator_closed_form(c, spec, lam: float, u) -> float:
     p, q = c.p, c.q
     inner = a / q + ((1.0 + p / q) * a - 2.0) * (c.c_q * b ** (1.0 / q) * up - 1.0)
     return float(np.sum(a * b ** ((p - 1.0) / q) * inner))
+
+
+def decompose_reference(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, k, U) of the design points x by the copying construction.
+
+    K = Q R^{-1} Q' from the same band factors as spectrum.penalty_matrix,
+    symmetrized out of place as 0.5 * (K + K'), and eigendecomposed by
+    eigh on that matrix; k is clamped and U made C-ordered as
+    spectrum.decompose does.  spectrum.penalty_matrix and
+    spectrum.decompose symmetrize in place and hand LAPACK K's own buffer;
+    both must give these bits.
+    """
+    n = len(x)
+    h = np.diff(x)
+    Q = np.zeros((n, n - 2))
+    idx = np.arange(1, n - 1)
+    Q[idx - 1, idx - 1] = 1.0 / h[idx - 1]
+    Q[idx, idx - 1] = -1.0 / h[idx - 1] - 1.0 / h[idx]
+    Q[idx + 1, idx - 1] = 1.0 / h[idx]
+    band = np.zeros((2, n - 2))
+    band[0] = (h[:-1] + h[1:]) / 3.0
+    band[1, :-1] = h[1:-1] / 6.0
+    K = Q @ solveh_banded(band, Q.T, lower=True)
+    K = 0.5 * (K + K.T)
+    k, U = eigh(K)
+    k[:2] = 0.0
+    k[2:] = np.maximum(k[2:], 0.0)
+    return K, k, np.ascontiguousarray(U)

@@ -345,6 +345,15 @@ def test_sigma_estimate_matches_tail_projection(spectra):
     assert sigma_estimate(spec.U.T @ y, M) == pytest.approx(direct, rel=1e-12)
 
 
+def test_sigma_estimate_block_rows_equal_vector_estimates(spectra):
+    # A block gives one estimate per row, each the vector estimate's bits.
+    spec = spectra[241]
+    coeffs = np.random.default_rng(6).standard_normal((7, 241)) @ spec.U
+    est = sigma_estimate(coeffs, 24)
+    assert est.shape == (7,)
+    assert [float(v) for v in est] == [sigma_estimate(row, 24) for row in coeffs]
+
+
 def test_default_sigma_m():
     assert default_sigma_m(61) == 20
     assert default_sigma_m(300) == 30

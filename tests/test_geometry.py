@@ -350,8 +350,8 @@ def test_reversal_moments_match_single_criterion_route(spec61, truth61, lam0s, c
 
 
 def test_reversal_probs_mc_partial_last_chunk(spec61, truth61, lam0s):
-    # 2500 draws end on a 500-row chunk; the counts still come from the
-    # same keyed draws as the reference route.
+    # 2500 draws end on a 4-row block (2500 = 39 * 64 + 4); the counts still
+    # come from the same keyed draws as the reference route.
     (prob, se), = reversal_probs_mc([GML], spec61, truth61, lam0s[61], 2500, 8)
     coeff, base = _r0_affine(GML, spec61, lam0s[61])
     nd = spec61.null_dim
@@ -361,21 +361,29 @@ def test_reversal_probs_mc_partial_last_chunk(spec61, truth61, lam0s):
     assert se == math.sqrt(prob * (1.0 - prob) / 2500)
 
 
-def test_reversal_probs_mc_working_set_does_not_grow_with_criteria(spectra, truths, lam0s):
-    # The draws and u = |z|^(2/q) are each held once per chunk, whatever the
-    # number of criteria or distinct q.
+def _reversal_mc_peak(spectra, truths, lam0s, crits, replicates) -> int:
+    # Traced peak allocation of one reversal_probs_mc call at n = 241.
     n = 241
+    tracemalloc.start()
+    try:
+        reversal_probs_mc(crits, spectra[n], truths[n], lam0s[n], replicates, 5)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
-    def peak(crits):
-        tracemalloc.start()
-        try:
-            reversal_probs_mc(crits, spectra[n], truths[n], lam0s[n], 10000, 5)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
 
-    one = peak([CP])
-    assert peak([CP, GML, EE]) <= 1.05 * one
+def test_reversal_probs_mc_working_set_does_not_grow_with_criteria(spectra, truths, lam0s):
+    # The draws and u = |z|^(2/q) are each held once per block, whatever the
+    # number of criteria or distinct q.
+    one = _reversal_mc_peak(spectra, truths, lam0s, [CP], 10000)
+    assert _reversal_mc_peak(spectra, truths, lam0s, [CP, GML, EE], 10000) <= 1.05 * one
+
+
+def test_reversal_probs_mc_working_set_does_not_grow_with_draws(spectra, truths, lam0s):
+    # Draws are made one block at a time, so ten times the draws need no
+    # more memory.
+    few = _reversal_mc_peak(spectra, truths, lam0s, [CP], 1000)
+    assert _reversal_mc_peak(spectra, truths, lam0s, [CP], 10000) <= 1.05 * few
 
 
 def test_reversal_prob_mc_degenerate_truth(spec61):

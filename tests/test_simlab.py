@@ -1,11 +1,13 @@
 """Simulation lab: configs, truth curves, campaign runs, tables, and the CLI."""
 
+from functools import partial
 import json
 import logging
 import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -334,10 +336,17 @@ def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, cap
                       sigma_mode="estimated")
     clean = list(run_simulation(cfg))
     collapsed = {1, BLOCK_ROWS + 2}
-    calls = iter(range(cfg.replicates))
+    starts = iter(range(0, cfg.replicates, BLOCK_ROWS))
     real = simlab.sigma_estimate
-    monkeypatch.setattr(simlab, "sigma_estimate",
-                        lambda coeffs, M: 0.0 if next(calls) in collapsed else real(coeffs, M))
+
+    def collapse(coeffs, M):
+        # One call per block: zero the estimates of the collapsed replicates.
+        s2 = real(coeffs, M)
+        start = next(starts)
+        s2[[start + i in collapsed for i in range(len(s2))]] = 0.0
+        return s2
+
+    monkeypatch.setattr(simlab, "sigma_estimate", collapse)
     with caplog.at_level(logging.WARNING, logger="splinesel"):
         records = list(run_simulation(cfg))
     assert [(r.replicate, r.criterion) for r in records] == [
@@ -367,6 +376,40 @@ def test_run_simulation_builds_one_window_per_n(tmp_path, monkeypatch):
     cfg = base_config(tmp_path, n_list=[31, 41], replicates=2 * BLOCK_ROWS + 3, seed=4)
     assert len(list(run_simulation(cfg))) == 2 * cfg.replicates * len(cfg.criteria)
     assert built == [31, 41]
+
+
+@pytest.mark.parametrize("route", ["simulate", "curvature", "rates", "reversal"])
+def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
+    # When a command builds the next n's setting, the previous n's spectrum
+    # and truth are already released.
+    alive = []
+    real = oracle.setting
+
+    def tracking(*args, **kwargs):
+        held = [n for n, refs in alive if any(ref() is not None for ref in refs)]
+        assert held == [], f"setting of n={held} still alive"
+        spec, truth = real(*args, **kwargs)
+        alive.append((spec.n, (weakref.ref(spec), weakref.ref(truth))))
+        return spec, truth
+
+    monkeypatch.setattr(oracle, "setting", tracking)
+    ns = [31, 41, 51, 61]
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    truth_gen = partial(truth_curve, "paper-fig3")
+    if route == "simulate":
+        cfg = base_config(tmp_path, n_list=ns, replicates=BLOCK_ROWS + 1)
+        assert len(list(run_simulation(cfg))) == 4 * cfg.replicates * len(cfg.criteria)
+    elif route == "curvature":
+        simlab.write_curvature_table(tmp_path / "table1.csv", ["cp", "gml"], design, ns,
+                                     truth_gen, 1.0, tmp_path / "spectra")
+    elif route == "rates":
+        oracle.rate_probes([criterion_by_name("cp")], design, ns, truth_gen,
+                           cache_dir=tmp_path / "spectra")
+    else:
+        assert cli(["reversal", "--n", "31,41,61", "--criteria", "cp", "--replicates", "1000",
+                    "--cache-dir", str(tmp_path / "spectra"),
+                    "--out", str(tmp_path / "reversal.csv")]) == 0
+    assert len(alive) in (3, 4)
 
 
 def test_bad_sample_size_aborts_that_n_only(tmp_path, monkeypatch, caplog):

@@ -28,6 +28,8 @@ from splinesel import criteria, spectrum
 from splinesel.criteria import CP, GML, select, select_block
 from splinesel.spectrum import CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
 
+from crosscheck import decompose_reference
+
 
 # --- design construction ----------------------------------------------------
 
@@ -166,6 +168,21 @@ def test_decompose_random_designs(seed):
     y = 0.7 - 1.3 * x
     for lam in (1e-3, 1.0, 1e4):
         np.testing.assert_allclose(smooth(spec, lam, y), y, atol=1e-8)
+
+
+@pytest.mark.parametrize("grid", [
+    *(build_design("equispaced", n, lo=-1.0, hi=1.0) for n in (5, 61, 241)),
+    build_design("explicit", points=np.cumsum(0.01 + np.random.default_rng(9).random(40))),
+], ids=["equispaced-5", "equispaced-61", "equispaced-241", "explicit-40"])
+def test_decompose_matches_copying_construction(grid):
+    # Symmetrizing in place and solving in K's own buffer change no bit of
+    # K, k or U.
+    K, k, U = decompose_reference(grid.x)
+    spec = decompose(grid)
+    assert np.array_equal(penalty_matrix(grid), K)
+    assert np.array_equal(spec.k, k)
+    assert np.array_equal(spec.U, U)
+    assert spec.U.flags.c_contiguous
 
 
 def test_df_matches_dense_inverse_trace(spec61):
@@ -388,6 +405,22 @@ def test_rotate_rejects_bad_input(spec61):
         rotate(spec61, np.zeros(61), -1.0)
     with pytest.raises(ValueError):
         rotate(spec61, np.zeros(60), 1.0)
+    with pytest.raises(ValueError):
+        rotate(spec61, np.zeros((3, 60)), 1.0)
+    with pytest.raises(ValueError):
+        rotate(spec61, np.zeros((2, 3, 61)), 1.0)
+
+
+def test_rotate_vector_and_block(spec61):
+    # A vector rotates to exactly U'v / sigma; a block rotates each row to
+    # the vector result up to the rounding of the block product.
+    y = np.random.default_rng(12).standard_normal((5, 61))
+    for row in y:
+        assert np.array_equal(rotate(spec61, row, 0.7), (spec61.U.T @ row) / 0.7)
+    block = rotate(spec61, y, 0.7)
+    assert block.shape == (5, 61)
+    for got, row in zip(block, y):
+        np.testing.assert_allclose(got, rotate(spec61, row, 0.7), rtol=0, atol=1e-13)
 
 
 def test_rotated_truth_carries_curvature(spec61, truth61):
