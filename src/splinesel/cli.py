@@ -180,11 +180,8 @@ def _model_inputs(args):
     ns = _parse_n_list(args.n)
     design = _parse_design(args.design, ns, args.truth)
     simlab.check_sigma(args.sigma)
-    names = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
-    if not names:
-        raise ConfigError("--criteria must name at least one criterion")
-    criteria = [criterion_by_name(name) for name in names]
-    return design, ns, names, criteria
+    ids = [tok.strip() for tok in args.criteria.split(",") if tok.strip()]
+    return design, ns, simlab.check_criteria(ids, "--criteria")
 
 
 def _setting(args, design: dict, n: int):
@@ -193,7 +190,8 @@ def _setting(args, design: dict, n: int):
 
 
 def _cmd_curvature(args) -> str:
-    design, ns, names, _ = _model_inputs(args)
+    design, ns, criteria = _model_inputs(args)
+    names = [c.name for c in criteria]
     simlab.write_curvature_table(args.out, names, design, ns,
                                  partial(simlab.truth_curve, args.truth), args.sigma,
                                  args.cache_dir)
@@ -201,7 +199,7 @@ def _cmd_curvature(args) -> str:
 
 
 def _cmd_reversal(args) -> str:
-    design, ns, names, criteria = _model_inputs(args)
+    design, ns, criteria = _model_inputs(args)
     simlab.check_seed(args.seed)
     if args.replicates < geometry.REVERSAL_MIN_REPLICATES:
         raise ConfigError(f"reversal needs --replicates >= {geometry.REVERSAL_MIN_REPLICATES}")
@@ -215,19 +213,13 @@ def _cmd_reversal(args) -> str:
         probs = geometry.reversal_probs_mc(criteria, spec, truth, lam0,
                                            args.replicates, args.seed)
         for block, c, rs, (prob, se) in zip(rows, criteria, moments, probs):
-            block.append([c.name, n] + [
-                f"{v:.17g}" for v in (rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
-                                      rs.prob_normal, prob, se)])
+            block.append([c.name, n, rs.lam0, rs.beta, rs.M, rs.V, rs.T_n,
+                          rs.prob_normal, prob, se])
         del spec, truth  # released before the next n's setting is built
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "n", "lambda0", "beta", "mean", "variance",
-                         "t_stat", "prob_normal", "prob_mc", "mc_se"])
-        for block in rows:
-            writer.writerows(block)
-    return f"reversal wrote {out} ({args.replicates} draws per cell)"
+    simlab._write_csv(args.out, ["criterion", "n", "lambda0", "beta", "mean", "variance",
+                                 "t_stat", "prob_normal", "prob_mc", "mc_se"],
+                      (row for block in rows for row in block))
+    return f"reversal wrote {Path(args.out)} ({args.replicates} draws per cell)"
 
 
 def _cmd_decompose(args) -> str:
@@ -247,26 +239,18 @@ def _cmd_decompose(args) -> str:
 
 
 def _cmd_rates(args) -> str:
-    design, ns, names, criteria = _model_inputs(args)
+    design, ns, criteria = _model_inputs(args)
     if len(ns) < oracle.RATE_MIN_SIZES or ns != sorted(ns):
         raise ConfigError(f"rates needs >= {oracle.RATE_MIN_SIZES} increasing --n values")
     probes = oracle.rate_probes(criteria, design, ns, partial(simlab.truth_curve, args.truth),
                                 sigma=args.sigma, cache_dir=args.cache_dir)
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    excluded_notes = []
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "n", "lambda_c", "df_c",
-                         "slope_lambda", "slope_df"])
-        for c, probe in zip(criteria, probes):
-            for n, lam_c, df_c in probe.rows:
-                writer.writerow([c.name, n, f"{lam_c:.17g}", f"{df_c:.17g}",
-                                 f"{probe.slope_lambda:.17g}", f"{probe.slope_df:.17g}"])
-            if probe.excluded:
-                excluded_notes.append(f"{c.name}: boundary at n={probe.excluded}")
-    note = ("; ".join(excluded_notes)) if excluded_notes else "no boundary exclusions"
-    return f"rates wrote {out} ({note})"
+    simlab._write_csv(args.out, ["criterion", "n", "lambda_c", "df_c",
+                                 "slope_lambda", "slope_df"],
+                      ([c.name, n, lam_c, df_c, probe.slope_lambda, probe.slope_df]
+                       for c, probe in zip(criteria, probes) for n, lam_c, df_c in probe.rows))
+    note = "; ".join(f"{c.name}: boundary at n={probe.excluded}"
+                     for c, probe in zip(criteria, probes) if probe.excluded)
+    return f"rates wrote {Path(args.out)} ({note or 'no boundary exclusions'})"
 
 
 _COMMANDS = {

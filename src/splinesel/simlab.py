@@ -10,7 +10,7 @@ one process; replicates are selected in fixed blocks of BLOCK_ROWS counted
 from replicate 0, so a run's output depends only on its config.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 import ast
 import csv
@@ -39,11 +39,6 @@ from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, build_desig
 
 log = logging.getLogger("splinesel")
 
-RUNS_COLUMNS = [
-    "n", "replicate", "criterion", "lambda_hat", "df_hat",
-    "sqerr", "sqerr_response", "at_boundary",
-]
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -68,14 +63,10 @@ class SimConfig:
         for field in ("truth", "sigma_mode", "output_dir"):
             if not isinstance(getattr(self, field), str):
                 raise ConfigError(f"{field} must be a string")
-        if (not isinstance(self.criteria, list) or not self.criteria
-                or not all(isinstance(name, str) for name in self.criteria)):
-            raise ConfigError("criteria must be a nonempty list of criterion ids")
+        check_criteria(self.criteria)
         for grid in check_design(self.design, self.n_list):
             truth_curve(self.truth, grid)
             parse_sigma_mode(self.sigma_mode, grid.n)
-        for name in self.criteria:
-            criterion_by_name(name)
         return self
 
     @classmethod
@@ -86,12 +77,10 @@ class SimConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         if not isinstance(payload, dict):
             raise ConfigError("config must be a JSON object")
-        known = {f for f in cls.__dataclass_fields__}
-        extra = set(payload) - known
+        extra = set(payload) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        missing = {"design", "n_list", "replicates", "seed", "criteria",
-                   "truth", "sigma"} - set(payload)
+        missing = {f.name for f in fields(cls) if f.default is MISSING} - set(payload)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
         return cls(**payload).validate()
@@ -123,6 +112,18 @@ def check_n_list(n_list, name: str = "n_list") -> list[int]:
         raise ConfigError(f"{name} must be a nonempty list of distinct integers >= "
                           f"{MIN_DESIGN_POINTS}, got {n_list!r}")
     return n_list
+
+
+def check_criteria(ids, name: str = "criteria") -> list[Criterion]:
+    """Criterion ids, in configs and --criteria flags, are a nonempty list
+    naming each criterion once, compared in canonical form (so "CP" repeats
+    "cp").  Returns the criteria."""
+    if not isinstance(ids, list) or not ids or not all(isinstance(i, str) for i in ids):
+        raise ConfigError(f"{name} must be a nonempty list of criterion ids")
+    criteria = [criterion_by_name(i) for i in ids]
+    if len({c.name for c in criteria}) != len(criteria):
+        raise ConfigError(f"{name} must name each criterion once, got {ids!r}")
+    return criteria
 
 
 def check_sigma(sigma) -> float:
@@ -297,6 +298,9 @@ class RunRecord:
     at_boundary: str
 
 
+RUNS_COLUMNS = [f.name for f in fields(RunRecord)]
+
+
 def spectra_cache_dir(cfg: SimConfig) -> Path:
     return Path(cfg.output_dir) / "spectra"
 
@@ -369,40 +373,44 @@ def run_simulation(cfg: SimConfig):
         del spec, truth  # released before the next n's setting is built
 
 
-def _format(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
-def write_runs_csv(records, path) -> int:
+def _write_csv(path, header, rows) -> int:
+    """Write a CSV of header and rows, creating its directory; floats are
+    written with 17 significant digits, so they round-trip exactly.  rows is
+    consumed as it is written (a generator streams).  Returns the row count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     count = 0
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(RUNS_COLUMNS)
-        for rec in records:
-            writer.writerow([_format(getattr(rec, col)) for col in RUNS_COLUMNS])
-            count += 1
+        writer.writerow(header)
+        for count, row in enumerate(rows, 1):
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
     return count
 
 
+def write_runs_csv(records, path) -> int:
+    return _write_csv(path, RUNS_COLUMNS, map(operator.attrgetter(*RUNS_COLUMNS), records))
+
+
 def read_runs_csv(path) -> list[RunRecord]:
+    """Read a runs.csv back; a row with the wrong field count or a value
+    that does not parse as its RunRecord field's type is a ConfigError.
+    Blank lines are skipped."""
     records = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != RUNS_COLUMNS:
+        reader = csv.reader(fh)
+        if next(reader, None) != RUNS_COLUMNS:
             raise ConfigError(f"{path} does not look like a runs.csv (header mismatch)")
+        types = [f.type for f in fields(RunRecord)]
         for row in reader:
-            records.append(RunRecord(
-                n=int(row["n"]), replicate=int(row["replicate"]),
-                criterion=row["criterion"],
-                lambda_hat=float(row["lambda_hat"]), df_hat=float(row["df_hat"]),
-                sqerr=float(row["sqerr"]),
-                sqerr_response=float(row["sqerr_response"]),
-                at_boundary=row["at_boundary"],
-            ))
+            if not row:
+                continue
+            try:
+                if len(row) != len(RUNS_COLUMNS):
+                    raise ValueError(f"{len(row)} fields, expected {len(RUNS_COLUMNS)}")
+                records.append(RunRecord(*(t(v) for t, v in zip(types, row))))
+            except ValueError as exc:
+                raise ConfigError(f"{path} line {reader.line_num}: {exc}") from exc
     return records
 
 
@@ -417,20 +425,17 @@ def write_curvature_table(path, names, design: dict, n_list, truth_gen, sigma: f
     Each n's setting (see oracle.setting) is built, used and dropped in
     turn.  Returns the ideal point of each n.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     criteria = [criterion_by_name(name) for name in names]
     ideal_points = {}
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n"] + list(names))
+
+    def rows():
         for n in n_list:
             spec, truth = oracle.setting(design, n, truth_gen, sigma, cache_dir)
             ideal_points[n] = oracle.ideal_lambda(spec, truth)
-            lam0 = ideal_points[n].lam
-            writer.writerow([n] + [_format(geometry.curvature_sq(c, spec, lam0))
-                                   for c in criteria])
+            yield [n] + [geometry.curvature_sq(c, spec, ideal_points[n].lam) for c in criteria]
             del spec, truth  # released before the next n's setting is built
+
+    _write_csv(path, ["n"] + [c.name for c in criteria], rows())
     return ideal_points
 
 
@@ -446,62 +451,47 @@ def emit_tables(records, cfg: SimConfig, out_dir=None) -> dict[str, Path]:
                    integers.
     df0_bars.csv:  ideal smoothing parameter and df per n.
 
-    Cells with no usable records are emitted empty with a logged warning.
+    Criteria are named in canonical form (criterion_by_name(id).name), as
+    runs.csv names them.  Cells with no usable records are emitted empty
+    with a logged warning.
     """
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    records = list(records)
-    paths = {"table1": out / "table1.csv"}
-    ideal_points = write_curvature_table(paths["table1"], cfg.criteria, cfg.design, cfg.n_list,
+    paths = {name: out / f"{name}.csv" for name in ("table1", "table2", "fig4_hist", "df0_bars")}
+    names = [c.name for c in check_criteria(cfg.criteria)]
+    cells = {(name, n): [] for name in names for n in cfg.n_list}
+    for r in records:  # a record outside every cell is dropped
+        cells.get((r.criterion, r.n), []).append(r)
+    ideal_points = write_curvature_table(paths["table1"], names, cfg.design, cfg.n_list,
                                          partial(truth_curve, cfg.truth), cfg.sigma,
                                          spectra_cache_dir(cfg))
 
-    path2 = out / "table2.csv"
-    with open(path2, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "n", "mean_sqerr", "sd_sqerr", "count"])
-        for name in cfg.criteria:
-            for n in cfg.n_list:
-                vals = np.array([
-                    r.sqerr for r in records
-                    if r.criterion == name and r.n == n and math.isfinite(r.sqerr)
-                ])
-                if len(vals) == 0:
-                    log.warning("table2: no usable records for criterion=%s n=%d", name, n)
-                    writer.writerow([name, n, "", "", 0])
-                    continue
-                sd = vals.std(ddof=1) if len(vals) > 1 else 0.0
-                writer.writerow([name, n, _format(float(vals.mean())),
-                                 _format(float(sd)), len(vals)])
-    paths["table2"] = path2
+    def table2():
+        for (name, n), cell in cells.items():
+            vals = np.array([r.sqerr for r in cell if math.isfinite(r.sqerr)])
+            if len(vals) == 0:
+                log.warning("table2: no usable records for criterion=%s n=%d", name, n)
+                yield [name, n, "", "", 0]
+                continue
+            sd = vals.std(ddof=1) if len(vals) > 1 else 0.0
+            yield [name, n, float(vals.mean()), float(sd), len(vals)]
 
-    path3 = out / "fig4_hist.csv"
-    with open(path3, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["criterion", "n", "bin_lo", "bin_hi", "count"])
-        for name in cfg.criteria:
-            for n in cfg.n_list:
-                vals = [r.df_hat for r in records
-                        if r.criterion == name and r.n == n and math.isfinite(r.df_hat)]
-                if not vals:
-                    log.warning("fig4_hist: no usable records for criterion=%s n=%d", name, n)
-                    writer.writerow([name, n, "", "", 0])
-                    continue
-                lo = math.floor(min(vals))
-                hi = math.ceil(max(vals))
-                hi = max(hi, lo + 1)
-                counts, edges = np.histogram(vals, bins=np.arange(lo, hi + 1))
-                for cnt, edge in zip(counts, edges[:-1]):
-                    writer.writerow([name, n, int(edge), int(edge) + 1, int(cnt)])
-    paths["fig4_hist"] = path3
+    def fig4_hist():
+        for (name, n), cell in cells.items():
+            vals = [r.df_hat for r in cell if math.isfinite(r.df_hat)]
+            if not vals:
+                log.warning("fig4_hist: no usable records for criterion=%s n=%d", name, n)
+                yield [name, n, "", "", 0]
+                continue
+            lo = math.floor(min(vals))
+            hi = max(math.ceil(max(vals)), lo + 1)
+            counts, edges = np.histogram(vals, bins=np.arange(lo, hi + 1))
+            for cnt, edge in zip(counts, edges[:-1]):
+                yield [name, n, int(edge), int(edge) + 1, int(cnt)]
 
-    path4 = out / "df0_bars.csv"
-    with open(path4, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "lambda0", "df0"])
-        for n in cfg.n_list:
-            pt = ideal_points[n]
-            writer.writerow([n, _format(pt.lam), _format(pt.df)])
-    paths["df0_bars"] = path4
-
+    _write_csv(paths["table2"], ["criterion", "n", "mean_sqerr", "sd_sqerr", "count"],
+               table2())
+    _write_csv(paths["fig4_hist"], ["criterion", "n", "bin_lo", "bin_hi", "count"],
+               fig4_hist())
+    _write_csv(paths["df0_bars"], ["n", "lambda0", "df0"],
+               ([n, pt.lam, pt.df] for n, pt in ideal_points.items()))
     return paths

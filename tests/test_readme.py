@@ -1,12 +1,15 @@
-"""The README's Python examples run as written, and its commands parse."""
+"""The README's Python examples run as written, its commands parse, and
+the CSV columns it documents are the ones written."""
 
+import json
 import re
 import shlex
 from pathlib import Path
 
 import pytest
 
-from splinesel.cli import build_parser
+from splinesel.cli import build_parser, cli
+from splinesel.simlab import RUNS_COLUMNS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
@@ -37,3 +40,45 @@ def test_readme_command_parses(line):
         build_parser().parse_args(argv)
     except SystemExit as exc:
         pytest.fail(f"README command does not parse ({exc.code}): {line}")
+
+
+def documented_columns() -> dict[str, list[str]]:
+    """File name -> column list, from each `File formats` bullet that names
+    CSV files before its colon and gives `columns `a, b, ...``."""
+    section = README.read_text().split("## File formats\n", 1)[1].split("\n## ", 1)[0]
+    columns = {}
+    for bullet in section.split("\n- ")[1:]:
+        head, _, body = bullet.partition(": ")
+        found = re.search(r"columns(?: exactly)?\s+`([^`]+)`", body)
+        for name in re.findall(r"`(\w+\.csv)`", head):
+            columns[name] = [col.strip() for col in found.group(1).split(",")] if found else None
+    return columns
+
+
+@pytest.fixture(scope="module")
+def written_headers(tmp_path_factory):
+    """The header of every CSV written by one small run of each command."""
+    tmp = tmp_path_factory.mktemp("headers")
+    cache = str(tmp / "spectra")
+    config = tmp / "sim.json"
+    config.write_text(json.dumps({
+        "design": {"kind": "equispaced", "lo": -1.0, "hi": 1.0}, "n_list": [31],
+        "replicates": 2, "seed": 1, "criteria": ["cp", "gml", "ee"],
+        "truth": "paper-fig3", "sigma": 1.0, "output_dir": str(tmp / "run")}))
+    runs = [
+        ["simulate", "--config", str(config)],
+        ["tables", "--config", str(config)],
+        ["curvature", "--n", "31,61", "--cache-dir", cache, "--out", str(tmp / "curvature.csv")],
+        ["reversal", "--n", "31", "--replicates", "1000", "--cache-dir", cache,
+         "--out", str(tmp / "reversal.csv")],
+        ["rates", "--n", "31,41,51,61", "--cache-dir", cache, "--out", str(tmp / "rates.csv")],
+    ]
+    for argv in runs:
+        assert cli(argv) == 0, argv
+    paths = [*(tmp / "run").glob("*.csv"), *tmp.glob("*.csv")]
+    return {p.name: p.read_text().splitlines()[0].split(",") for p in paths}
+
+
+def test_readme_documents_each_csv_header(written_headers):
+    assert written_headers["runs.csv"] == RUNS_COLUMNS
+    assert documented_columns() == written_headers

@@ -233,6 +233,7 @@ def test_config_unknown_and_missing_fields():
      "must be finite"),
     (dict(truth="foo(x)"), "foo"),
     (dict(truth="log(x)"), r"truth curve .log\(x\)."),
+    (dict(criteria=["cp", "gml", "CP"]), "each criterion once"),
 ])
 def test_config_validation_errors(tmp_path, overrides, fragment):
     cfg = base_config(tmp_path, **overrides)
@@ -471,6 +472,32 @@ def test_runs_csv_header_mismatch(tmp_path):
         read_runs_csv(path)
 
 
+def test_runs_csv_blank_lines_are_skipped(campaign, tmp_path):
+    _, records = campaign
+    path = tmp_path / "runs.csv"
+    write_runs_csv(records[:3], path)
+    path.write_text(path.read_text().replace("\r\n", "\r\n\r\n"))
+    assert read_runs_csv(path) == records[:3]
+
+
+@pytest.mark.parametrize("row", [
+    "61,0,cp,1.0",                    # four fields
+    "61,0,cp,1.0,2.0,3.0,4.0",        # at_boundary missing
+    "61,x,cp,1.0,2.0,3.0,4.0,none",   # non-numeric replicate
+])
+def test_cli_tables_malformed_runs_row_is_a_config_error(tmp_path, capsys, row):
+    config = tmp_path / "sim.json"
+    config.write_text(base_config(tmp_path).to_json())
+    runs = tmp_path / "runs.csv"
+    runs.write_text(",".join(RUNS_COLUMNS) + "\n61,0,cp,1,2,3,4,none\n\n" + row + "\n")
+    assert cli(["tables", "--config", str(config), "--runs", str(runs)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    error = json.loads(err[0])
+    assert error["error"] == "config" and f"{runs} line 4:" in error["message"]
+    assert not (tmp_path / "table2.csv").exists()
+
+
 # --- summary tables ---------------------------------------------------------
 
 
@@ -534,6 +561,21 @@ def test_emit_tables_empty_cell_warns(campaign, tmp_path, caplog):
             assert (mean_tok, sd_tok, count_tok) == ("", "", "0")
         else:
             assert int(count_tok) == 10
+
+
+def test_tables_name_criteria_in_canonical_form(tmp_path):
+    # Cells, table1's header and the criterion columns use the names that
+    # runs.csv records carry, whatever the case or spelling of the config ids.
+    cfg = base_config(tmp_path, criteria=["CP", "p2.0q1"], replicates=4).validate()
+    paths = emit_tables(run_simulation(cfg), cfg)
+    assert paths["table1"].read_text().splitlines()[0] == "n,cp,p2q1"
+    rows = [line.split(",") for line in paths["table2"].read_text().splitlines()[1:]]
+    assert [(r[0], r[4]) for r in rows] == [("cp", "4"), ("p2q1", "4")]
+    mass = {}
+    for line in paths["fig4_hist"].read_text().splitlines()[1:]:
+        name, _, _, _, count = line.split(",")
+        mass[name] = mass.get(name, 0) + int(count)
+    assert mass == {"cp": 4, "p2q1": 4}
 
 
 # --- command line -----------------------------------------------------------
@@ -1107,6 +1149,9 @@ def test_cli_rates_with_large_null_space_signal(tmp_path, capsys):
     ["curvature", "--n", "31", "--criteria", "cp,bogus"],
     ["rates", "--n", "31,45,61,91", "--criteria", "p0.5q1"],
     ["reversal", "--n", "31", "--criteria", "p1.2.3q1", "--replicates", "1000"],
+    ["curvature", "--n", "31", "--criteria", "gml,GML"],
+    ["rates", "--n", "31,45,61,91", "--criteria", "cp,cp"],
+    ["reversal", "--n", "31", "--criteria", "cp,gml,CP", "--replicates", "1000"],
 ])
 def test_cli_bad_criterion_ids_are_config_errors(tmp_path, capsys, argv):
     out = tmp_path / "result"
