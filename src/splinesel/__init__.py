@@ -17,7 +17,6 @@ from .specfun import (
 from .spectrum import (
     DesignGrid,
     DesignSpectrum,
-    SmootherWeights,
     build_design,
     cached_decompose,
     decompose,
@@ -76,7 +75,7 @@ __all__ = [
     "ConfigError", "NumericError",
     "MomentSet", "abs_moment", "asym_sum", "c_q", "kummer_m",
     "log_gamma_and_beta", "moment_set", "signed_moment",
-    "DesignGrid", "DesignSpectrum", "SmootherWeights", "build_design",
+    "DesignGrid", "DesignSpectrum", "build_design",
     "cached_decompose", "decompose", "df", "lambdas_for_df",
     "load_spectrum", "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
     "CP", "EE", "GML", "BlockSelection", "Criterion", "SelectionResult",

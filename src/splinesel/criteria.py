@@ -29,8 +29,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError
-from .spectrum import (DesignSpectrum, SmootherWeights, _log_lam_root, df,
-                       lambdas_for_df, smooth)
+from .spectrum import (DesignSpectrum, _log_lam_root, _shrink, df, lambdas_for_df, smooth,
+                       weights)
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -59,17 +59,21 @@ class Criterion:
     c_q: float
 
 
-def make_criterion(p: float, q: float, name: str | None = None) -> Criterion:
+# The classical members' names; any other member is named p<p>q<q>.
+_CLASSICAL = {(2.0, 1.0): "cp", (1.0, 1.0): "gml", (1.5, 1.5): "ee"}
+
+
+def make_criterion(p: float, q: float) -> Criterion:
+    """The (p, q) member, named by (p, q) alone, so one member has one name."""
     if p < 1 or q < 1:
         raise ValueError(f"criterion requires p >= 1 and q >= 1, got ({p}, {q})")
-    if name is None:
-        name = f"p{p:g}q{q:g}"
-    return Criterion(name=name, p=float(p), q=float(q), c_q=specfun.c_q(q))
+    p, q = float(p), float(q)
+    return Criterion(name=_CLASSICAL.get((p, q), f"p{p:g}q{q:g}"), p=p, q=q, c_q=specfun.c_q(q))
 
 
-CP = make_criterion(2.0, 1.0, "cp")
-GML = make_criterion(1.0, 1.0, "gml")
-EE = make_criterion(1.5, 1.5, "ee")
+CP = make_criterion(2.0, 1.0)
+GML = make_criterion(1.0, 1.0)
+EE = make_criterion(1.5, 1.5)
 
 _BY_NAME = {c.name: c for c in (CP, GML, EE)}
 _NUMBER = r"[0-9]+(?:\.[0-9]*)?|\.[0-9]+"
@@ -104,20 +108,20 @@ class BlockSelection:
     at_boundary: tuple[str, ...]
 
 
-def loss(c: Criterion, w: SmootherWeights, u) -> float:
-    """Criterion value at one smoothing parameter.
+def loss(c: Criterion, spec: DesignSpectrum, lam: float, u) -> float:
+    """Criterion value at smoothing parameter lam >= 0.
 
     u must be the full-length vector |z|^(2/q) (nonnegative); only its
     penalized entries matter.  For p = 1 the value diverges as lam -> 0, and
     lam = 0 itself is a domain error (log of zero).
     """
+    nd = spec.null_dim
+    b = weights(spec, lam)[1][nd:]
     u = np.asarray(u, dtype=float)
-    if u.shape != w.a.shape:
-        raise ValueError(f"u must have length {len(w.a)}, got shape {u.shape}")
+    if u.shape != (spec.n,):
+        raise ValueError(f"u must have length {spec.n}, got shape {u.shape}")
     if np.any(u < 0):
         raise ValueError("u must be nonnegative")
-    nd = w.null_dim
-    b = w.b[nd:]
     if c.p == 1.0 and np.any(b <= 0):
         raise ValueError("p = 1 criterion undefined at lam = 0 (log of zero)")
     T, offset = _value_tables(c, b)
@@ -151,10 +155,7 @@ def _deriv_terms(c: Criterion, kp: np.ndarray, lam) -> tuple:
     """
     # In place (out=, -=, *=): fewer block-sized allocations, the same values.
     p, q = c.p, c.q
-    lk = np.asarray(lam, dtype=float)[..., None] * kp
-    denom = 1.0 + lk
-    a = 1.0 / denom
-    b = np.divide(lk, denom, out=lk)
+    a, b = _shrink(kp, lam)
     t = c.c_q * b ** (1.0 / q)
     atp1 = a * t ** (p - 1.0)
     e = (p / q) * a
@@ -178,8 +179,7 @@ def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray, lam) -> tuple:
 
 def _values(c: Criterion, kp: np.ndarray, up: np.ndarray, lams: np.ndarray) -> np.ndarray:
     # Criterion value of each row of penalized u at its own lam.
-    lk = lams[:, None] * kp
-    T, offset = _value_tables(c, lk / (1.0 + lk))
+    T, offset = _value_tables(c, _shrink(kp, lams)[1])
     return (T * up).sum(axis=1) + offset
 
 
@@ -208,22 +208,22 @@ class SelectionWindow:
 
     lambdas ascend from df = n - 0.5 down to df = 2.1: the df-equispaced
     points plus log-uniform fill-ins wherever a log-lam gap exceeds
-    MAX_LOG_GAP.  b is the (candidates x n) shrunk-fraction table.  Power
-    tables per criterion are cached lazily since they do not depend on the
-    data.  The spectrum owns its window (DesignSpectrum.window); the window
-    keeps only its null_dim, so the two form no reference cycle.
+    MAX_LOG_GAP.  kp holds the spectrum's penalized eigenvalues.  Each
+    criterion's table is built from them on its first use and cached, since
+    it does not depend on the data.  The spectrum owns its window
+    (DesignSpectrum.window); the window keeps only kp, so the two form no
+    reference cycle.
     """
 
-    null_dim: int
     lambdas: np.ndarray
-    b: np.ndarray
+    kp: np.ndarray
     _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def criterion_tables(self, c: Criterion) -> tuple[np.ndarray, np.ndarray]:
         """(T, offset): coarse losses are T @ u_penalized + offset."""
         key = (c.p, c.q)
         if key not in self._powers:
-            self._powers[key] = _value_tables(c, self.b[:, self.null_dim:])
+            self._powers[key] = _value_tables(c, _shrink(self.kp, self.lambdas)[1])
         return self._powers[key]
 
 
@@ -242,9 +242,7 @@ def selection_window(spec: DesignSpectrum) -> SelectionWindow:
         if pieces > 1:
             parts.append(np.exp(np.linspace(logs[i], logs[i + 1], pieces + 1)[1:-1]))
         parts.append(coarse[i + 1:i + 2])
-    lambdas = np.concatenate(parts)
-    lk = lambdas[:, None] * spec.k[None, :]
-    return SelectionWindow(null_dim=spec.null_dim, lambdas=lambdas, b=lk / (1.0 + lk))
+    return SelectionWindow(lambdas=np.concatenate(parts), kp=spec.k[spec.null_dim:])
 
 
 def minimize_on_window(window: SelectionWindow, coarse_values, objective,
@@ -346,8 +344,8 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
         lambda lams, rows: _values(c, kp, up[rows], lams),
         lambda lams, rows: _log_derivs(c, kp, up[rows], lams),
     )
-    dfs = (1.0 / (1.0 + lam[:, None] * spec.k)).sum(axis=1)
-    return BlockSelection(lam_hat=lam, df_hat=dfs, loss=value, at_boundary=flags)
+    return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
+                          at_boundary=flags)
 
 
 # --- classical statistics ---------------------------------------------------

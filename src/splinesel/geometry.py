@@ -55,9 +55,8 @@ def normal_cdf(t: float) -> float:
 def _penalized_ab(spec: DesignSpectrum, lam: float):
     if lam <= 0:
         raise ValueError(f"geometry requires lam > 0, got {lam}")
-    w = weights(spec, lam)
     nd = spec.null_dim
-    return w.a[nd:], w.b[nd:]
+    return tuple(v[nd:] for v in weights(spec, lam))
 
 
 def curvature_sq(c: Criterion, spec: DesignSpectrum, lam: float) -> float:

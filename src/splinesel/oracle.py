@@ -29,8 +29,8 @@ from .criteria import (
     selection_window,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
 from .errors import NumericError
-from .spectrum import (DesignSpectrum, build_design, cached_decompose, decompose, df,
-                       rotate, weights)
+from .spectrum import (DesignSpectrum, _shrink, build_design, cached_decompose, decompose,
+                       df, rotate, weights)
 
 DECOMPOSITION_MIN_REPLICATES = 100  # the fewest draws decomposition_mc takes
 RATE_MIN_SIZES = 4  # the fewest sample sizes rate_probes fits slopes through
@@ -79,8 +79,8 @@ def risk(spec: DesignSpectrum, truth: TruthSpectrum, lam: float) -> float:
     The sum runs over all n components; equals n at lam = 0 and tends to the
     null-space dimension plus the unsmoothable signal as lam -> infinity.
     """
-    w = weights(spec, lam)
-    return float(np.sum(w.b**2 * truth.g**2 + w.a**2))
+    a, b = weights(spec, lam)
+    return float(np.sum(b**2 * truth.g**2 + a**2))
 
 
 def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum, lam) -> tuple:
@@ -88,10 +88,7 @@ def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum, lam) -> tuple:
     # scalar or an array), from da = -ab and db = ab per unit log lam:
     # 2 sum ab(bg^2 - a) and 2 sum ab[(a - b)(bg^2 - a) + ab(g^2 + 1)];
     # null components give 0.
-    lk = np.asarray(lam, dtype=float)[..., None] * spec.k
-    denom = 1.0 + lk
-    a = 1.0 / denom
-    b = lk / denom
+    a, b = _shrink(spec.k, lam)
     g2 = truth.g**2
     ab = a * b
     e = b * g2 - a
@@ -107,8 +104,8 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
     closed-form log-lam slope.
     A boundary winner is flagged, never clipped.
     """
-    b = spec.window.b
-    coarse = (b * b) @ (truth.g**2) + np.sum((1.0 - b) ** 2, axis=1)
+    a, b = _shrink(spec.k, spec.window.lambdas)
+    coarse = (b * b) @ (truth.g**2) + np.sum(a**2, axis=1)
     picked, _, flags = minimize_on_window(
         spec.window, coarse[None, :],
         lambda lams, rows: np.array([risk(spec, truth, float(lam)) for lam in lams]),
@@ -120,8 +117,7 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
 
 def _penalized_power(spec: DesignSpectrum, truth: TruthSpectrum, q: float) -> np.ndarray:
     # E|z|^(2/q) on the penalized components and 0 on the null ones, which
-    # no criterion formula reads; a large null-space |g| would otherwise
-    # run the series past its term cap.
+    # no criterion formula reads, so no moment is taken there.
     nd = spec.null_dim
     eu = np.zeros(spec.n)
     eu[nd:] = specfun.abs_moment(truth.g[nd:], 1.0 / q)
@@ -196,7 +192,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     risk0 = risk(spec, truth, ideal.lam)
     bias = risk(spec, truth, central.lam) - risk0
 
-    a_c = weights(spec, central.lam).a
+    a_c = weights(spec, central.lam)[0]
     cov_s = np.empty(replicates)
     var_s = np.empty(replicates)
     extra_s = np.empty(replicates)
@@ -209,7 +205,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         Z += truth.g
         picked = select_block(c, spec, Z)
         boundary += sum(flag != "none" for flag in picked.at_boundary)
-        ghat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k) * Z
+        ghat = _shrink(spec.k, picked.lam_hat)[0] * Z
         gcen = a_c * Z
         cov_s[block] = ((gcen - truth.g) * (ghat - gcen)).sum(axis=1)
         var_s[block] = ((ghat - gcen) ** 2).sum(axis=1)
@@ -264,10 +260,8 @@ def decomposition_approx(c: Criterion, spec: DesignSpectrum,
     Carlo decomposition is the ground truth it is compared against.
     """
     central = central_lambda(c, spec, truth)
-    w = weights(spec, central.lam)
     nd = spec.null_dim
-    a = w.a[nd:]
-    b = w.b[nd:]
+    a, b = (v[nd:] for v in weights(spec, central.lam))
     g = truth.g[nd:]
     p, q = c.p, c.q
 

@@ -35,7 +35,7 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, build_design, rotate
+from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _shrink, build_design, rotate
 
 log = logging.getLogger("splinesel")
 
@@ -328,7 +328,7 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     if ok.any():
         for c in criteria:
             picked = select_block(c, spec, coeffs[ok] / sigma_use[ok, None])
-            ahat = 1.0 / (1.0 + picked.lam_hat[:, None] * spec.k)
+            ahat = _shrink(spec.k, picked.lam_hat)[0]
             picks.append(picked)
             sqerrs.append(((ahat * coeffs[ok] / sigma - truth.g) ** 2).sum(axis=1))
 

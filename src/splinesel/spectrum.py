@@ -70,20 +70,6 @@ class DesignSpectrum:
         return criteria.selection_window(self)
 
 
-@dataclass(frozen=True)
-class SmootherWeights:
-    """Per-component shrinkage at one value of the smoothing parameter.
-
-    a_i = 1/(1 + lam * k_i) is the retained fraction, b_i = 1 - a_i the
-    shrunk fraction; b_i = lam * k_i * a_i identically.
-    """
-
-    lam: float
-    a: np.ndarray
-    b: np.ndarray
-    null_dim: int
-
-
 def build_design(kind: str, n: int | None = None, *, lo: float | None = None,
                  hi: float | None = None, dist: str | None = None,
                  points=None) -> DesignGrid:
@@ -210,14 +196,25 @@ def decompose(grid: DesignGrid) -> DesignSpectrum:
                           U=np.ascontiguousarray(U), k=k, null_dim=2)
 
 
-def weights(spec: DesignSpectrum, lam: float) -> SmootherWeights:
-    """Shrinkage weights a, b at smoothing parameter lam >= 0."""
+def _shrink(k: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): the one encoding of the shrinkage weights, unchecked.
+
+    a = 1/(1 + lam k) is the retained fraction and b = lam k/(1 + lam k) the
+    shrunk one, so a + b = 1 and b = lam k a.  lam is a scalar or one value
+    per row (components last).  b is written into lam k's buffer and a into
+    1 + lam k's, so a row block costs two allocations.
+    """
+    lk = np.asarray(lam, dtype=float)[..., None] * k
+    denom = 1.0 + lk
+    b = np.divide(lk, denom, out=lk)
+    return np.divide(1.0, denom, out=denom), b
+
+
+def weights(spec: DesignSpectrum, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Shrinkage weights (a, b) at smoothing parameter lam >= 0."""
     if lam < 0 or not math.isfinite(lam):
         raise ValueError(f"weights requires finite lam >= 0, got {lam}")
-    denom = 1.0 + lam * spec.k
-    a = 1.0 / denom
-    b = lam * spec.k / denom
-    return SmootherWeights(lam=float(lam), a=a, b=b, null_dim=spec.null_dim)
+    return _shrink(spec.k, lam)
 
 
 def df(spec: DesignSpectrum, lam: float) -> float:
@@ -227,7 +224,7 @@ def df(spec: DesignSpectrum, lam: float) -> float:
     """
     if lam < 0 or not math.isfinite(lam):
         raise ValueError(f"df requires finite lam >= 0, got {lam}")
-    return float(np.sum(1.0 / (1.0 + lam * spec.k)))
+    return float(np.sum(_shrink(spec.k, lam)[0]))
 
 
 # The df inversion starts from df on _DF_GRID_POINTS log-lam points spanning
@@ -240,10 +237,10 @@ NEWTON_STEP_TOL = 1e-12
 
 
 def _df_and_slope(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # df = sum a and -d df / d log lam = sum a b, one row per lam.
-    lk = lams[:, None] * k[None, :]
-    a = 1.0 / (1.0 + lk)
-    return a.sum(axis=1), (a * a * lk).sum(axis=1)
+    # df = sum a and -d df / d log lam = sum a b, one row per lam.  The slope
+    # is summed as a a lam k: as a b it rounds differently and moves window lams.
+    a = _shrink(k, lams)[0]
+    return a.sum(axis=1), (a * a * (lams[:, None] * k)).sum(axis=1)
 
 
 def _log_lam_root(x, lo, hi, g, h, slope, rows) -> np.ndarray:
@@ -331,8 +328,7 @@ def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (spec.n,):
         raise ValueError(f"y must have length {spec.n}, got shape {y.shape}")
-    w = weights(spec, lam)
-    return spec.U @ (w.a * rotate(spec, y, 1.0))
+    return spec.U @ (weights(spec, lam)[0] * rotate(spec, y, 1.0))
 
 
 def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:

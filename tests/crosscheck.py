@@ -92,6 +92,36 @@ def reversal_moments_closed_form(c, spec, g, lam0: float) -> tuple[float, float]
     return M, V
 
 
+def imhof_lower_tail(coeff, g, x: float) -> tuple[float, float]:
+    """P(sum_j coeff_j z_j^2 < x) for independent z_j ~ Normal(g_j, 1), by
+    Imhof's (1961) inversion integral; returns (probability, quad's error
+    estimate on it).
+
+    With l_j = coeff_j / max|coeff| and x scaled alike (the event is
+    unchanged), P = 1/2 - (1/pi) int_0^inf sin(theta(u)) / (u rho(u)) du,
+    theta(u) = (1/2) sum_j [arctan(l_j u) + g_j^2 l_j u / (1 + l_j^2 u^2)] - x u / 2,
+    log rho(u) = (1/4) sum_j log(1 + l_j^2 u^2) + (1/2) sum_j g_j^2 l_j^2 u^2 / (1 + l_j^2 u^2).
+    For q = 1, R0 = coeff . z^2 + base (geometry._r0_affine), so the
+    reversal probability P(R0 < 0) is imhof_lower_tail(coeff, g, -base).
+    """
+    from scipy.integrate import quad
+
+    scale = float(np.max(np.abs(coeff)))
+    lam = np.asarray(coeff, dtype=float) / scale
+    g2 = np.asarray(g, dtype=float) ** 2
+    x = x / scale
+
+    def integrand(u):
+        lu = lam * u
+        r = 1.0 + lu * lu
+        theta = 0.5 * float(np.sum(np.arctan(lu) + g2 * lu / r)) - 0.5 * x * u
+        log_rho = 0.25 * float(np.sum(np.log(r))) + 0.5 * float(np.sum(g2 * lu * lu / r))
+        return math.sin(theta) / (u * math.exp(log_rho))
+
+    value, err = quad(integrand, 0.0, math.inf, limit=500)
+    return 0.5 - value / math.pi, err / math.pi
+
+
 def curvature_denominator_closed_form(c, spec, lam: float, u) -> float:
     """The selection normalizer Q by the paper's closed form:
 

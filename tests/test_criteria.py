@@ -53,10 +53,13 @@ def test_criterion_by_name():
     assert criterion_by_name("cp") is CP
     assert criterion_by_name(" GML ") is GML
     assert criterion_by_name("ee") is EE
-    custom = criterion_by_name("p2q1")
-    assert (custom.p, custom.q) == (2.0, 1.0)
-    frac = criterion_by_name("p1.5q1.5")
-    assert (frac.p, frac.q) == (1.5, 1.5)
+    # A member's name follows from (p, q): a custom id of a classical
+    # member is that member.
+    assert criterion_by_name("p2q1") == CP
+    assert criterion_by_name("p1q1.0") == GML
+    assert criterion_by_name("p1.50q1.5") == EE
+    frac = criterion_by_name("P2.50q1.5")
+    assert (frac.name, frac.p, frac.q) == ("p2.5q1.5", 2.5, 1.5)
     with pytest.raises(ValueError):
         criterion_by_name("aicc")
 
@@ -68,20 +71,18 @@ def test_cp_loss_closed_form(spec61):
     rng = np.random.default_rng(0)
     z = rng.standard_normal(61)
     u = z**2
-    w = weights(spec61, 0.3)
-    b = w.b[2:]
+    b = weights(spec61, 0.3)[1][2:]
     expect = np.sum(b**2 * u[2:] - 2.0 * b) + 2.0 * (61 - 2)
-    assert loss(CP, w, u) == pytest.approx(expect, rel=1e-12)
+    assert loss(CP, spec61, 0.3, u) == pytest.approx(expect, rel=1e-12)
 
 
 def test_gml_loss_closed_form(spec61):
     rng = np.random.default_rng(1)
     z = rng.standard_normal(61)
     u = z**2
-    w = weights(spec61, 0.7)
-    b = w.b[2:]
+    b = weights(spec61, 0.7)[1][2:]
     expect = np.sum(b * u[2:] - np.log(b))
-    assert loss(GML, w, u) == pytest.approx(expect, rel=1e-12)
+    assert loss(GML, spec61, 0.7, u) == pytest.approx(expect, rel=1e-12)
 
 
 def test_ee_loss_affine_form(spec61):
@@ -95,9 +96,8 @@ def test_ee_loss_affine_form(spec61):
     direct = []
     compact = []
     for lam in lams:
-        w = weights(spec61, lam)
-        b = w.b[2:]
-        direct.append(loss(EE, w, u))
+        b = weights(spec61, lam)[1][2:]
+        direct.append(loss(EE, spec61, lam, u))
         compact.append(np.sum(c * b * u[2:] - 3.0 * b ** (1.0 / 3.0)))
     direct = np.array(direct)
     compact = np.array(compact)
@@ -108,15 +108,13 @@ def test_ee_loss_affine_form(spec61):
 
 
 def test_loss_validates_input(spec61):
-    w = weights(spec61, 0.5)
     with pytest.raises(ValueError):
-        loss(CP, w, -np.ones(61))
+        loss(CP, spec61, 0.5, -np.ones(61))
     with pytest.raises(ValueError):
-        loss(CP, w, np.ones(60))
-    w0 = weights(spec61, 0.0)
+        loss(CP, spec61, 0.5, np.ones(60))
     with pytest.raises(ValueError, match="log of zero"):
-        loss(GML, w0, np.ones(61))
-    assert math.isfinite(loss(CP, w0, np.ones(61)))
+        loss(GML, spec61, 0.0, np.ones(61))
+    assert math.isfinite(loss(CP, spec61, 0.0, np.ones(61)))
 
 
 # --- derivatives ------------------------------------------------------------
@@ -132,8 +130,8 @@ def test_loss_derivs_match_finite_differences(spec61, crit, lam):
     ld, ldd = loss_derivs(crit, spec61, lam, u)
     h = 1e-5 * lam
     fd1 = (
-        loss(crit, weights(spec61, lam + h), u)
-        - loss(crit, weights(spec61, lam - h), u)
+        loss(crit, spec61, lam + h, u)
+        - loss(crit, spec61, lam - h, u)
     ) / (2.0 * h)
     assert ld == pytest.approx(fd1, rel=1e-6)
 
@@ -141,9 +139,9 @@ def test_loss_derivs_match_finite_differences(spec61, crit, lam):
     # stay above the roundoff floor eps * |loss| / h^2
     h2 = 1e-3 * lam
     fd2 = (
-        loss(crit, weights(spec61, lam + h2), u)
-        - 2.0 * loss(crit, weights(spec61, lam), u)
-        + loss(crit, weights(spec61, lam - h2), u)
+        loss(crit, spec61, lam + h2, u)
+        - 2.0 * loss(crit, spec61, lam, u)
+        + loss(crit, spec61, lam - h2, u)
     ) / (h2 * h2)
     assert ldd == pytest.approx(fd2, rel=1e-4)
 
@@ -158,8 +156,7 @@ def test_first_derivative_estimating_equation_route(spec61, seed):
     lam = float(np.exp(rng.uniform(-4, 2)))
     u = np.abs(rng.standard_normal(61)) ** (2.0 / q)
 
-    w = weights(spec61, lam)
-    a, b = w.a[2:], w.b[2:]
+    a, b = (v[2:] for v in weights(spec61, lam))
     t = crit.c_q * b ** (1.0 / q)
     eta_dot = -(p / (q * lam)) * a * t**p
     mu = 1.0 / t
@@ -190,7 +187,7 @@ def test_select_matches_brute_force_grid(spec61, truth61, crit):
             math.log(spec61.window.lambdas[0]), math.log(spec61.window.lambdas[-1]), 10001
         )
     )
-    vals = np.array([loss(crit, weights(spec61, lam), u) for lam in grid])
+    vals = np.array([loss(crit, spec61, lam, u) for lam in grid])
     best = int(np.argmin(vals))
     step = math.log(grid[1]) - math.log(grid[0])
 
@@ -247,7 +244,7 @@ def test_loss_matches_window_table_rows(spec61, crit):
     T, offset = spec61.window.criterion_tables(crit)
     rows = T @ u[2:] + offset
     for lam, row in zip(spec61.window.lambdas, rows):
-        assert loss(crit, weights(spec61, lam), u) == pytest.approx(row, rel=1e-13)
+        assert loss(crit, spec61, lam, u) == pytest.approx(row, rel=1e-13)
 
 
 @pytest.mark.parametrize("name", ["bogus", "p1.2.3q1", "p0.5q1", "p2q0.99", "pq1", "p-2q1"])

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import ncx2, norm
 
 from splinesel import (
     CP,
@@ -27,7 +27,8 @@ from splinesel.criteria import loss, loss_derivs
 from splinesel.geometry import _r0_affine, normal_cdf, reversal_beta
 from splinesel.specfun import abs_moment, moment_set
 
-from crosscheck import curvature_via_matrix, eta_curve, reversal_moments_closed_form
+from crosscheck import (curvature_via_matrix, eta_curve, imhof_lower_tail,
+                        reversal_moments_closed_form)
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 CRITERIA = (CP, GML, EE)
@@ -80,9 +81,9 @@ def test_eta_derivatives(spec61):
         lam = float(np.exp(rng.uniform(-3.0, 2.0)))
         eta_dot, eta_ddot, mu = eta_curve(crit, spec61, lam)
 
-        w = weights(spec61, lam)
-        t = crit.c_q * w.b[2:] ** (1.0 / q)
-        np.testing.assert_allclose(eta_dot, -(p / (q * lam)) * w.a[2:] * t**p,
+        a, b = (v[2:] for v in weights(spec61, lam))
+        t = crit.c_q * b ** (1.0 / q)
+        np.testing.assert_allclose(eta_dot, -(p / (q * lam)) * a * t**p,
                                    rtol=1e-12)
         np.testing.assert_allclose(mu, 1.0 / t, rtol=1e-12)
 
@@ -149,8 +150,8 @@ def test_reversal_stat_finite_difference_oracle(spec61, truth61, lam0s):
 
     h1 = 1e-5 * lam0
     fd1 = (
-        loss(CP, weights(spec61, lam0 + h1), u)
-        - loss(CP, weights(spec61, lam0 - h1), u)
+        loss(CP, spec61, lam0 + h1, u)
+        - loss(CP, spec61, lam0 - h1, u)
     ) / (2.0 * h1)
     h2 = 1e-6 * lam0
     fd2 = (
@@ -226,8 +227,7 @@ def test_moments_pure_noise_collapse(spec61):
     # the factor (b - 1) = -a; spell both moments out independently
     truth = make_truth(spec61, np.zeros(61), 1.0)
     lam = 0.5
-    w = weights(spec61, lam)
-    a, b = w.a[2:], w.b[2:]
+    a, b = (v[2:] for v in weights(spec61, lam))
     rho = float(np.sum(a**3 * b ** (-2.0)) / np.sum(a**2 * b ** (-2.0)))
     m_direct = 2.0 * np.sum(a**2 * b) - 6.0 * np.sum(a**2 * b * (a - rho))
     v_direct = 72.0 * np.sum(a**2 * b**4 * (a - rho) ** 2)
@@ -316,6 +316,32 @@ def test_normal_approximation_tracks_monte_carlo(spectra, truths, lam0s):
     probs = reversal_probs_mc(crits, spectra[n], truths[n], lam0s[n], 10000, seed=17)
     for s, (prob, _) in zip(moments, probs):
         assert abs(s.prob_normal - prob) <= 0.05
+
+
+def test_imhof_reference_matches_noncentral_chi_square():
+    # Equal weights make the sum a noncentral chi-square on 6 degrees of
+    # freedom; the weights' scale does not change the event.
+    g = np.array([0.3, -1.2, 0.8, 2.0, 0.0, 0.5])
+    for x in (2.0, 6.0, 15.0):
+        exact = ncx2.cdf(x, 6, float(g @ g))
+        for scale in (1.0, 1e-3):
+            prob, err = imhof_lower_tail(np.full(6, scale), g, scale * x)
+            assert err < 1e-7
+            assert prob == pytest.approx(exact, abs=1e-8)
+
+
+@pytest.mark.parametrize("crit", (CP, GML))
+def test_reversal_probs_mc_matches_exact_probability(spectra, truths, lam0s, crit):
+    # For q = 1, R0 is a weighted sum of noncentral chi-square(1) variables
+    # plus a constant, so P(R0 < 0) has Imhof's exact value.  Acceptance 7's
+    # draws (10^4, seed 0) must land within 4 standard errors of it.
+    for n in (61, 241, 961):
+        spec, truth = spectra[n], truths[n]
+        coeff, base = _r0_affine(crit, spec, lam0s[n])
+        exact, err = imhof_lower_tail(coeff, truth.g[spec.null_dim:], -base)
+        assert err < 1e-7
+        ((prob, se),) = reversal_probs_mc([crit], spec, truth, lam0s[n], 10000, 0)
+        assert abs(prob - exact) <= 4.0 * se, (n, prob, se, exact)
 
 
 def test_reversal_probability_ordering(spec61, truth61, lam0s):

@@ -22,7 +22,7 @@ from splinesel.criteria import (
     select,
     select_block,
 )
-from splinesel.spectrum import df, lambdas_for_df, weights
+from splinesel.spectrum import df, lambdas_for_df
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -31,8 +31,7 @@ def df_window(spec):
     """The 201-point df-equispaced window the golden-section route screens."""
     targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
     lams = lambdas_for_df(spec, targets)
-    lk = lams[:, None] * spec.k[None, :]
-    return SelectionWindow(null_dim=spec.null_dim, lambdas=lams, b=lk / (1.0 + lk))
+    return SelectionWindow(lambdas=lams, kp=spec.k[spec.null_dim:])
 
 
 def golden_select(c, spec, window, z, log_tol=1e-6):
@@ -46,7 +45,7 @@ def golden_select(c, spec, window, z, log_tol=1e-6):
     best = len(coarse) - 1 - int(np.argmin(coarse[::-1]))
 
     def objective(log_lam):
-        return loss(c, weights(spec, math.exp(log_lam)), u)
+        return loss(c, spec, math.exp(log_lam), u)
 
     lo = math.log(lams[max(best - 1, 0)])
     hi = math.log(lams[min(best + 1, len(lams) - 1)])
@@ -107,7 +106,7 @@ def test_select_finds_minimum_hidden_in_wide_gap(spectra, truths, crit, n, truth
     u = np.abs(z) ** (2.0 / crit.q)
     grid = np.exp(np.linspace(math.log(window.lambdas[0]),
                               math.log(window.lambdas[-1]), 10001))
-    brute = min(loss(crit, weights(spec, lam), u) for lam in grid)
+    brute = min(loss(crit, spec, lam, u) for lam in grid)
     assert picked.loss <= brute + 1e-10 * abs(brute)
 
 

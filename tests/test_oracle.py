@@ -105,7 +105,7 @@ def test_risk_matches_monte_carlo(spec61, truth61):
     z = truth61.g + rng.standard_normal((20000, 61))
     for target_df in (30.0, 15.0, 8.0, 5.0, 3.0):
         (lam,) = lambdas_for_df(spec61, [target_df])
-        a = weights(spec61, lam).a
+        a = weights(spec61, lam)[0]
         sq = np.sum((a * z - truth61.g) ** 2, axis=1)
         se = sq.std(ddof=1) / math.sqrt(len(sq))
         assert abs(risk(spec61, truth61, lam) - sq.mean()) <= 3.0 * se
@@ -113,14 +113,14 @@ def test_risk_matches_monte_carlo(spec61, truth61):
 
 @pytest.mark.parametrize("lam", [1e-3, 0.05, 1.0, 20.0])
 def test_risk_identities(spec61, truth61, lam):
-    w = weights(spec61, lam)
+    a, b = weights(spec61, lam)
     g = truth61.g
     r = risk(spec61, truth61, lam)
     # squared-shrinkage form plus n recovers the risk
-    cp_form = float(np.sum(w.b**2 * (g**2 + 1.0) - 2.0 * w.b)) + 61.0
+    cp_form = float(np.sum(b**2 * (g**2 + 1.0) - 2.0 * b)) + 61.0
     assert cp_form == pytest.approx(r, rel=1e-10)
     # eigenvalue-weighted rewrite via b = lam k a
-    rewrite = lam * float(np.sum(w.a * w.b * spec61.k * g**2)) + float(np.sum(w.a**2))
+    rewrite = lam * float(np.sum(a * b * spec61.k * g**2)) + float(np.sum(a**2))
     assert rewrite == pytest.approx(r, rel=1e-10)
 
 
@@ -254,10 +254,8 @@ def stationarity_residual(c, spec, truth, lam):
     sum a b^(p/q) (c_q E|z|^(2/q) - 1) - [ sum a b^((p-1)/q) - sum a b^(p/q) ]
     over penalized components; zero at the central smoothing parameter.
     """
-    w = weights(spec, lam)
     nd = spec.null_dim
-    a = w.a[nd:]
-    b = w.b[nd:]
+    a, b = (v[nd:] for v in weights(spec, lam))
     eu = specfun.abs_moment(truth.g[nd:], 1.0 / c.q)
     lhs = float(np.sum(a * b ** (c.p / c.q) * (c.c_q * eu - 1.0)))
     rhs = float(np.sum(a * b ** ((c.p - 1.0) / c.q)) - np.sum(a * b ** (c.p / c.q)))
@@ -348,13 +346,11 @@ def test_normalizer_collapses_at_mean_response(spec61):
     # with u chosen so c_q b^(1/q) u = 1 the data-dependent summand drops out
     for crit in (CP, EE, make_criterion(2.5, 2.0)):
         lam = 0.4
-        w = weights(spec61, lam)
+        a, b = (v[2:] for v in weights(spec61, lam))
         u = np.zeros(61)
-        u[2:] = 1.0 / (crit.c_q * w.b[2:] ** (1.0 / crit.q))
+        u[2:] = 1.0 / (crit.c_q * b ** (1.0 / crit.q))
         got = curvature_denominator(crit, spec61, lam, u)
-        expect = float(
-            np.sum(w.a[2:] ** 2 * w.b[2:] ** ((crit.p - 1.0) / crit.q)) / crit.q
-        )
+        expect = float(np.sum(a**2 * b ** ((crit.p - 1.0) / crit.q)) / crit.q)
         assert got == pytest.approx(expect, rel=1e-12)
 
 

@@ -566,16 +566,32 @@ def test_emit_tables_empty_cell_warns(campaign, tmp_path, caplog):
 def test_tables_name_criteria_in_canonical_form(tmp_path):
     # Cells, table1's header and the criterion columns use the names that
     # runs.csv records carry, whatever the case or spelling of the config ids.
-    cfg = base_config(tmp_path, criteria=["CP", "p2.0q1"], replicates=4).validate()
+    cfg = base_config(tmp_path, criteria=["CP", "P2.50q1.5"], replicates=4).validate()
     paths = emit_tables(run_simulation(cfg), cfg)
-    assert paths["table1"].read_text().splitlines()[0] == "n,cp,p2q1"
+    assert paths["table1"].read_text().splitlines()[0] == "n,cp,p2.5q1.5"
     rows = [line.split(",") for line in paths["table2"].read_text().splitlines()[1:]]
-    assert [(r[0], r[4]) for r in rows] == [("cp", "4"), ("p2q1", "4")]
+    assert [(r[0], r[4]) for r in rows] == [("cp", "4"), ("p2.5q1.5", "4")]
     mass = {}
     for line in paths["fig4_hist"].read_text().splitlines()[1:]:
         name, _, _, _, count = line.split(",")
         mass[name] = mass.get(name, 0) + int(count)
-    assert mass == {"cp": 4, "p2q1": 4}
+    assert mass == {"cp": 4, "p2.5q1.5": 4}
+
+
+@pytest.mark.parametrize("ids", [["cp", "p2q1"], ["ee", "gml", "p1.5q1.50"]])
+def test_one_member_under_two_names_is_a_config_error(tmp_path, capsys, ids):
+    # A custom id of a classical member names that member: listing both
+    # would select twice and write the same records under two names.
+    path = tmp_path / "sim.json"
+    path.write_text(base_config(tmp_path / "out", criteria=ids).to_json())
+    assert cli(["simulate", "--config", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not (tmp_path / "out").exists()
+    out = tmp_path / "rates.csv"
+    assert cli(["rates", "--n", "31,45,61,91", "--criteria", ",".join(ids),
+                "--cache-dir", str(tmp_path / "spectra"), "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not out.exists()
 
 
 # --- command line -----------------------------------------------------------
@@ -1089,6 +1105,17 @@ def test_cli_rates(tmp_path, capsys):
     assert len(rows) == 5
     slope_df = float(rows[1].split(",")[5])
     assert 0.0 < slope_df < 0.5
+
+
+def test_cli_rates_takes_ee_moments_at_large_signal(tmp_path, capsys):
+    # At sigma = 0.3 this truth has penalized |g| near 30, where the Kummer
+    # series alone passes its term cap; the moments take quadrature there.
+    out = tmp_path / "rates.csv"
+    code = cli(["rates", "--n", "61,121,241,481", "--truth", "exp(x)*sin(3*x)",
+                "--sigma", "0.3", "--cache-dir", str(tmp_path / "spectra"), "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [int(r[1]) for r in rows if r[0] == "ee"] == [61, 121, 241, 481]
 
 
 def test_cli_rates_builds_each_setting_once(tmp_path, capsys, monkeypatch):

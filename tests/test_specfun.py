@@ -364,8 +364,7 @@ def test_asym_sum_vs_direct_spectral_sum(spec_unit961):
     # n/lam ~ 1e5 the agreement is ~25%, not a few percent.
     spec = spec_unit961
     lam = 0.01
-    w = ss.weights(spec, lam)
-    a, b = w.a[2:], w.b[2:]
+    a = ss.weights(spec, lam)[0][2:]
     direct = float(np.sum(a * a))
     approx = ss.asym_sum(2.0, 0.0, 961, lam)
     assert approx == pytest.approx(direct, rel=0.35)
@@ -379,8 +378,7 @@ def test_asym_sum_error_decreases_along_sweep(spec_unit961):
         errs = []
         for nl in (1e2, 1e3, 1e4, 1e5):
             lam = 961 / nl
-            w = ss.weights(spec, lam)
-            a, b = w.a[2:], w.b[2:]
+            a, b = (v[2:] for v in ss.weights(spec, lam))
             direct = float(np.sum(a**r * b**s))
             errs.append(abs(ss.asym_sum(r, s, 961, lam) - direct) / direct)
         for e1, e2 in zip(errs, errs[1:]):
@@ -421,12 +419,23 @@ def ref_kummer(a, b, z):
     return ref_series(a, b, z)
 
 
+def ref_quadrature(g, integrand):
+    # Same branch as abs_moment and signed_moment at |g| >= 8: the 40-node
+    # Gauss-Hermite sum of E[integrand(Z)], Z ~ Normal(g, 1).
+    nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+    return float(np.sum(integrand(g + nodes) * (weights / math.sqrt(2.0 * math.pi))))
+
+
 def ref_abs_moment(g, s):
+    if abs(g) >= 8.0:
+        return ref_quadrature(g, lambda z: np.abs(z) ** (2.0 * s))
     factor = 2.0**s / SQRT_PI * math.exp(ss.log_gamma_and_beta(s + 0.5, 1.0)[0])
     return factor * ref_kummer(-s, 0.5, -0.5 * g * g)
 
 
 def ref_signed_moment(g, s):
+    if abs(g) >= 8.0:
+        return ref_quadrature(g, lambda z: z * np.abs(z) ** (2.0 * s))
     factor = 2.0 ** (s + 1.0) / SQRT_PI * math.exp(ss.log_gamma_and_beta(s + 1.5, 1.0)[0])
     return g * factor * ref_kummer(-s, 1.5, -0.5 * g * g)
 
@@ -481,3 +490,29 @@ def test_array_kummer_names_first_nonconvergent_element():
     # Only the elements past the term cap fail; the error names the first.
     with pytest.raises(NumericError, match=r"500 terms .*z=5000\.0"):
         ss.kummer_m(0.3, 0.7, np.array([1.0, 5000.0, 6000.0]))
+
+
+@pytest.mark.parametrize("q", (1.0, 1.2, 1.5, 3.0))
+def test_moments_match_high_precision_hyp1f1_at_large_g(q):
+    # Every order moment_set takes, across the series (|g| < 8) and the
+    # quadrature branch (|g| >= 8), out to |g| = 400, where the series alone
+    # would need tens of thousands of terms.
+    import mpmath  # imported here: without it this test fails, not the module
+
+    g = np.array([0.0, 1.3, -4.0, 7.5, -7.99, 8.0, -8.0, 9.7, -26.0, 60.0, -150.5, 400.0])
+
+    def exact(gi, order, odd):
+        # (2^s / sqrt(pi)) Gamma(s + 1/2) M(-s, 1/2, -g^2/2), and its odd
+        # companion g (2^(s+1) / sqrt(pi)) Gamma(s + 3/2) M(-s, 3/2, -g^2/2).
+        with mpmath.workdps(40):
+            s, b, x = mpmath.mpf(order), mpmath.mpf(1.5 if odd else 0.5), mpmath.mpf(gi)
+            value = (2 ** (s + odd) / mpmath.sqrt(mpmath.pi) * mpmath.gamma(s + b)
+                     * mpmath.hyp1f1(-s, b, -x * x / 2))
+            return float(x * value if odd else value)
+
+    s = 1.0 / q
+    for order in (s, 2.0 * s, 1.0 + s, 1.0 + 2.0 * s):
+        want = [exact(gi, order, False) for gi in g.tolist()]
+        np.testing.assert_allclose(ss.abs_moment(g, order), want, rtol=1e-14, atol=0)
+    want = [exact(gi, s, True) for gi in g.tolist()]
+    np.testing.assert_allclose(signed_moment(g, s), want, rtol=1e-14, atol=0)
