@@ -99,16 +99,17 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
     """Risk-minimizing smoothing parameter over the spectrum's selection window.
 
     Uses the selection minimizer on a block of one row: a coarse screen of
-    the risk over the window rows, (b*b) @ g^2 + sum a^2 as one table
-    product, then a safeguarded Newton solve on the exact risk's
-    closed-form log-lam slope.
+    the risk over the window rows, then a safeguarded Newton solve on the
+    exact risk's closed-form log-lam slope.  Screen and solve evaluate the
+    risk as one expression, (b*b) @ g^2 + sum a^2, at many lams at once.
     A boundary winner is flagged, never clipped.
     """
-    a, b = _shrink(spec.k, spec.window.lambdas)
-    coarse = (b * b) @ (truth.g**2) + np.sum(a**2, axis=1)
+    def risks(lams, rows=None):
+        a, b = _shrink(spec.k, lams)
+        return (b * b) @ truth.g**2 + np.sum(a * a, axis=-1)
+
     picked, _, flags = minimize_on_window(
-        spec.window, coarse[None, :],
-        lambda lams, rows: np.array([risk(spec, truth, float(lam)) for lam in lams]),
+        spec.window, risks(spec.window.lambdas)[None, :], risks,
         lambda lams, rows: _risk_log_derivs(spec, truth, lams),
     )
     lam = float(picked[0])
@@ -259,14 +260,14 @@ def decomposition_approx(c: Criterion, spec: DesignSpectrum,
     evaluated at u = E|z|^(2/q).  Approximate by construction; the Monte
     Carlo decomposition is the ground truth it is compared against.
     """
-    central = central_lambda(c, spec, truth)
     nd = spec.null_dim
-    a, b = (v[nd:] for v in weights(spec, central.lam))
     g = truth.g[nd:]
     p, q = c.p, c.q
-
     m = specfun.moment_set(g, q)
-    Q = curvature_denominator(c, spec, central.lam, np.concatenate((np.zeros(nd), m.m1)))
+    eu = np.concatenate((np.zeros(nd), m.m1))
+    central = _central_at(c, spec, eu)
+    a, b = (v[nd:] for v in weights(spec, central.lam))
+    Q = curvature_denominator(c, spec, central.lam, eu)
     scale = float(np.sum(np.abs(a * b ** ((p - 1.0) / q))))
     if abs(Q) < 1e-12 * max(scale, 1e-300):
         raise NumericError(f"degenerate selection normalizer Q = {Q:.3e}")

@@ -11,6 +11,7 @@ comes from math.lgamma, so the module needs numpy only.
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -141,10 +142,19 @@ def _by_size(g, series, integrand):
     gf = np.asarray(g, dtype=float)
     out = np.empty(gf.shape)
     out[~far] = series(gf[~far])
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
-    weights /= math.sqrt(2.0 * math.pi)
+    nodes, weights = _hermite_rule()
     out[far] = (integrand(gf[far][:, None] + nodes) * weights).sum(axis=-1)
     return float(out) if np.ndim(g) == 0 else out
+
+
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    # The rule for E[f(Z)], Z ~ Normal(0, 1), built once per process and
+    # shared read-only.
+    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
+    weights = weights / math.sqrt(2.0 * math.pi)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 @dataclass(frozen=True)

@@ -227,20 +227,9 @@ def df(spec: DesignSpectrum, lam: float) -> float:
     return float(np.sum(_shrink(spec.k, lam)[0]))
 
 
-# The df inversion starts from df on _DF_GRID_POINTS log-lam points spanning
-# lam = 1e-8 / k_max .. 1e8 / k_min (penalized k); a target beyond the grid
-# is bracketed in closed form (lambdas_for_df).  Both root searches in log
-# lam, the df inverse and selection's refinement, stop once a step is below
-# NEWTON_STEP_TOL.
-_DF_GRID_POINTS = 33
+# Both root searches in log lam, the df inverse and selection's refinement,
+# stop once a step is below NEWTON_STEP_TOL.
 NEWTON_STEP_TOL = 1e-12
-
-
-def _df_and_slope(k: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # df = sum a and -d df / d log lam = sum a b, one row per lam.  The slope
-    # is summed as a a lam k: as a b it rounds differently and moves window lams.
-    a = _shrink(k, lams)[0]
-    return a.sum(axis=1), (a * a * (lams[:, None] * k)).sum(axis=1)
 
 
 def _log_lam_root(x, lo, hi, g, h, slope, rows) -> np.ndarray:
@@ -276,15 +265,15 @@ def _log_lam_root(x, lo, hi, g, h, slope, rows) -> np.ndarray:
 def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     """Invert the monotone df map for many targets at once.
 
-    Every target must lie strictly between null_dim and n.  Each target is
-    bracketed by a cell of a coarse log-lam grid, started by linear
-    interpolation in that cell, and solved for the root of target - df,
-    whose log-lam slope is sum a b, by selection's safeguarded Newton solve
-    (_log_lam_root).  With m penalized components, df lies between
-    null_dim + m / (1 + lam k_max) and null_dim + m / (1 + lam k_min), so a
-    target beyond a grid end is bracketed in closed form and started at the
-    bracket's middle.  Targets are solved independently, so an element does
-    not depend on the other targets.
+    Every target t must lie strictly between null_dim and n.  With m
+    penalized k, null_dim + m / (1 + lam k_max) <= df <= null_dim + m / (1 +
+    lam k_min), so log lam lies in [log((m - e) / (e k_max)),
+    log((m - e) / (e k_min))] at df = t, e = t - null_dim.  df - null_dim
+    roughly counts the penalized k below 1/lam, so each solve starts at
+    -log of the floor(e)-th one, clipped into that bracket, and finds the
+    root of t - df, whose log-lam slope is sum a b, by selection's
+    safeguarded Newton solve (_log_lam_root).  Targets are solved
+    independently, so an element does not depend on the other targets.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
@@ -293,30 +282,18 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     bad = ~((nd < targets) & (targets < spec.n))
     if np.any(bad):
         raise ValueError(f"df target must lie in ({nd}, {spec.n}), got {targets[bad][0]}")
-    k = spec.k
-    kpos = k[nd:]
-    grid = np.linspace(math.log(1e-8 / kpos[-1]), math.log(1e8 / kpos[0]), _DF_GRID_POINTS)
-    grid_df, _ = _df_and_slope(k, np.exp(grid))
-    # Cell j holds the target: grid_df[j] >= target > grid_df[j + 1].  Start
-    # by linear interpolation of df in the cell.
-    cell = np.sum(grid_df[:, None] >= targets[None, :], axis=0) - 1
-    j = np.clip(cell, 0, _DF_GRID_POINTS - 2)
-    lo, hi = grid[j], grid[j + 1]
-    x = lo + (grid_df[j] - targets) / (grid_df[j] - grid_df[j + 1]) * (hi - lo)
-    # Beyond a grid end, the df bound's lam at the target closes the bracket.
+    kpos = spec.k[nd:]
     # A spectrum whose df cannot reach a target (k not matching n) fails.
     m, excess = len(kpos), targets - nd
-    low, high = cell < 0, cell == _DF_GRID_POINTS - 1
-    if np.any(low & (excess >= m)):
-        raise NumericError(f"lambdas_for_df cannot bracket df target {targets[low].max()}")
-    lo[low] = np.log((m - excess[low]) / (excess[low] * kpos[-1]))
-    hi[high] = np.log((m - excess[high]) / (excess[high] * kpos[0]))
-    ends = low | high
-    x[ends] = 0.5 * (lo[ends] + hi[ends])
+    if np.any(excess >= m):
+        raise NumericError(f"lambdas_for_df cannot bracket df target {targets.max()}")
+    lo = np.log((m - excess) / (excess * kpos[-1]))
+    hi = np.log((m - excess) / (excess * kpos[0]))
+    x = np.clip(-np.log(kpos[excess.astype(int)]), lo, hi)
 
     def slope(lams, rows):
-        val, ab = _df_and_slope(k, lams)
-        return targets[rows] - val, ab
+        a, b = _shrink(spec.k, lams)
+        return targets[rows] - a.sum(axis=1), (a * b).sum(axis=1)
 
     rows = np.arange(len(targets))
     g, h = slope(np.exp(x), rows)

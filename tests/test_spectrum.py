@@ -289,8 +289,15 @@ def test_lambdas_for_df_properties(problem):
     spec, targets = problem
     lams = lambdas_for_df(spec, targets)
     assert lams.shape == (len(targets),)
+    kpos = spec.k[spec.null_dim:]
+    m = len(kpos)
     for lam, target in zip(lams, targets):
         assert abs(df(spec, lam) - target) <= 1e-9
+        # Inside the closed-form bracket from the df bounds
+        # null_dim + m / (1 + lam k_max) <= df <= null_dim + m / (1 + lam k_min).
+        e = target - spec.null_dim
+        lo, hi = math.log((m - e) / (e * kpos[-1])), math.log((m - e) / (e * kpos[0]))
+        assert lo <= math.log(lam) <= hi
         # One solver: a single-target call is the same computation.
         assert lambdas_for_df(spec, [target])[0] == lam
     # Targets further apart than twice the tolerance are strictly ordered.
@@ -309,16 +316,17 @@ def test_lambdas_for_df_rejects_any_bad_target(spec61):
 
 def test_lambdas_for_df_fails_on_unreachable_target(spec61):
     # df can never reach n - 0.5 when k is one entry short of n: the
-    # bracket widening must give up rather than spin.
+    # closed-form bracket does not exist, and the inverse says so.
     short = DesignSpectrum(n=61, x=spec61.x, U=spec61.U[:, :60], k=spec61.k[:60], null_dim=2)
     with pytest.raises(NumericError, match="cannot bracket"):
         lambdas_for_df(short, [60.5])
 
 
 @pytest.mark.parametrize("n", [61, 241])
-def test_lambdas_for_df_beyond_the_grid(n):
-    # The coarse grid spans lam = 1e-8 / k_max .. 1e8 / k_min; a target past
-    # either end is bracketed by the closed-form df bounds.
+def test_lambdas_for_df_at_the_df_ends(n):
+    # Targets within 1e-10 of either df end, past df at lam = 1e8 / k_min
+    # and at lam = 1e-8 / k_max, are still bracketed by the closed-form df
+    # bounds and solved.
     spec = decompose(build_design("equispaced", n, lo=-1.0, hi=1.0))
     kpos = spec.k[spec.null_dim:]
     low = [2.0 + 1e-12, 2.0 + 1e-10]
