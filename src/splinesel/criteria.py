@@ -18,7 +18,7 @@ MAX_LOG_GAP, then a safeguarded Newton solve for the root of the analytic
 slope in log lam next to the screen's winner.  The minimizer works on a
 block of rows at once: the screen is one matrix product over the block and
 the Newton solve runs on every bracketed row together (select_block);
-scalar selection is a block of one.
+scalar selection is a block of one, screened a slice of the window at a time.
 """
 
 from dataclasses import dataclass, field
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError
-from .spectrum import (DesignSpectrum, _log_lam_root, _shrink, df, lambdas_for_df, smooth,
-                       weights)
+from .spectrum import (BLOCK_ROWS, DesignSpectrum, _in_slices, _log_lam_root, _shrink, df,
+                       lambdas_for_df, smooth, weights)
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -42,11 +42,6 @@ COARSE_CANDIDATES = 201
 MAX_LOG_GAP = 0.25
 # A pick within 2 * REFINE_LOG_TOL (in log lam) of a window end is flagged.
 REFINE_LOG_TOL = 1e-6
-# Replicates are selected in blocks of this many rows, counted from replicate
-# 0.  A block bounds the working set at any replicate count, and a fixed
-# block size fixes the shapes of the coarse screen's matrix products, whose
-# rounding depends on shape, so a run's records depend only on its config.
-BLOCK_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -208,9 +203,10 @@ class SelectionWindow:
 
     lambdas ascend from df = n - 0.5 down to df = 2.1: the df-equispaced
     points plus log-uniform fill-ins wherever a log-lam gap exceeds
-    MAX_LOG_GAP.  kp holds the spectrum's penalized eigenvalues.  Each
-    criterion's table is built from them on its first use and cached, since
-    it does not depend on the data.  The spectrum owns its window
+    MAX_LOG_GAP.  kp holds the spectrum's penalized eigenvalues.  A
+    criterion's table is built from them by the first block of more than one
+    row that it selects, and cached, since it does not depend on the data;
+    a block of one row is screened without it.  The spectrum owns its window
     (DesignSpectrum.window); the window keeps only kp, so the two form no
     reference cycle.
     """
@@ -333,14 +329,27 @@ def _first(block: BlockSelection) -> SelectionResult:
 
 def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSelection:
     # Minimize the criterion at every row of full-length u over the window:
-    # the table screen, then the Newton refinement on the exact value and
-    # slope.  df is summed row by row exactly as df() sums it.
+    # the screen, then the Newton refinement on the exact value and slope.
+    # A block of several rows is screened against the criterion's whole
+    # table, built by the first such block; a block of one row, table slice
+    # by table slice (_in_slices), so no table outlives a slice.  Each
+    # screen value is one product of u with a table row, so both give the
+    # same bits.  df is summed row by row exactly as df() sums it.
     window = spec.window
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
-    T, offset = window.criterion_tables(c)
+
+    def screen(tables):
+        T, offset = tables
+        return up @ T.T + offset
+
+    if len(up) == 1:
+        coarse = _in_slices(lambda lams: screen(_value_tables(c, _shrink(kp, lams)[1])),
+                            window.lambdas)
+    else:
+        coarse = screen(window.criterion_tables(c))
     lam, value, flags = minimize_on_window(
-        window, up @ T.T + offset,
+        window, coarse,
         lambda lams, rows: _values(c, kp, up[rows], lams),
         lambda lams, rows: _log_derivs(c, kp, up[rows], lams),
     )

@@ -11,7 +11,6 @@ comes from math.lgamma, so the module needs numpy only.
 """
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -26,13 +25,44 @@ _KUMMER_MAX_TERMS = 500
 _KUMMER_RTOL = 1e-16
 
 # abs_moment and signed_moment take elements with |g| >= _QUADRATURE_MIN_ABS_G
-# by a _QUADRATURE_NODES-node Gauss-Hermite sum instead of the series, which
+# by the 40-node Gauss-Hermite sum below instead of the series, which
 # needs ~g^2 / 2 terms and passes the term cap near |g| = 26.  There the kink
 # of |z|^(2s) at zero sits where the Gaussian density is below 6e-15, and the
 # sum is within 5e-16 of the exact moment up to |g| = 400; closer in, the
 # kink costs it digits (6e-11 at |g| = 6).
 _QUADRATURE_MIN_ABS_G = 8.0
-_QUADRATURE_NODES = 40
+
+# The 40-node Gauss-Hermite rule for E[f(Z)], Z ~ Normal(0, 1): the nodes and
+# weights of numpy.polynomial.hermite_e.hermegauss(40), the weights divided by
+# sqrt(2 pi), written as the repr of each float64, so no process imports
+# numpy.polynomial or runs its eigensolve.  Shared read-only.
+_HERMITE_NODES = np.array([
+    -11.45337784154873, -10.481560534674266, -9.673556366934031, -8.949504543855554,
+    -8.278940623659476, -7.646163764541462, -7.041738406453829, -6.459423377583767,
+    -5.894805675372018, -5.344605445720086, -4.8062871920938735, -4.2778261563627495,
+    -3.757559776168986, -3.24408873299987, -2.736208340465431, -2.232859218634872,
+    -1.7330905906317213, -1.2360320047991582, -0.7408707252859305, -0.24683289602272435,
+    0.24683289602272435, 0.7408707252859305, 1.2360320047991582, 1.7330905906317213,
+    2.232859218634872, 2.736208340465431, 3.24408873299987, 3.757559776168986,
+    4.2778261563627495, 4.8062871920938735, 5.344605445720086, 5.894805675372018,
+    6.459423377583767, 7.041738406453829, 7.646163764541462, 8.278940623659476,
+    8.949504543855554, 9.673556366934031, 10.481560534674266, 11.45337784154873,
+])
+_HERMITE_WEIGHTS = np.array([
+    1.4618398738694013e-29, 4.820467940200815e-25, 1.4486094315515699e-21,
+    1.1222752068271202e-18, 3.389853443248337e-16, 4.9680885291977655e-14,
+    4.037638581695204e-12, 1.989118526027772e-10, 6.3258971885488815e-09,
+    1.3603424215748782e-07, 2.0488974360814558e-06, 2.2211771432475887e-05,
+    0.00017707292879924047, 0.0010558790169018135, 0.00477354488182336, 0.01653784414256941,
+    0.044274555202276855, 0.09217657917006078, 0.14992111176357079, 0.19105900966199038,
+    0.19105900966199038, 0.14992111176357079, 0.09217657917006078, 0.044274555202276855,
+    0.01653784414256941, 0.00477354488182336, 0.0010558790169018135, 0.00017707292879924047,
+    2.2211771432475887e-05, 2.0488974360814558e-06, 1.3603424215748782e-07,
+    6.3258971885488815e-09, 1.989118526027772e-10, 4.037638581695204e-12,
+    4.9680885291977655e-14, 3.389853443248337e-16, 1.1222752068271202e-18,
+    1.4486094315515699e-21, 4.820467940200815e-25, 1.4618398738694013e-29,
+])
+_HERMITE_NODES.flags.writeable = _HERMITE_WEIGHTS.flags.writeable = False
 
 
 def log_gamma_and_beta(x: float, y: float) -> tuple[float, float]:
@@ -142,19 +172,8 @@ def _by_size(g, series, integrand):
     gf = np.asarray(g, dtype=float)
     out = np.empty(gf.shape)
     out[~far] = series(gf[~far])
-    nodes, weights = _hermite_rule()
-    out[far] = (integrand(gf[far][:, None] + nodes) * weights).sum(axis=-1)
+    out[far] = (integrand(gf[far][:, None] + _HERMITE_NODES) * _HERMITE_WEIGHTS).sum(axis=-1)
     return float(out) if np.ndim(g) == 0 else out
-
-
-@functools.cache
-def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
-    # The rule for E[f(Z)], Z ~ Normal(0, 1), built once per process and
-    # shared read-only.
-    nodes, weights = np.polynomial.hermite_e.hermegauss(_QUADRATURE_NODES)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    nodes.flags.writeable = weights.flags.writeable = False
-    return nodes, weights
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,14 @@ MIN_DESIGN_POINTS = 4  # the fewest points a design may have
 # for all supported n.
 _NULL_CLAMP_EPS_MULT = 32.0
 
+# Replicates are selected in blocks of this many rows, counted from replicate
+# 0.  A block bounds the working set at any replicate count, and a fixed
+# block size fixes the shapes of the coarse screen's matrix products, whose
+# rounding depends on shape, so a run's records depend only on its config.
+# Window-wide work that serves one row runs in slices of as many window
+# points (_in_slices).
+BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class DesignGrid:
@@ -210,6 +218,21 @@ def _shrink(k: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, denom, out=denom), b
 
 
+def _in_slices(fn, *args):
+    """fn(*args), evaluated on BLOCK_ROWS consecutive entries of every arg
+    at a time and joined along the last axis (each array of a tuple result
+    on its own), so fn's temporaries hold BLOCK_ROWS entries, not all.
+
+    fn must treat its entries independently: each entry's value then has
+    the bits of the whole evaluation's.
+    """
+    parts = [fn(*(a[i:i + BLOCK_ROWS] for a in args))
+             for i in range(0, len(args[0]) or 1, BLOCK_ROWS)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
+    return np.concatenate(parts, axis=-1)
+
+
 def weights(spec: DesignSpectrum, lam: float) -> tuple[np.ndarray, np.ndarray]:
     """Shrinkage weights (a, b) at smoothing parameter lam >= 0."""
     if lam < 0 or not math.isfinite(lam):
@@ -273,7 +296,8 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     -log of the floor(e)-th one, clipped into that bracket, and finds the
     root of t - df, whose log-lam slope is sum a b, by selection's
     safeguarded Newton solve (_log_lam_root).  Targets are solved
-    independently, so an element does not depend on the other targets.
+    independently, so an element does not depend on the other targets, and
+    the live targets' df and slope are evaluated in slices (_in_slices).
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
@@ -291,9 +315,12 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     hi = np.log((m - excess) / (excess * kpos[0]))
     x = np.clip(-np.log(kpos[excess.astype(int)]), lo, hi)
 
-    def slope(lams, rows):
+    def part(lams, rows):
         a, b = _shrink(spec.k, lams)
         return targets[rows] - a.sum(axis=1), (a * b).sum(axis=1)
+
+    def slope(lams, rows):
+        return _in_slices(part, lams, rows)
 
     rows = np.arange(len(targets))
     g, h = slope(np.exp(x), rows)

@@ -11,18 +11,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import splinesel as ss
+from splinesel import criteria
 from splinesel._rng import replicate_normals
 from splinesel.criteria import (
+    BLOCK_ROWS,
     COARSE_CANDIDATES,
     DF_WINDOW_LO,
     DF_WINDOW_MARGIN,
     MAX_LOG_GAP,
     SelectionWindow,
     loss,
+    minimize_on_window,
     select,
     select_block,
 )
-from splinesel.spectrum import df, lambdas_for_df
+from splinesel.spectrum import DesignSpectrum, df, lambdas_for_df
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -184,3 +187,42 @@ def test_select_block_validates_input(spec61):
     bad[2, 5] = np.inf
     with pytest.raises(ValueError, match="finite"):
         select_block(ss.CP, spec61, bad)
+
+
+def _fresh(spec):
+    """A copy of spec with a window of its own, so no table is cached yet."""
+    return DesignSpectrum(n=spec.n, x=spec.x, U=spec.U, k=spec.k, null_dim=spec.null_dim)
+
+
+@pytest.mark.parametrize("n", [61, 241, 961])
+@pytest.mark.parametrize("crit", [ss.CP, ss.GML, ss.EE, ss.criterion_by_name("p3q1")])
+def test_one_row_screen_is_the_table_product(monkeypatch, spectra, n, crit):
+    # A block of one row is screened BLOCK_ROWS window points at a time, yet
+    # every screen value has the bits of the whole table product.
+    screens = []
+
+    def spy(window, coarse_values, objective, derivs):
+        screens.append(coarse_values)
+        return minimize_on_window(window, coarse_values, objective, derivs)
+
+    monkeypatch.setattr(criteria, "minimize_on_window", spy)
+    spec = _fresh(spectra[n])
+    assert len(spec.window.lambdas) > 2 * BLOCK_ROWS
+    u = np.abs(np.random.default_rng(n).standard_normal(n) + 1.5) ** (2.0 / crit.q)
+    criteria._select_rows(crit, spec, u[None, :])
+    T, offset = spec.window.criterion_tables(crit)
+    assert screens[0].tobytes() == (u[None, spec.null_dim:] @ T.T + offset).tobytes()
+
+
+def test_only_multi_row_blocks_build_criterion_tables(spec61, truth61):
+    # A block of one row (select, and the central and ideal lambda) leaves
+    # the window without tables; the first block of two builds its
+    # criterion's table.
+    spec = _fresh(spec61)
+    z = truth61.g + np.random.default_rng(3).standard_normal(61)
+    select(ss.GML, spec, z)
+    ss.central_lambda(ss.EE, spec, truth61)
+    ss.ideal_lambda(spec, truth61)
+    assert spec.window._powers == {}
+    select_block(ss.GML, spec, np.vstack([z, -z]))
+    assert list(spec.window._powers) == [(ss.GML.p, ss.GML.q)]

@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +32,9 @@ from splinesel import (
 )
 import splinesel
 from splinesel import criteria, oracle, simlab, specfun
+from splinesel.criteria import SelectionWindow
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
+from splinesel.spectrum import DesignSpectrum
 from splinesel._rng import replicate_normals
 
 from crosscheck import curvature_denominator_closed_form
@@ -232,6 +235,37 @@ def test_oracles_screen_with_one_table_product(monkeypatch, spec61, truth61):
         loss_calls.clear()
         central_lambda(crit, spec61, truth61)
         assert len(loss_calls) <= 1
+
+
+def _on_window(spec, lambdas):
+    """A copy of spec whose selection window holds the given points."""
+    copy = DesignSpectrum(n=spec.n, x=spec.x, U=spec.U, k=spec.k, null_dim=spec.null_dim)
+    copy.__dict__["window"] = SelectionWindow(lambdas=lambdas, kp=spec.k[spec.null_dim:])
+    return copy
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("locate", [
+    lambda spec, truth: ideal_lambda(spec, truth),
+    lambda spec, truth: central_lambda(GML, spec, truth),
+    lambda spec, truth: central_lambda(EE, spec, truth),
+], ids=["ideal", "central-gml", "central-ee"])
+def test_oracle_working_set_does_not_grow_with_window(spectra, truths, locate):
+    # The one-row screens run BLOCK_ROWS window points at a time, so a
+    # window of four times the points needs no more memory.
+    spec, truth = spectra[961], truths[961]
+    own = spec.window.lambdas
+    wide = np.geomspace(own[0], own[-1], 4 * len(own))
+    base = _traced_peak(lambda: locate(_on_window(spec, own), truth))
+    assert _traced_peak(lambda: locate(_on_window(spec, wide), truth)) <= 1.05 * base
 
 
 @pytest.mark.parametrize("crit", [CP, GML, EE])

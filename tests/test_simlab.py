@@ -676,20 +676,26 @@ def test_cli_import_leaves_out(module):
 
 
 # Runs argv lists (JSON in argv[1]) through cli() in one interpreter and
-# prints, after each group, the loaded modules of the scipy package on a line
-# of their own that starts with "scipy-modules".
+# prints, after each group, the loaded modules of the scipy and
+# numpy.polynomial packages on a line of their own that starts with
+# "scipy-modules".
 _SCIPY_PROBE = """
 import json, sys
 from splinesel.cli import cli
 for group in json.loads(sys.argv[1]):
     for argv in group:
         assert cli(argv) == 0, argv
-    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    loaded = sorted(m for m in sys.modules
+                    if m.split(".")[0] == "scipy" or m.startswith("numpy.polynomial"))
     print("scipy-modules", json.dumps(loaded))
 """
 
 
-def test_warm_cache_commands_load_no_scipy(tmp_path):
+def test_warm_cache_commands_load_no_scipy(tmp_path, spectra, cache_dir):
+    # Nor numpy.polynomial: rates to n = 481 and reversal at n = 961 take
+    # moments at |g| >= 8 on paper-fig3, by the literal Gauss-Hermite rule.
+    # They read the spectra fixture's warm cache_dir (the CLI's default
+    # design is the fixture's).
     import splinesel
 
     out_dir = tmp_path / "out"
@@ -708,6 +714,10 @@ def test_warm_cache_commands_load_no_scipy(tmp_path):
         ["curvature", "--n", "31,41", *model, "--out", str(tmp_path / "curvature.csv")],
         ["decompose", "--n", "31", "--criterion", "ee", "--replicates", "100", *model,
          "--out", str(tmp_path / "decomposition.json")],
+        ["rates", "--n", "61,121,241,481", "--cache-dir", str(cache_dir),
+         "--out", str(tmp_path / "rates481.csv")],
+        ["reversal", "--n", "961", "--replicates", "1000", "--cache-dir", str(cache_dir),
+         "--out", str(tmp_path / "reversal961.csv")],
     ]
     # A cold cache still builds its spectrum, through the lazily imported
     # scipy.linalg; a normal-quantile design also imports scipy.special.ndtri.

@@ -518,25 +518,12 @@ def test_moments_match_high_precision_hyp1f1_at_large_g(q):
     np.testing.assert_allclose(signed_moment(g, s), want, rtol=1e-14, atol=0)
 
 
-def test_quadrature_rule_is_built_once(monkeypatch):
-    # The Gauss-Hermite rule is built on first use and kept: far elements
-    # in later calls reuse it instead of rebuilding it.
+def test_quadrature_rule_literals_equal_hermegauss():
+    # The Gauss-Hermite rule is held as literals, bit for bit the 40-node
+    # hermegauss rule with its weights divided by sqrt(2 pi), and read-only.
     from splinesel import specfun
 
-    calls = []
-    real = np.polynomial.hermite_e.hermegauss
-
-    def counting(deg):
-        calls.append(deg)
-        return real(deg)
-
-    monkeypatch.setattr(np.polynomial.hermite_e, "hermegauss", counting)
-    specfun._hermite_rule.cache_clear()
-    try:
-        first = ss.abs_moment(np.array([1.0, 9.0]), 2.0 / 3.0)
-        second = signed_moment(-12.0, 1.0 / 3.0)
-    finally:
-        specfun._hermite_rule.cache_clear()
-    assert calls == [40]
-    assert first[1] == ref_abs_moment(9.0, 2.0 / 3.0)
-    assert second == ref_signed_moment(-12.0, 1.0 / 3.0)
+    nodes, weights = np.polynomial.hermite_e.hermegauss(40)
+    assert specfun._HERMITE_NODES.tobytes() == nodes.tobytes()
+    assert specfun._HERMITE_WEIGHTS.tobytes() == (weights / math.sqrt(2.0 * math.pi)).tobytes()
+    assert not (specfun._HERMITE_NODES.flags.writeable or specfun._HERMITE_WEIGHTS.flags.writeable)

@@ -2,6 +2,7 @@
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from splinesel import (
     weights,
 )
 from splinesel import criteria, spectrum
-from splinesel.criteria import CP, GML, select, select_block
-from splinesel.spectrum import CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
+from splinesel.criteria import (COARSE_CANDIDATES, CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML,
+                                select, select_block)
+from splinesel.spectrum import BLOCK_ROWS, CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
 
 from crosscheck import decompose_reference
 
@@ -339,6 +341,37 @@ def test_lambdas_for_df_at_the_df_ends(n):
         assert 0 < lam < math.inf
         assert abs(df(spec, lam) - target) <= 1e-9
     assert lams[0] > lams[1] > lams[2] > lams[3]
+
+
+@pytest.mark.parametrize("n", [61, 961])
+def test_lambdas_for_df_window_targets_match_single_solves(spectra, n):
+    # The window's 201 targets cross slice boundaries of the df and slope
+    # evaluation; each lam still has the bits of its single-target solve.
+    spec = spectra[n]
+    targets = np.linspace(n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
+    assert len(targets) > 3 * BLOCK_ROWS
+    lams = lambdas_for_df(spec, targets)
+    assert lams.tolist() == [lambdas_for_df(spec, [t])[0] for t in targets]
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_lambdas_for_df_working_set_does_not_grow_with_targets(spectra):
+    # The live targets' df and slope are evaluated BLOCK_ROWS targets at a
+    # time.  Ten times the targets then add only the solver's few scalars
+    # per target: under 5% of one (added targets x n) float64 table.
+    spec = spectra[961]
+    few, many = (np.linspace(960.5, 2.1, m) for m in (201, 2010))
+    grown = (_traced_peak(lambda: lambdas_for_df(spec, many))
+             - _traced_peak(lambda: lambdas_for_df(spec, few)))
+    assert grown <= 0.05 * (len(many) - len(few)) * spec.n * 8
 
 
 def test_df_inverse_and_selection_share_one_root_finder(monkeypatch, spec61):
