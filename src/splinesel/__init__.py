@@ -36,7 +36,6 @@ from .criteria import (
     BlockSelection,
     Criterion,
     SelectionResult,
-    classic_statistics,
     criterion_by_name,
     loss,
     loss_derivs,
@@ -65,7 +64,6 @@ from .geometry import (
     curvature_sq,
     reversal_moments,
     reversal_probs_mc,
-    reversal_stat,
 )
 from .simlab import RunRecord, SimConfig, emit_tables, run_simulation, truth_curve
 
@@ -79,12 +77,11 @@ __all__ = [
     "cached_decompose", "decompose", "df", "lambdas_for_df",
     "load_spectrum", "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
     "CP", "EE", "GML", "BlockSelection", "Criterion", "SelectionResult",
-    "classic_statistics", "criterion_by_name", "loss", "loss_derivs", "make_criterion",
+    "criterion_by_name", "loss", "loss_derivs", "make_criterion",
     "select", "select_block", "selection_window", "sigma_estimate",
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
     "ideal_lambda", "make_truth", "rate_probes", "risk", "setting",
     "ReversalSummary", "curvature_sq", "reversal_moments", "reversal_probs_mc",
-    "reversal_stat",
     "RunRecord", "SimConfig", "emit_tables", "run_simulation", "truth_curve",
 ]

@@ -21,7 +21,7 @@ the Newton solve runs on every bracketed row together (select_block);
 scalar selection is a block of one, screened a slice of the window at a time.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 import re
 
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError
-from .spectrum import (BLOCK_ROWS, DesignSpectrum, _in_slices, _log_lam_root, _shrink, df,
-                       lambdas_for_df, smooth, weights)
+from .spectrum import (BLOCK_ROWS, DesignSpectrum, _in_slices, _log_lam_root, _shrink,
+                       lambdas_for_df, weights)
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -197,34 +197,9 @@ def loss_derivs(c: Criterion, spec: DesignSpectrum, lam: float, u) -> tuple[floa
 # --- search window ----------------------------------------------------------
 
 
-@dataclass
-class SelectionWindow:
-    """Precomputed coarse grid for one spectrum, shared across replicates.
-
-    lambdas ascend from df = n - 0.5 down to df = 2.1: the df-equispaced
-    points plus log-uniform fill-ins wherever a log-lam gap exceeds
-    MAX_LOG_GAP.  kp holds the spectrum's penalized eigenvalues.  A
-    criterion's table is built from them by the first block of more than one
-    row that it selects, and cached, since it does not depend on the data;
-    a block of one row is screened without it.  The spectrum owns its window
-    (DesignSpectrum.window); the window keeps only kp, so the two form no
-    reference cycle.
-    """
-
-    lambdas: np.ndarray
-    kp: np.ndarray
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def criterion_tables(self, c: Criterion) -> tuple[np.ndarray, np.ndarray]:
-        """(T, offset): coarse losses are T @ u_penalized + offset."""
-        key = (c.p, c.q)
-        if key not in self._powers:
-            self._powers[key] = _value_tables(c, _shrink(self.kp, self.lambdas)[1])
-        return self._powers[key]
-
-
-def selection_window(spec: DesignSpectrum) -> SelectionWindow:
-    """Build the candidate grid for one spectrum.
+def selection_window(spec: DesignSpectrum) -> np.ndarray:
+    """The candidate lams for one spectrum, ascending from df = n - 0.5 down
+    to df = 2.1.
 
     COARSE_CANDIDATES df-equispaced points (both ends included, kept exactly),
     with log-uniform points inserted so no log-lam gap exceeds MAX_LOG_GAP.
@@ -238,20 +213,33 @@ def selection_window(spec: DesignSpectrum) -> SelectionWindow:
         if pieces > 1:
             parts.append(np.exp(np.linspace(logs[i], logs[i + 1], pieces + 1)[1:-1]))
         parts.append(coarse[i + 1:i + 2])
-    return SelectionWindow(lambdas=np.concatenate(parts), kp=spec.k[spec.null_dim:])
+    return np.concatenate(parts)
 
 
-def minimize_on_window(window: SelectionWindow, coarse_values, objective,
+def _criterion_table(c: Criterion, spec: DesignSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    # (T, offset) of c over the spectrum's window: coarse losses are
+    # T @ u_penalized + offset.  Built by the first block of more than one
+    # row that selects with c, and kept in spec.tables, since it does not
+    # depend on the data; a block of one row is screened without it.
+    key = (c.p, c.q)
+    tables = spec.tables
+    if key not in tables:
+        tables[key] = _value_tables(c, _shrink(spec.k[spec.null_dim:], spec.window)[1])
+    return tables[key]
+
+
+def minimize_on_window(window: np.ndarray, coarse_values, objective,
                        derivs) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """The one minimizer over the smoothing-parameter window, for a block of rows.
 
-    coarse_values is (rows x window points): each row's objective at every
-    window point; ties resolve to the larger lam.  objective(lams, rows) and
-    derivs(lams, rows) evaluate row rows[i] at lams[i]: the value, and the
-    first and second derivatives in log lam.  Per row, of the two pairs
-    formed by the coarse winner and its neighbours, only the one on the
-    downhill side of the winner's slope can hold a minimum; when the slope
-    changes sign across it, a safeguarded Newton solve finds the root.
+    window is the ascending array of candidate lams.  coarse_values is
+    (rows x window points): each row's objective at every window point; ties
+    resolve to the larger lam.  objective(lams, rows) and derivs(lams, rows)
+    evaluate row rows[i] at lams[i]: the value, and the first and second
+    derivatives in log lam.  Per row, of the two pairs formed by the coarse
+    winner and its neighbours, only the one on the downhill side of the
+    winner's slope can hold a minimum; when the slope changes sign across
+    it, a safeguarded Newton solve finds the root.
 
     The solve is spectrum._log_lam_root, the one Newton solve in log lam
     (the df inverse uses it too), run on all bracketed rows at once and
@@ -260,19 +248,18 @@ def minimize_on_window(window: SelectionWindow, coarse_values, objective,
     it is flagged when it lies within 2 * REFINE_LOG_TOL of a window end.
     Returns per-row (lam, value, boundary flag).
     """
-    lams = window.lambdas
-    logs = np.log(lams)
+    logs = np.log(window)
     coarse = np.asarray(coarse_values, dtype=float)
     rows = np.arange(coarse.shape[0])
     # np.argmin takes the first of tied minima; scanning each row reversed
     # makes ties resolve toward larger lam (ascending lam ordering).
     best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
-    lam = lams[best]
+    lam = window[best]
     value = coarse[rows, best]
     g, h = derivs(lam, rows)
     side = np.where(g < 0, best + 1, best - 1)
-    bracketed = rows[(g != 0) & (side >= 0) & (side < len(lams))]
-    bracketed = bracketed[derivs(lams[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
+    bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
+    bracketed = bracketed[derivs(window[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
 
     x = logs[best[bracketed]]
     lo = np.minimum(x, logs[side[bracketed]])
@@ -298,9 +285,10 @@ def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
 
     Z is (rows x n) rotated data, one replicate per row; u = |Z|^(2/q) is
     formed internally.  The coarse screen is one matrix product of the
-    block with the window's criterion table, and the refinement one Newton
-    solve over every bracketed row (see minimize_on_window).  The window is
-    the spectrum's own, built on its first selection and reused by the rest.
+    block with the criterion's table over the window, and the refinement
+    one Newton solve over every bracketed row (see minimize_on_window).  The
+    window and the table are the spectrum's own, built on first use and
+    reused by the rest.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != spec.n:
@@ -344,10 +332,9 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
         return up @ T.T + offset
 
     if len(up) == 1:
-        coarse = _in_slices(lambda lams: screen(_value_tables(c, _shrink(kp, lams)[1])),
-                            window.lambdas)
+        coarse = _in_slices(lambda lams: screen(_value_tables(c, _shrink(kp, lams)[1])), window)
     else:
-        coarse = screen(window.criterion_tables(c))
+        coarse = screen(_criterion_table(c, spec))
     lam, value, flags = minimize_on_window(
         window, coarse,
         lambda lams, rows: _values(c, kp, up[rows], lams),
@@ -355,34 +342,6 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
     )
     return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
                           at_boundary=flags)
-
-
-# --- classical statistics ---------------------------------------------------
-
-
-def classic_statistics(spec: DesignSpectrum, lam: float, y, sigma: float,
-                       omega: float = 1.0) -> tuple[float, float]:
-    """Residual-based model statistics (cp, gcv) with inflation factor omega.
-
-        cp  = ||y - f_hat||^2 + 2 omega sigma^2 df(lam) - n sigma^2
-        gcv = ||y - f_hat||^2 / (1 - omega df(lam)/n)^2
-
-    At omega = 1, minimizing cp over lam reproduces selection under the
-    (2, 1) criterion applied to z = U'y/sigma.
-    """
-    if sigma <= 0:
-        raise ValueError(f"classic_statistics requires sigma > 0, got {sigma}")
-    if omega <= 0:
-        raise ValueError(f"classic_statistics requires omega > 0, got {omega}")
-    y = np.asarray(y, dtype=float)
-    rss = float(np.sum((y - smooth(spec, lam, y)) ** 2))
-    d = df(spec, lam)
-    cp = rss + 2.0 * omega * sigma * sigma * d - spec.n * sigma * sigma
-    shrink = 1.0 - omega * d / spec.n
-    if shrink <= 0:
-        raise ValueError(f"gcv undefined: omega * df = {omega * d:.6g} >= n = {spec.n}")
-    gcv = rss / (shrink * shrink)
-    return cp, gcv
 
 
 def sigma_estimate(coeffs, M: int):

@@ -18,7 +18,7 @@ from ._rng import (
     replicate_block,
     replicate_normals,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
-from .criteria import BLOCK_ROWS, Criterion, _deriv_terms, loss_derivs
+from .criteria import BLOCK_ROWS, Criterion, _deriv_terms
 from .errors import NumericError
 from .oracle import TruthSpectrum
 from .spectrum import DesignSpectrum, weights
@@ -88,18 +88,6 @@ def reversal_beta(c: Criterion, spec: DesignSpectrum, lam0: float) -> float:
     wb = b ** (-2.0 / c.q)
     rho = float(np.sum(a**3 * wb) / np.sum(a**2 * wb))
     return -(2.0 - (1.0 + c.p / c.q) * rho) / lam0
-
-
-def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
-    """R0(z) = l''(u) - beta l'(u) at the ideal smoothing parameter.
-
-    u = |z|^(2/q); negative values mark the reversal region, where the
-    criterion's local slope-curvature combination points away from lam0.
-    """
-    z = np.asarray(z, dtype=float)
-    u = np.abs(z) ** (2.0 / c.q)
-    ld, ldd = loss_derivs(c, spec, lam0, u)
-    return ldd - reversal_beta(c, spec, lam0) * ld
 
 
 def _r0_affine(c: Criterion, spec: DesignSpectrum, lam0: float, beta: float | None = None):

@@ -21,6 +21,7 @@ from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
     Criterion,
+    _criterion_table,
     _log_derivs,
     _select_rows,
     minimize_on_window,
@@ -110,7 +111,7 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
         return (b * b) @ truth.g**2 + np.sum(a * a, axis=-1)
 
     picked, _, flags = minimize_on_window(
-        spec.window, _in_slices(risks, spec.window.lambdas)[None, :], risks,
+        spec.window, _in_slices(risks, spec.window)[None, :], risks,
         lambda lams, rows: _risk_log_derivs(spec, truth, lams),
     )
     lam = float(picked[0])
@@ -194,7 +195,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     # malloc raises its mmap threshold when it frees a large block, so this
     # order decides which allocations reuse the heap: the screens first
     # measured a higher peak (55.8 against 52.4 MB max RSS at n = 961).
-    spec.window.criterion_tables(c)
+    _criterion_table(c, spec)
     ideal = ideal_lambda(spec, truth)
     central = central_lambda(c, spec, truth)
     risk0 = risk(spec, truth, ideal.lam)

@@ -61,8 +61,10 @@ class DesignSpectrum:
 
     U is orthogonal with columns ordered by ascending eigenvalue k; the first
     null_dim = 2 eigenvalues are exactly zero (constant and linear functions
-    are never penalized).  window is its selection window, built on first
-    use and kept for the spectrum's lifetime.
+    are never penalized).  window is its selection window, the array of
+    candidate lams, built on first use and kept for the spectrum's lifetime.
+    tables maps a criterion's (p, q) to its (T, offset) table over the
+    window, filled by criteria._criterion_table.
     """
 
     n: int
@@ -72,10 +74,14 @@ class DesignSpectrum:
     null_dim: int
 
     @cached_property
-    def window(self):
+    def window(self) -> np.ndarray:
         from . import criteria  # criteria imports this module
 
         return criteria.selection_window(self)
+
+    @cached_property
+    def tables(self) -> dict:
+        return {}
 
 
 def build_design(kind: str, n: int | None = None, *, lo: float | None = None,

@@ -9,9 +9,11 @@ import math
 import numpy as np
 from scipy.linalg import eigh, solveh_banded
 
+from splinesel.criteria import Criterion, loss_derivs
 from splinesel.errors import NumericError
-from splinesel.geometry import _penalized_ab
+from splinesel.geometry import _penalized_ab, reversal_beta
 from splinesel.specfun import moment_set
+from splinesel.spectrum import DesignSpectrum, df, smooth
 
 
 def gauss_hermite_expectation(g: float, fn, nodes: int = 64) -> float:
@@ -63,6 +65,18 @@ def curvature_via_matrix(c, spec, lam: float) -> float:
     m22 = float(np.sum(eta_ddot * V * eta_ddot))
     det = m11 * m22 - m12 * m12
     return det / m11**3
+
+
+def reversal_stat(c: Criterion, spec: DesignSpectrum, lam0: float, z) -> float:
+    """R0(z) = l''(u) - beta l'(u) at the ideal smoothing parameter.
+
+    u = |z|^(2/q); negative values mark the reversal region, where the
+    criterion's local slope-curvature combination points away from lam0.
+    """
+    z = np.asarray(z, dtype=float)
+    u = np.abs(z) ** (2.0 / c.q)
+    ld, ldd = loss_derivs(c, spec, lam0, u)
+    return ldd - reversal_beta(c, spec, lam0) * ld
 
 
 def reversal_moments_closed_form(c, spec, g, lam0: float) -> tuple[float, float]:
@@ -135,6 +149,31 @@ def curvature_denominator_closed_form(c, spec, lam: float, u) -> float:
     p, q = c.p, c.q
     inner = a / q + ((1.0 + p / q) * a - 2.0) * (c.c_q * b ** (1.0 / q) * up - 1.0)
     return float(np.sum(a * b ** ((p - 1.0) / q) * inner))
+
+
+def classic_statistics(spec: DesignSpectrum, lam: float, y, sigma: float,
+                       omega: float = 1.0) -> tuple[float, float]:
+    """Residual-based model statistics (cp, gcv) with inflation factor omega.
+
+        cp  = ||y - f_hat||^2 + 2 omega sigma^2 df(lam) - n sigma^2
+        gcv = ||y - f_hat||^2 / (1 - omega df(lam)/n)^2
+
+    At omega = 1, minimizing cp over lam reproduces selection under the
+    (2, 1) criterion applied to z = U'y/sigma.
+    """
+    if sigma <= 0:
+        raise ValueError(f"classic_statistics requires sigma > 0, got {sigma}")
+    if omega <= 0:
+        raise ValueError(f"classic_statistics requires omega > 0, got {omega}")
+    y = np.asarray(y, dtype=float)
+    rss = float(np.sum((y - smooth(spec, lam, y)) ** 2))
+    d = df(spec, lam)
+    cp = rss + 2.0 * omega * sigma * sigma * d - spec.n * sigma * sigma
+    shrink = 1.0 - omega * d / spec.n
+    if shrink <= 0:
+        raise ValueError(f"gcv undefined: omega * df = {omega * d:.6g} >= n = {spec.n}")
+    gcv = rss / (shrink * shrink)
+    return cp, gcv
 
 
 def decompose_reference(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

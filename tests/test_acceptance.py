@@ -290,8 +290,7 @@ def test_acceptance_8_property_suite(spec61, truth61, window61, tmp_path,
         and float(np.abs(recon).max()) <= 1e-6 * float(spec61.k.max()))
 
     # brute-force grid oracles for the selected and ideal parameters
-    grid = np.exp(np.linspace(math.log(window61.lambdas[0]),
-                              math.log(window61.lambdas[-1]), 4001))
+    grid = np.exp(np.linspace(math.log(window61[0]), math.log(window61[-1]), 4001))
     step = math.log(grid[1]) - math.log(grid[0])
     brute_ok = True
     for _, c in CRITERIA:

@@ -9,7 +9,6 @@ from splinesel import (
     CP,
     EE,
     GML,
-    classic_statistics,
     criterion_by_name,
     loss,
     loss_derivs,
@@ -18,8 +17,10 @@ from splinesel import (
     sigma_estimate,
     weights,
 )
-from splinesel.criteria import default_sigma_m
+from splinesel.criteria import _criterion_table, default_sigma_m
 from splinesel.errors import ConfigError
+
+from crosscheck import classic_statistics
 
 
 def rotated_dataset(spec, truth, seed):
@@ -184,7 +185,7 @@ def test_select_matches_brute_force_grid(spec61, truth61, crit):
     u = np.abs(z) ** (2.0 / crit.q)
     grid = np.exp(
         np.linspace(
-            math.log(spec61.window.lambdas[0]), math.log(spec61.window.lambdas[-1]), 10001
+            math.log(spec61.window[0]), math.log(spec61.window[-1]), 10001
         )
     )
     vals = np.array([loss(crit, spec61, lam, u) for lam in grid])
@@ -241,9 +242,9 @@ def test_loss_matches_window_table_rows(spec61, crit):
     # One encoding of the criterion value: loss at each window lam equals
     # that row of the screen table.
     u = np.abs(np.random.default_rng(61).standard_normal(61) + 1.5) ** (2.0 / crit.q)
-    T, offset = spec61.window.criterion_tables(crit)
+    T, offset = _criterion_table(crit, spec61)
     rows = T @ u[2:] + offset
-    for lam, row in zip(spec61.window.lambdas, rows):
+    for lam, row in zip(spec61.window, rows):
         assert loss(crit, spec61, lam, u) == pytest.approx(row, rel=1e-13)
 
 
@@ -292,11 +293,11 @@ def test_cp_argmin_matches_select(spec61, truth61):
     y = truth61.sigma * (spec61.U @ z)
     vals = [
         classic_statistics(spec61, lam, y, truth61.sigma)[0]
-        for lam in spec61.window.lambdas
+        for lam in spec61.window
     ]
     best = int(np.argmin(vals))
-    lo = spec61.window.lambdas[max(best - 1, 0)]
-    hi = spec61.window.lambdas[min(best + 1, len(spec61.window.lambdas) - 1)]
+    lo = spec61.window[max(best - 1, 0)]
+    hi = spec61.window[min(best + 1, len(spec61.window) - 1)]
 
     r = select(CP, spec61, z)
     assert lo * (1 - 1e-12) <= r.lam_hat <= hi * (1 + 1e-12)

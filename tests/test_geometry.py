@@ -19,7 +19,6 @@ from splinesel import (
     make_truth,
     reversal_moments,
     reversal_probs_mc,
-    reversal_stat,
     weights,
 )
 from splinesel._rng import replicate_normals
@@ -28,7 +27,7 @@ from splinesel.geometry import _r0_affine, normal_cdf, reversal_beta
 from splinesel.specfun import abs_moment, moment_set
 
 from crosscheck import (curvature_via_matrix, eta_curve, imhof_lower_tail,
-                        reversal_moments_closed_form)
+                        reversal_moments_closed_form, reversal_stat)
 
 STANDARD_NS = (61, 121, 241, 481, 961)
 CRITERIA = (CP, GML, EE)

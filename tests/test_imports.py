@@ -1,0 +1,58 @@
+"""Every module-level import in the package is used by the module that makes
+it, re-exported to another package module, or marked `# noqa`."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "splinesel"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _imports(tree: ast.Module):
+    """(bound name, line) of each name a top-level import binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                yield name, alias.lineno
+
+
+def _reexports() -> set[tuple[str, str]]:
+    """(module, name) of each name one package module imports from another."""
+    taken = set()
+    for path in MODULES:
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                taken.update((node.module, alias.name) for alias in node.names)
+    return taken
+
+
+def _used(tree: ast.Module) -> set[str]:
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names listed in __all__ are exports
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            names.update(elt.value for elt in node.value.elts)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_are_used(path):
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used, reexported = _used(tree), _reexports()
+    unused = [f"{path.name}:{line}: {name}" for name, line in _imports(tree)
+              if name not in used and (path.stem, name) not in reexported
+              and "# noqa" not in lines[line - 1]]
+    assert unused == []
+
+
+def test_check_sees_an_unused_import():
+    tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
+    used = _used(tree)
+    assert [name for name, _ in _imports(tree) if name not in used] == ["math", "path"]

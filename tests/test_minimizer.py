@@ -19,13 +19,13 @@ from splinesel.criteria import (
     DF_WINDOW_LO,
     DF_WINDOW_MARGIN,
     MAX_LOG_GAP,
-    SelectionWindow,
+    _value_tables,
     loss,
     minimize_on_window,
     select,
     select_block,
 )
-from splinesel.spectrum import DesignSpectrum, df, lambdas_for_df
+from splinesel.spectrum import DesignSpectrum, _shrink, df, lambdas_for_df
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -33,16 +33,14 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def df_window(spec):
     """The 201-point df-equispaced window the golden-section route screens."""
     targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
-    lams = lambdas_for_df(spec, targets)
-    return SelectionWindow(lambdas=lams, kp=spec.k[spec.null_dim:])
+    return lambdas_for_df(spec, targets)
 
 
-def golden_select(c, spec, window, z, log_tol=1e-6):
-    """Selection by the golden-section route: the coarse screen over a
-    df_window of spec, then golden section in log lam inside the winner's
-    bracket.  Returns (lam, loss)."""
-    lams = window.lambdas
-    T, offset = window.criterion_tables(c)
+def golden_select(c, spec, lams, z, log_tol=1e-6):
+    """Selection by the golden-section route: the coarse screen over the
+    df_window lams of spec, then golden section in log lam inside the
+    winner's bracket.  Returns (lam, loss)."""
+    T, offset = _value_tables(c, _shrink(spec.k[spec.null_dim:], lams)[1])
     u = np.abs(z) ** (2.0 / c.q)
     coarse = T @ u[spec.null_dim:] + offset
     best = len(coarse) - 1 - int(np.argmin(coarse[::-1]))
@@ -107,28 +105,28 @@ def test_select_finds_minimum_hidden_in_wide_gap(spectra, truths, crit, n, truth
     z = _g(truths, n, truth) + replicate_normals(11, n, replicate, n)
     picked = select(crit, spec, z)
     u = np.abs(z) ** (2.0 / crit.q)
-    grid = np.exp(np.linspace(math.log(window.lambdas[0]),
-                              math.log(window.lambdas[-1]), 10001))
+    grid = np.exp(np.linspace(math.log(window[0]), math.log(window[-1]), 10001))
     brute = min(loss(crit, spec, lam, u) for lam in grid)
     assert picked.loss <= brute + 1e-10 * abs(brute)
 
 
 def test_window_keeps_df_points_and_caps_log_gaps(spectra):
     for n in (61, 241, 961):
-        lams = spectra[n].window.lambdas
-        df_points = df_window(spectra[n]).lambdas
+        lams = spectra[n].window
+        df_points = df_window(spectra[n])
         assert np.all(np.isin(df_points, lams))
         assert lams[0] == df_points[0] and lams[-1] == df_points[-1]
         assert np.all(np.diff(np.log(lams)) <= MAX_LOG_GAP)
-    assert [len(spectra[n].window.lambdas) - COARSE_CANDIDATES
+    assert [len(spectra[n].window) - COARSE_CANDIDATES
             for n in (61, 241, 961)] == [24, 49, 77]
 
 
 def test_minimizer_leaves_no_reference_cycle():
     # A root finder that keeps its callable in a reference cycle would hold
     # the spectrum (through the objective's closure) until the cyclic
-    # collector runs, raising peak memory on long runs.  So would a window
-    # that pointed back at the spectrum that owns it.
+    # collector runs, raising peak memory on long runs.  The spectrum keeps
+    # its window and criterion tables as arrays, which cannot point back at
+    # it.
     gc.disable()
     try:
         grid = ss.build_design("equispaced", 31, lo=-1.0, hi=1.0)
@@ -207,22 +205,37 @@ def test_one_row_screen_is_the_table_product(monkeypatch, spectra, n, crit):
 
     monkeypatch.setattr(criteria, "minimize_on_window", spy)
     spec = _fresh(spectra[n])
-    assert len(spec.window.lambdas) > 2 * BLOCK_ROWS
+    assert len(spec.window) > 2 * BLOCK_ROWS
     u = np.abs(np.random.default_rng(n).standard_normal(n) + 1.5) ** (2.0 / crit.q)
     criteria._select_rows(crit, spec, u[None, :])
-    T, offset = spec.window.criterion_tables(crit)
+    T, offset = criteria._criterion_table(crit, spec)
     assert screens[0].tobytes() == (u[None, spec.null_dim:] @ T.T + offset).tobytes()
 
 
-def test_only_multi_row_blocks_build_criterion_tables(spec61, truth61):
+def test_only_multi_row_blocks_build_criterion_tables(monkeypatch, spec61, truth61):
     # A block of one row (select, and the central and ideal lambda) leaves
-    # the window without tables; the first block of two builds its
-    # criterion's table.
+    # the spectrum without tables; the first block of two builds its
+    # criterion's table, and later blocks reuse that table: one build per
+    # (p, q) per spectrum.
     spec = _fresh(spec61)
     z = truth61.g + np.random.default_rng(3).standard_normal(61)
     select(ss.GML, spec, z)
     ss.central_lambda(ss.EE, spec, truth61)
     ss.ideal_lambda(spec, truth61)
-    assert spec.window._powers == {}
+    assert spec.tables == {}
+
+    rows_tabled = []  # rows of every b tabled; a whole-window table has len(window)
+
+    def spy(c, b):
+        rows_tabled.append(b.shape[0])
+        return _value_tables(c, b)
+
+    monkeypatch.setattr(criteria, "_value_tables", spy)
+    key = (ss.GML.p, ss.GML.q)
     select_block(ss.GML, spec, np.vstack([z, -z]))
-    assert list(spec.window._powers) == [(ss.GML.p, ss.GML.q)]
+    assert list(spec.tables) == [key]
+    table = spec.tables[key]
+    select_block(ss.GML, spec, np.vstack([-z, 2.0 * z]))
+    assert list(spec.tables) == [key]
+    assert spec.tables[key] is table
+    assert rows_tabled.count(len(spec.window)) == 1

@@ -32,7 +32,6 @@ from splinesel import (
 )
 import splinesel
 from splinesel import criteria, oracle, simlab, specfun
-from splinesel.criteria import SelectionWindow
 from splinesel.oracle import _risk_log_derivs, curvature_denominator
 from splinesel.spectrum import DesignSpectrum
 from splinesel._rng import replicate_normals
@@ -144,7 +143,7 @@ def test_ideal_lambda_brute_force(spec61, truth61):
     point = ideal_lambda(spec61, truth61)
     grid = np.exp(
         np.linspace(
-            math.log(spec61.window.lambdas[0]), math.log(spec61.window.lambdas[-1]), 10001
+            math.log(spec61.window[0]), math.log(spec61.window[-1]), 10001
         )
     )
     vals = np.array([risk(spec61, truth61, lam) for lam in grid])
@@ -240,7 +239,7 @@ def test_oracles_screen_with_one_table_product(monkeypatch, spec61, truth61):
 def _on_window(spec, lambdas):
     """A copy of spec whose selection window holds the given points."""
     copy = DesignSpectrum(n=spec.n, x=spec.x, U=spec.U, k=spec.k, null_dim=spec.null_dim)
-    copy.__dict__["window"] = SelectionWindow(lambdas=lambdas, kp=spec.k[spec.null_dim:])
+    copy.__dict__["window"] = lambdas
     return copy
 
 
@@ -262,7 +261,7 @@ def test_oracle_working_set_does_not_grow_with_window(spectra, truths, locate):
     # The one-row screens run BLOCK_ROWS window points at a time, so a
     # window of four times the points needs no more memory.
     spec, truth = spectra[961], truths[961]
-    own = spec.window.lambdas
+    own = spec.window
     wide = np.geomspace(own[0], own[-1], 4 * len(own))
     base = _traced_peak(lambda: locate(_on_window(spec, own), truth))
     assert _traced_peak(lambda: locate(_on_window(spec, wide), truth)) <= 1.05 * base
