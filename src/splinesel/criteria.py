@@ -19,6 +19,8 @@ slope in log lam next to the screen's winner.  The minimizer works on a
 block of rows at once: the screen is one matrix product over the block and
 the Newton solve runs on every bracketed row together (select_block);
 scalar selection is a block of one, screened a slice of the window at a time.
+It is the package's one minimizer over the window: a central lam is selection
+at u = E|z|^(2/q), and the ideal lam is cp's (oracle.ideal_lambda).
 """
 
 from dataclasses import dataclass
@@ -228,65 +230,13 @@ def _criterion_table(c: Criterion, spec: DesignSpectrum) -> tuple[np.ndarray, np
     return tables[key]
 
 
-def minimize_on_window(window: np.ndarray, coarse_values, objective,
-                       derivs) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
-    """The one minimizer over the smoothing-parameter window, for a block of rows.
-
-    window is the ascending array of candidate lams.  coarse_values is
-    (rows x window points): each row's objective at every window point; ties
-    resolve to the larger lam.  objective(lams, rows) and derivs(lams, rows)
-    evaluate row rows[i] at lams[i]: the value, and the first and second
-    derivatives in log lam.  Per row, of the two pairs formed by the coarse
-    winner and its neighbours, only the one on the downhill side of the
-    winner's slope can hold a minimum; when the slope changes sign across
-    it, a safeguarded Newton solve finds the root.
-
-    The solve is spectrum._log_lam_root, the one Newton solve in log lam
-    (the df inverse uses it too), run on all bracketed rows at once and
-    started from the coarse winner's slope and curvature.  The pick is the
-    lower of the coarse winner and the root, ties again to the larger lam;
-    it is flagged when it lies within 2 * REFINE_LOG_TOL of a window end.
-    Returns per-row (lam, value, boundary flag).
-    """
-    logs = np.log(window)
-    coarse = np.asarray(coarse_values, dtype=float)
-    rows = np.arange(coarse.shape[0])
-    # np.argmin takes the first of tied minima; scanning each row reversed
-    # makes ties resolve toward larger lam (ascending lam ordering).
-    best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
-    lam = window[best]
-    value = coarse[rows, best]
-    g, h = derivs(lam, rows)
-    side = np.where(g < 0, best + 1, best - 1)
-    bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
-    bracketed = bracketed[derivs(window[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
-
-    x = logs[best[bracketed]]
-    lo = np.minimum(x, logs[side[bracketed]])
-    hi = np.maximum(x, logs[side[bracketed]])
-    root = _log_lam_root(x, lo, hi, g[bracketed], h[bracketed], derivs, bracketed)
-
-    root_value = objective(root, bracketed)
-    coarse_value, coarse_lam = value[bracketed], lam[bracketed]
-    take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
-    lam[bracketed[take]] = root[take]
-    value[bracketed[take]] = root_value[take]
-
-    log_lam = np.log(lam)
-    low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
-    high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
-    flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
-                  for at_low, at_high in zip(low, high))
-    return lam, value, flags
-
-
 def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
     """Data-driven smoothing parameters for a block of replicates at once.
 
     Z is (rows x n) rotated data, one replicate per row; u = |Z|^(2/q) is
     formed internally.  The coarse screen is one matrix product of the
     block with the criterion's table over the window, and the refinement
-    one Newton solve over every bracketed row (see minimize_on_window).  The
+    one safeguarded Newton solve in log lam over every bracketed row.  The
     window and the table are the spectrum's own, built on first use and
     reused by the rest.
     """
@@ -315,31 +265,67 @@ def _first(block: BlockSelection) -> SelectionResult:
                            loss=float(block.loss[0]), at_boundary=block.at_boundary[0])
 
 
-def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSelection:
-    # Minimize the criterion at every row of full-length u over the window:
-    # the screen, then the Newton refinement on the exact value and slope.
-    # A block of several rows is screened against the criterion's whole
-    # table, built by the first such block; a block of one row, table slice
-    # by table slice (_in_slices), so no table outlives a slice.  Each
-    # screen value is one product of u with a table row, so both give the
-    # same bits.  df is summed row by row exactly as df() sums it.
-    window = spec.window
-    nd = spec.null_dim
-    kp, up = spec.k[nd:], U[:, nd:]
-
-    def screen(tables):
+def _screen(c: Criterion, spec: DesignSpectrum, up: np.ndarray) -> np.ndarray:
+    # Each row of penalized u's criterion value at every window point.  A
+    # block of several rows is screened against the criterion's whole table;
+    # a block of one row, table slice by table slice (_in_slices), so no
+    # table outlives a slice.  Each value is one product of u with a table
+    # row, so both give the same bits.
+    def product(tables):
         T, offset = tables
         return up @ T.T + offset
 
     if len(up) == 1:
-        coarse = _in_slices(lambda lams: screen(_value_tables(c, _shrink(kp, lams)[1])), window)
-    else:
-        coarse = screen(_criterion_table(c, spec))
-    lam, value, flags = minimize_on_window(
-        window, coarse,
-        lambda lams, rows: _values(c, kp, up[rows], lams),
-        lambda lams, rows: _log_derivs(c, kp, up[rows], lams),
-    )
+        kp = spec.k[spec.null_dim:]
+        return _in_slices(lambda lams: product(_value_tables(c, _shrink(kp, lams)[1])),
+                          spec.window)
+    return product(_criterion_table(c, spec))
+
+
+def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSelection:
+    # The one minimizer over the window, at every row of full-length u.  Of
+    # the pairs the screen's winner forms with its neighbours, only the
+    # downhill one can hold a minimum; where the slope changes sign across
+    # it, _log_lam_root solves all bracketed rows at once from the winner's
+    # slope and curvature.  The pick is the lower of winner and root, ties to
+    # the larger lam, flagged within 2 * REFINE_LOG_TOL of a window end.  df
+    # is summed row by row exactly as df() sums it.
+    nd = spec.null_dim
+    kp, up = spec.k[nd:], U[:, nd:]
+
+    def derivs(lams, rows):
+        return _log_derivs(c, kp, up[rows], lams)
+
+    coarse = _screen(c, spec, up)
+    window = spec.window
+    logs = np.log(window)
+    rows = np.arange(coarse.shape[0])
+    # np.argmin takes the first of tied minima; scanning each row reversed
+    # makes ties resolve toward larger lam (ascending lam ordering).
+    best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
+    lam = window[best]
+    value = coarse[rows, best]
+    g, h = derivs(lam, rows)
+    side = np.where(g < 0, best + 1, best - 1)
+    bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
+    bracketed = bracketed[derivs(window[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
+
+    x = logs[best[bracketed]]
+    lo = np.minimum(x, logs[side[bracketed]])
+    hi = np.maximum(x, logs[side[bracketed]])
+    root = _log_lam_root(x, lo, hi, g[bracketed], h[bracketed], derivs, bracketed)
+
+    root_value = _values(c, kp, up[bracketed], root)
+    coarse_value, coarse_lam = value[bracketed], lam[bracketed]
+    take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
+    lam[bracketed[take]] = root[take]
+    value[bracketed[take]] = root_value[take]
+
+    log_lam = np.log(lam)
+    low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
+    high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
+    flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
+                  for at_low, at_high in zip(low, high))
     return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
                           at_boundary=flags)
 

@@ -2,12 +2,12 @@
 and the bias/covariance/variability decomposition of the extra prediction risk.
 
 With the true curve in hand (simulation settings), the risk
-R(lam) = sum_i (b_i^2 g_i^2 + a_i^2) is available in closed form.  Its
-minimizer lam0 is the ideal smoothing parameter; the minimizer lam_c of the
-expected criterion is where a given criterion is centered.  The gap between
-selecting at lam_hat and sitting at lam0 decomposes into a deterministic bias
-piece plus stochastic covariance and variability pieces, estimated here by
-Monte Carlo and approximated analytically.
+R(lam) = sum_i (b_i^2 g_i^2 + a_i^2) is available in closed form.  The
+minimizer lam_c of the expected criterion is where a given criterion is
+centered; the risk's minimizer lam0, the ideal smoothing parameter, is cp's
+lam_c.  The gap between selecting at lam_hat and sitting at lam0 decomposes
+into a deterministic bias piece plus stochastic covariance and variability
+pieces, estimated here by Monte Carlo and approximated analytically.
 """
 
 from dataclasses import dataclass, asdict
@@ -20,18 +20,18 @@ from . import specfun
 from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
+    CP,
     Criterion,
     _criterion_table,
     _log_derivs,
     _select_rows,
-    minimize_on_window,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
     select_block,
     selection_window,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
 from .errors import NumericError
-from .spectrum import (DesignSpectrum, _in_slices, _shrink, build_design, cached_decompose,
-                       decompose, df, rotate, weights)
+from .spectrum import (DesignSpectrum, _shrink, build_design, cached_decompose, decompose,
+                       rotate, weights)
 
 DECOMPOSITION_MIN_REPLICATES = 100  # the fewest draws decomposition_mc takes
 RATE_MIN_SIZES = 4  # the fewest sample sizes rate_probes fits slopes through
@@ -84,38 +84,15 @@ def risk(spec: DesignSpectrum, truth: TruthSpectrum, lam: float) -> float:
     return float(np.sum(b**2 * truth.g**2 + a**2))
 
 
-def _risk_log_derivs(spec: DesignSpectrum, truth: TruthSpectrum, lam) -> tuple:
-    # First and second log-lam derivatives of the risk at each lam (a
-    # scalar or an array), from da = -ab and db = ab per unit log lam:
-    # 2 sum ab(bg^2 - a) and 2 sum ab[(a - b)(bg^2 - a) + ab(g^2 + 1)];
-    # null components give 0.
-    a, b = _shrink(spec.k, lam)
-    g2 = truth.g**2
-    ab = a * b
-    e = b * g2 - a
-    return 2.0 * (ab * e).sum(axis=-1), 2.0 * (ab * ((a - b) * e + ab * (g2 + 1.0))).sum(axis=-1)
-
-
 def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
     """Risk-minimizing smoothing parameter over the spectrum's selection window.
 
-    Uses the selection minimizer on a block of one row: a coarse screen of
-    the risk over the window points, a slice of them at a time, then a
-    safeguarded Newton solve on the exact risk's closed-form log-lam slope.
-    Screen and solve evaluate the risk as one expression,
-    (b*b) @ g^2 + sum a^2, at many lams at once.  A boundary winner is
-    flagged, never clipped.
+    It is cp's central lam: at u = E z^2 = 1 + g^2, cp's value is
+    R(lam) + n - 2 null_dim (Mallows' identity), so both share one
+    minimizer, located by selection's one-row screen and Newton solve.  A
+    boundary winner is flagged, never clipped.
     """
-    def risks(lams, rows=None):
-        a, b = _shrink(spec.k, lams)
-        return (b * b) @ truth.g**2 + np.sum(a * a, axis=-1)
-
-    picked, _, flags = minimize_on_window(
-        spec.window, _in_slices(risks, spec.window)[None, :], risks,
-        lambda lams, rows: _risk_log_derivs(spec, truth, lams),
-    )
-    lam = float(picked[0])
-    return LambdaPoint(lam=lam, df=df(spec, lam), at_boundary=flags[0])
+    return _central_at(CP, spec, 1.0 + truth.g**2)
 
 
 def _penalized_power(spec: DesignSpectrum, truth: TruthSpectrum, q: float) -> np.ndarray:
@@ -133,8 +110,9 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum) -> 
     The criterion is linear in u, so the expected criterion is the criterion
     evaluated at u = E|z|^(2/q), taken on the penalized components.  It is
     minimized exactly like data-driven selection, by the same table screen
-    and Newton solve at that u.  For the (2, 1) member this lands on the
-    ideal smoothing parameter.
+    and Newton solve at that u.  For cp, the (2, 1) member, the expected
+    criterion is the risk plus n - 2 null_dim, so its central lam is the
+    ideal one (ideal_lambda).
     """
     return _central_at(c, spec, _penalized_power(spec, truth, c.q))
 
@@ -191,10 +169,11 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
                          f"replicates, got {replicates}")
     # The criterion's table, which the block loop below needs, is built
-    # before the one-row screens of the ideal and central lambda.  glibc's
-    # malloc raises its mmap threshold when it frees a large block, so this
-    # order decides which allocations reuse the heap: the screens first
-    # measured a higher peak (55.8 against 52.4 MB max RSS at n = 961).
+    # before the one-row screens of the ideal lambda (a cp screen) and the
+    # central lambda.  glibc's malloc raises its mmap threshold when it
+    # frees a large block, so this order decides which allocations reuse
+    # the heap: the screens first measured a higher peak (55.7 against
+    # 52.3 MB max RSS at n = 961, for cp and ee alike).
     _criterion_table(c, spec)
     ideal = ideal_lambda(spec, truth)
     central = central_lambda(c, spec, truth)

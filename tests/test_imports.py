@@ -56,3 +56,37 @@ def test_check_sees_an_unused_import():
     tree = ast.parse("import math\nfrom os import path, sep\nprint(sep)\n")
     used = _used(tree)
     assert [name for name, _ in _imports(tree) if name not in used] == ["math", "path"]
+
+
+def _unreferenced_private_functions(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name of each private top-level function that no code in trees
+    reads outside its own def (a call, or an attribute or name load)."""
+    nodes = [node for tree in trees.values() for node in ast.walk(tree)]
+    unread = []
+    for module, tree in trees.items():
+        for fn in tree.body:
+            if (not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_")
+                    or fn.name.startswith("__")):
+                continue
+            own = {id(node) for node in ast.walk(fn)}
+            read = any(
+                id(node) not in own
+                and ((isinstance(node, ast.Name) and node.id == fn.name)
+                     or (isinstance(node, ast.Attribute) and node.attr == fn.name))
+                for node in nodes)
+            if not read:
+                unread.append(f"{module}.{fn.name}")
+    return unread
+
+
+def test_private_functions_have_package_callers():
+    # A private helper whose only caller is a test belongs in the tests.
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    assert _unreferenced_private_functions(trees) == []
+
+
+def test_check_sees_a_private_function_without_a_caller():
+    trees = {"a": ast.parse("def _used(): pass\ndef _self(): return _self()\n"
+                            "def __dunder__(): pass\n"),
+             "b": ast.parse("from .a import _used\nx = _used()\n")}
+    assert _unreferenced_private_functions(trees) == ["a._self"]

@@ -21,7 +21,6 @@ from splinesel.criteria import (
     MAX_LOG_GAP,
     _value_tables,
     loss,
-    minimize_on_window,
     select,
     select_block,
 )
@@ -194,22 +193,17 @@ def _fresh(spec):
 
 @pytest.mark.parametrize("n", [61, 241, 961])
 @pytest.mark.parametrize("crit", [ss.CP, ss.GML, ss.EE, ss.criterion_by_name("p3q1")])
-def test_one_row_screen_is_the_table_product(monkeypatch, spectra, n, crit):
+def test_one_row_screen_is_the_table_product(spectra, n, crit):
     # A block of one row is screened BLOCK_ROWS window points at a time, yet
     # every screen value has the bits of the whole table product.
-    screens = []
-
-    def spy(window, coarse_values, objective, derivs):
-        screens.append(coarse_values)
-        return minimize_on_window(window, coarse_values, objective, derivs)
-
-    monkeypatch.setattr(criteria, "minimize_on_window", spy)
     spec = _fresh(spectra[n])
     assert len(spec.window) > 2 * BLOCK_ROWS
     u = np.abs(np.random.default_rng(n).standard_normal(n) + 1.5) ** (2.0 / crit.q)
-    criteria._select_rows(crit, spec, u[None, :])
+    up = u[None, spec.null_dim:]
+    screen = criteria._screen(crit, spec, up)
+    assert spec.tables == {}
     T, offset = criteria._criterion_table(crit, spec)
-    assert screens[0].tobytes() == (u[None, spec.null_dim:] @ T.T + offset).tobytes()
+    assert screen.tobytes() == (up @ T.T + offset).tobytes()
 
 
 def test_only_multi_row_blocks_build_criterion_tables(monkeypatch, spec61, truth61):

@@ -20,6 +20,7 @@ from splinesel import (
     decompose,
     ideal_lambda,
     lambdas_for_df,
+    loss,
     make_criterion,
     make_truth,
     rate_probes,
@@ -32,7 +33,7 @@ from splinesel import (
 )
 import splinesel
 from splinesel import criteria, oracle, simlab, specfun
-from splinesel.oracle import _risk_log_derivs, curvature_denominator
+from splinesel.oracle import curvature_denominator
 from splinesel.spectrum import DesignSpectrum
 from splinesel._rng import replicate_normals
 
@@ -126,14 +127,23 @@ def test_risk_identities(spec61, truth61, lam):
     assert rewrite == pytest.approx(r, rel=1e-10)
 
 
-@pytest.mark.parametrize("lam", [1e-3, 0.026, 1.0, 20.0])
-def test_risk_log_derivs_match_finite_differences(spec61, truth61, lam):
-    # the slope and curvature the minimizer's Newton solve runs on
-    h = 1e-4
-    r = [risk(spec61, truth61, lam * math.exp(k * h)) for k in (-1, 0, 1)]
-    d1, d2 = _risk_log_derivs(spec61, truth61, lam)
-    assert d1 == pytest.approx((r[2] - r[0]) / (2.0 * h), rel=1e-6, abs=1e-7)
-    assert d2 == pytest.approx((r[2] - 2.0 * r[1] + r[0]) / h**2, rel=1e-4, abs=1e-5)
+@pytest.mark.parametrize("n", [61, 241, 961])
+def test_risk_is_cp_at_expected_u(spectra, truths, n):
+    # The identity ideal_lambda rests on (Mallows' C_p): at u = E z^2 =
+    # 1 + g^2, cp's value is R(lam) + n - 2 null_dim over the whole window.
+    # cp scales b by c_q(1) = 1 + delta, which moves its value by at most
+    # 3 |delta| times its absolute terms; a sum of n terms rounds by at most
+    # n eps times them.
+    spec, truth = spectra[n], truths[n]
+    nd = spec.null_dim
+    u = 1.0 + truth.g**2
+    bound = 3.0 * abs(specfun.c_q(1.0) - 1.0) + n * np.finfo(float).eps
+    for lam in spec.window:
+        b = weights(spec, lam)[1]
+        r = risk(spec, truth, lam)
+        gap = r - loss(CP, spec, lam, u) - (2 * nd - n)
+        terms = r + float(np.sum((b**2 * u + 2.0 * b + 2.0)[nd:]))
+        assert abs(gap) <= bound * terms, lam
 
 
 # --- ideal smoothing parameter ----------------------------------------------
@@ -163,11 +173,11 @@ def test_ideal_lambda_pure_noise_hits_boundary(spec61):
 # --- central smoothing parameter --------------------------------------------
 
 
-@pytest.mark.parametrize("n", [61, 241])
+@pytest.mark.parametrize("n", [61, 241, 961])
 def test_central_cp_is_ideal(spectra, truths, n):
     ideal = ideal_lambda(spectra[n], truths[n])
     central = central_lambda(CP, spectra[n], truths[n])
-    assert abs(central.lam - ideal.lam) / ideal.lam <= 1e-6
+    assert abs(central.lam - ideal.lam) / ideal.lam <= 1e-12
 
 
 def test_central_gml_matches_mean_selected_df(spectra, truths):
@@ -225,10 +235,11 @@ def counting(monkeypatch, module, name):
 
 def test_oracles_screen_with_one_table_product(monkeypatch, spec61, truth61):
     # The coarse screen is a table product over the window; only the Newton
-    # refinement evaluates the exact risk or loss, once at its root.
+    # refinement evaluates the exact loss, once at its root.  The ideal
+    # lambda is a cp screen and never evaluates the risk.
     risk_calls = counting(monkeypatch, oracle, "risk")
     ideal_lambda(spec61, truth61)
-    assert len(risk_calls) <= 2
+    assert risk_calls == []
     loss_calls = counting(monkeypatch, criteria, "loss")
     for crit in (CP, GML, EE):
         loss_calls.clear()
@@ -567,11 +578,11 @@ def test_each_spectrum_builds_its_window_once(monkeypatch):
     assert built == [id(spec) for spec in specs]
 
 
-def test_no_function_takes_a_window_but_the_minimizer():
+def test_no_function_takes_a_window():
     takers = {f"{fn.__module__}.{fn.__qualname__}"
               for module in (criteria, oracle, simlab) for fn in vars(module).values()
               if inspect.isfunction(fn) and "window" in inspect.signature(fn).parameters}
-    assert takers == {"splinesel.criteria.minimize_on_window"}
+    assert takers == set()
     public = [name for name in splinesel.__all__
               if inspect.isfunction(getattr(splinesel, name))
               and "window" in inspect.signature(getattr(splinesel, name)).parameters]
