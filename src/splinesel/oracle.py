@@ -10,7 +10,7 @@ into a deterministic bias piece plus stochastic covariance and variability
 pieces, estimated here by Monte Carlo and approximated analytically.
 """
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 import json
 import math
 
@@ -55,14 +55,21 @@ def make_truth(spec: DesignSpectrum, f, sigma: float) -> TruthSpectrum:
     return TruthSpectrum(f=f, sigma=float(sigma), g=rotate(spec, f, sigma))
 
 
-def setting(design: dict, n: int, truth_gen, sigma: float,
-            cache_dir=None) -> tuple[DesignSpectrum, TruthSpectrum]:
+def setting(design: dict, n: int, truth_gen, sigma: float, cache_dir=None, *,
+            keep_basis: bool = False) -> tuple[DesignSpectrum, TruthSpectrum]:
     """Spectrum and truth of one setting: the n-point grid of a design dict
     ({"kind": ..., plus that kind's fields}), decomposed through the disk
-    cache when cache_dir is given, with truth_gen(grid) as the true curve."""
+    cache when cache_dir is given, with truth_gen(grid) as the true curve.
+
+    Once the truth is rotated, everything truth-known reads only k and g, so
+    the spectrum comes back without its basis (U is None) unless keep_basis
+    is set, as it must be to rotate noisy data.  A cold miss writes the
+    whole spectrum to the cache first.
+    """
     grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
     spec = cached_decompose(grid, cache_dir) if cache_dir else decompose(grid)
-    return spec, make_truth(spec, truth_gen(grid), sigma)
+    truth = make_truth(spec, truth_gen(grid), sigma)
+    return (spec if keep_basis else replace(spec, U=None)), truth
 
 
 @dataclass(frozen=True)
@@ -172,8 +179,8 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     # before the one-row screens of the ideal lambda (a cp screen) and the
     # central lambda.  glibc's malloc raises its mmap threshold when it
     # frees a large block, so this order decides which allocations reuse
-    # the heap: the screens first measured a higher peak (55.7 against
-    # 52.3 MB max RSS at n = 961, for cp and ee alike).
+    # the heap: the screens first measured a higher peak (51.9 against
+    # 50.4 MB max RSS at n = 961, for cp and ee alike).
     _criterion_table(c, spec)
     ideal = ideal_lambda(spec, truth)
     central = central_lambda(c, spec, truth)

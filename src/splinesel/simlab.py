@@ -362,7 +362,8 @@ def run_simulation(cfg: SimConfig):
     truth_gen = partial(truth_curve, cfg.truth)
     for n in cfg.n_list:
         try:
-            spec, truth = oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache)
+            spec, truth = oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache,
+                                         keep_basis=True)
         except (ValueError, NumericError) as exc:
             log.error("n=%d aborted: %s", n, exc)
             continue

@@ -61,15 +61,18 @@ class DesignSpectrum:
 
     U is orthogonal with columns ordered by ascending eigenvalue k; the first
     null_dim = 2 eigenvalues are exactly zero (constant and linear functions
-    are never penalized).  window is its selection window, the array of
-    candidate lams, built on first use and kept for the spectrum's lifetime.
+    are never penalized).  U is None in a spectrum that dropped its basis
+    (oracle.setting's default): it still serves every quantity of k and the
+    rotated truth, but cannot rotate, smooth or be saved.  window is its
+    selection window, the array of candidate lams, built on first use and
+    kept for the spectrum's lifetime.
     tables maps a criterion's (p, q) to its (T, offset) table over the
     window, filled by criteria._criterion_table.
     """
 
     n: int
     x: np.ndarray
-    U: np.ndarray
+    U: np.ndarray | None
     k: np.ndarray
     null_dim: int
 
@@ -336,9 +339,10 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
 def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
     """Apply the smoother: f_hat = U diag(a) U' y."""
     y = np.asarray(y, dtype=float)
+    U = _basis(spec, "smooth")
     if y.shape != (spec.n,):
         raise ValueError(f"y must have length {spec.n}, got shape {y.shape}")
-    return spec.U @ (weights(spec, lam)[0] * rotate(spec, y, 1.0))
+    return U @ (weights(spec, lam)[0] * rotate(spec, y, 1.0))
 
 
 def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:
@@ -354,7 +358,15 @@ def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != spec.n:
         raise ValueError(f"v must have length {spec.n} (or rows of it), got shape {v.shape}")
-    return (v @ spec.U) / sigma
+    return (v @ _basis(spec, "rotate")) / sigma
+
+
+def _basis(spec: DesignSpectrum, caller: str) -> np.ndarray:
+    """spec.U, or a ValueError naming caller when the spectrum dropped it."""
+    if spec.U is None:
+        raise ValueError(f"{caller} needs the eigenbasis U, which this spectrum dropped; "
+                         "build it with oracle.setting(..., keep_basis=True)")
+    return spec.U
 
 
 # --- disk cache -------------------------------------------------------------
@@ -374,6 +386,7 @@ _UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile)
 
 
 def save_spectrum(spec: DesignSpectrum, path) -> None:
+    U = np.ascontiguousarray(_basis(spec, "save_spectrum"))
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
@@ -385,7 +398,7 @@ def save_spectrum(spec: DesignSpectrum, path) -> None:
                 n=np.int64(spec.n),
                 x=spec.x,
                 k=spec.k,
-                U=np.ascontiguousarray(spec.U),
+                U=U,
                 null_dim=np.int64(spec.null_dim),
             )
         os.replace(tmp, path)

@@ -20,6 +20,7 @@ from splinesel import (
     decompose,
     ideal_lambda,
     lambdas_for_df,
+    load_spectrum,
     loss,
     make_criterion,
     make_truth,
@@ -79,14 +80,22 @@ def test_setting_matches_manual_construction(tmp_path, design, spec61):
     grid = build_design(design["kind"], 61, **params)
     spec = decompose(grid)
     truth = make_truth(spec, section_curve(grid.x), 0.5)
+    # By default the spectrum drops U once the truth is rotated; keep_basis
+    # keeps it.  With a cache, the default call is the cold miss.
     for cache in (None, tmp_path):
-        got_spec, got_truth = setting(design, 61, section_curve_gen, 0.5, cache)
-        assert np.array_equal(got_spec.x, spec.x)
-        assert np.array_equal(got_spec.U, spec.U) and np.array_equal(got_spec.k, spec.k)
-        assert np.array_equal(got_truth.f, truth.f)
-        assert np.array_equal(got_truth.g, truth.g)
-        assert got_truth.sigma == 0.5
+        for keep in (False, True):
+            kwargs = {"keep_basis": True} if keep else {}
+            got_spec, got_truth = setting(design, 61, section_curve_gen, 0.5, cache, **kwargs)
+            assert np.array_equal(got_spec.x, spec.x) and np.array_equal(got_spec.k, spec.k)
+            if keep:
+                assert np.array_equal(got_spec.U, spec.U)
+            else:
+                assert got_spec.U is None
+            assert np.array_equal(got_truth.f, truth.f)
+            assert np.array_equal(got_truth.g, truth.g)
+            assert got_truth.sigma == 0.5
     assert len(list(tmp_path.glob("*.npz"))) == 1
+    assert np.array_equal(load_spectrum(next(tmp_path.glob("*.npz"))).U, spec.U)
 
 
 # --- risk -------------------------------------------------------------------

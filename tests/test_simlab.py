@@ -28,7 +28,7 @@ from splinesel.simlab import (
     truth_curve,
     write_runs_csv,
 )
-from splinesel.spectrum import build_design, cached_decompose
+from splinesel.spectrum import build_design, cached_decompose, load_spectrum
 
 
 def base_config(out_dir, **overrides):
@@ -413,14 +413,70 @@ def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
     assert len(alive) in (3, 4)
 
 
+_BASIS_COMMANDS = [
+    ["spectrum", "--n", "31", "--cache-dir", "spectra"],
+    ["simulate", "--config", "sim.json"],
+    ["tables", "--config", "sim.json"],
+    ["rates", "--n", "31,41,51,61", "--cache-dir", "spectra", "--out", "rates.csv"],
+    ["reversal", "--n", "31,61", "--replicates", "1000", "--cache-dir", "spectra",
+     "--out", "reversal.csv"],
+    ["curvature", "--n", "31,61", "--cache-dir", "spectra", "--out", "curvature.csv"],
+    ["decompose", "--n", "61", "--criterion", "ee", "--replicates", "100",
+     "--cache-dir", "spectra", "--out", "decomposition.json"],
+]
+
+
+def test_only_simulate_keeps_the_basis(tmp_path, monkeypatch, capsys):
+    # Only simulate rotates noisy data, so every other command's settings
+    # drop U, on cold misses and warm hits alike.  Dropping it changes no
+    # output: each file, stdout line and cached spectrum is the same as in
+    # a run whose settings all keep U.
+    real = oracle.setting
+    keep = False
+    kept = []
+
+    def recording(*args, **kwargs):
+        spec, truth = real(*args, **({**kwargs, "keep_basis": True} if keep else kwargs))
+        kept.append(spec.U is not None)
+        return spec, truth
+
+    monkeypatch.setattr(oracle, "setting", recording)
+    runs = {}
+    for keep in (False, True):
+        root = tmp_path / f"keep_basis_{keep}"
+        root.mkdir()
+        monkeypatch.chdir(root)
+        (root / "sim.json").write_text(
+            base_config("out", n_list=[31, 61], replicates=4, seed=7).to_json())
+        stdout = []
+        for argv in _BASIS_COMMANDS:
+            kept.clear()
+            assert cli(argv) == 0
+            stdout.append(capsys.readouterr().out)
+            assert kept and all(k == (keep or argv[0] == "simulate") for k in kept), argv[0]
+        files = {p.relative_to(root): p for p in sorted(root.rglob("*")) if p.is_file()}
+        runs[keep] = stdout, files
+    (out_drop, files_drop), (out_keep, files_keep) = runs[False], runs[True]
+    assert out_drop == out_keep
+    assert files_drop.keys() == files_keep.keys()
+    assert sum(p.suffix == ".npz" for p in files_drop) == 4 + 2  # spectra/, out/spectra/
+    for name, path in files_drop.items():
+        if path.suffix == ".npz":
+            dropped, held = load_spectrum(path), load_spectrum(files_keep[name])
+            assert all(np.array_equal(getattr(dropped, f), getattr(held, f))
+                       for f in ("x", "k", "U"))
+        else:
+            assert path.read_bytes() == files_keep[name].read_bytes(), name
+
+
 def test_bad_sample_size_aborts_that_n_only(tmp_path, monkeypatch, caplog):
     cfg = base_config(tmp_path, n_list=[25, 31], replicates=2)
     real = oracle.setting
 
-    def failing_at_25(design, n, *args):
+    def failing_at_25(design, n, *args, **kwargs):
         if n == 25:
             raise NumericError("eigendecomposition failed")
-        return real(design, n, *args)
+        return real(design, n, *args, **kwargs)
 
     monkeypatch.setattr(oracle, "setting", failing_at_25)
     with caplog.at_level(logging.ERROR, logger="splinesel"):

@@ -1,5 +1,6 @@
 """Design grids, the roughness penalty, and its eigendecomposition."""
 
+from dataclasses import replace
 import logging
 import math
 import tracemalloc
@@ -464,6 +465,13 @@ def test_rotate_vector_and_block(spec61):
         np.testing.assert_allclose(got, rotate(spec61, row, 0.7), rtol=0, atol=1e-13)
 
 
+def test_rotate_without_basis_names_keep_basis(spec61):
+    # A spectrum that dropped U fails with a ValueError, which the CLI
+    # reports as a JSON error line, not with a TypeError from v @ None.
+    with pytest.raises(ValueError, match=r"rotate needs the eigenbasis U.*keep_basis=True"):
+        rotate(replace(spec61, U=None), np.zeros(61), 1.0)
+
+
 def test_rotated_truth_carries_curvature(spec61, truth61):
     g = truth61.g
     assert np.sum(spec61.k[2:] * g[2:] ** 2) > 0
@@ -475,6 +483,11 @@ def test_smooth_equals_rotation_route(spec61):
     sigma = 2.0
     via_rotation = sigma * (spec61.U @ (weights(spec61, 0.3)[0] * rotate(spec61, y, sigma)))
     np.testing.assert_allclose(smooth(spec61, 0.3, y), via_rotation, atol=1e-10)
+
+
+def test_smooth_without_basis_names_keep_basis(spec61):
+    with pytest.raises(ValueError, match=r"smooth needs the eigenbasis U.*keep_basis=True"):
+        smooth(replace(spec61, U=None), 0.3, np.zeros(61))
 
 
 # --- disk cache -------------------------------------------------------------
@@ -544,6 +557,14 @@ def test_save_spectrum_failure_keeps_previous_file(tmp_path, spec61, monkeypatch
         save_spectrum(spec61, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["spec.npz"]
+
+
+def test_save_spectrum_without_basis_names_keep_basis(tmp_path, spec61):
+    path = tmp_path / "cache" / "spec.npz"
+    with pytest.raises(ValueError,
+                       match=r"save_spectrum needs the eigenbasis U.*keep_basis=True"):
+        save_spectrum(replace(spec61, U=None), path)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("damage", ["truncated", "empty", "garbage"])
