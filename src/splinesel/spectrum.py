@@ -11,6 +11,7 @@ from functools import cached_property
 import hashlib
 import logging
 import math
+import mmap
 import os
 import re
 import zipfile
@@ -146,15 +147,36 @@ def _quantile_fn(dist: str):
     return lambda u: ndtri(u) * p2 + p1
 
 
+def _zeroed_map(shape: tuple[int, int]) -> np.ndarray:
+    """A zero float64 array backed by its own private anonymous mapping.
+
+    numpy backs arrays of 4 MiB or more with transparent huge pages, so a
+    sparse array whose writes touch every 2 MiB page is fully resident.  In
+    a mapping without huge pages only the 4 KiB pages written become
+    resident, and reads of the rest map the kernel's shared zero page.  The
+    mapping is released with the array.  Where mmap has no MAP_PRIVATE
+    (Windows) this is np.zeros.
+    """
+    if not hasattr(mmap, "MAP_PRIVATE"):
+        return np.zeros(shape)
+    buf = mmap.mmap(-1, 8 * shape[0] * shape[1],
+                    flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64).reshape(shape)
+
+
 def penalty_matrix(grid: DesignGrid) -> np.ndarray:
     """Dense roughness penalty K = Q R^{-1} Q' for a natural cubic spline.
 
     Q is the n x (n-2) second-difference matrix built from the gaps
     h_i = x_{i+1} - x_i, R the symmetric tridiagonal Gram matrix with
     diagonal (h_{i-1} + h_i)/3 and off-diagonal h_i/6.  R is eliminated by
-    a banded Cholesky solve, never inverted densely.  At most three n x n
-    arrays are alive at once (Q, R^{-1}Q' and K, during the product); K is
-    symmetrized in place, which gives the same bits as 0.5 * (K + K').
+    a banded Cholesky solve, never inverted densely.  The build peaks at two
+    dense n x n arrays, R^{-1}Q' and K, plus the pages of Q that its bands
+    write.  K is symmetrized in its own buffer, which gives the same bits as
+    0.5 * (K + K'); numpy copies K' for the sum, so that step holds two
+    n x n arrays too.
     """
     # scipy.linalg is imported on a cache miss only: a warm cache never
     # builds a penalty.
@@ -163,7 +185,7 @@ def penalty_matrix(grid: DesignGrid) -> np.ndarray:
     x = grid.x
     n = len(x)
     h = np.diff(x)
-    Q = np.zeros((n, n - 2))
+    Q = _zeroed_map((n, n - 2))
     idx = np.arange(1, n - 1)
     Q[idx - 1, idx - 1] = 1.0 / h[idx - 1]
     Q[idx, idx - 1] = -1.0 / h[idx - 1] - 1.0 / h[idx]

@@ -3,6 +3,7 @@
 from dataclasses import replace
 import logging
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -32,6 +33,7 @@ from splinesel.criteria import (COARSE_CANDIDATES, CP, DF_WINDOW_LO, DF_WINDOW_M
 from splinesel.spectrum import BLOCK_ROWS, CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
 
 from crosscheck import decompose_reference
+from fresh import run_fresh
 
 
 # --- design construction ----------------------------------------------------
@@ -174,18 +176,61 @@ def test_decompose_random_designs(seed):
 
 
 @pytest.mark.parametrize("grid", [
-    *(build_design("equispaced", n, lo=-1.0, hi=1.0) for n in (5, 61, 241)),
+    *(build_design("equispaced", n, lo=-1.0, hi=1.0) for n in (5, 61, 241, 801)),
     build_design("explicit", points=np.cumsum(0.01 + np.random.default_rng(9).random(40))),
-], ids=["equispaced-5", "equispaced-61", "equispaced-241", "explicit-40"])
+], ids=["equispaced-5", "equispaced-61", "equispaced-241", "equispaced-801", "explicit-40"])
 def test_decompose_matches_copying_construction(grid):
     # Symmetrizing in place and solving in K's own buffer change no bit of
-    # K, k or U.
+    # K, k or U.  At n = 801 Q is 5.1 MB, past numpy's 4 MiB huge-page
+    # threshold, so the package's mapped Q and the reference's np.zeros Q
+    # come from different allocators.
     K, k, U = decompose_reference(grid.x)
     spec = decompose(grid)
     assert np.array_equal(penalty_matrix(grid), K)
     assert np.array_equal(spec.k, k)
     assert np.array_equal(spec.U, U)
     assert spec.U.flags.c_contiguous
+
+
+# Builds the n = 1921 penalty `calls` times after `warm` untimed builds and
+# prints ru_maxrss (KiB) just before the timed ones.
+_PENALTY_PEAK = """
+import resource, sys
+import numpy as np
+import scipy.linalg  # penalty_matrix's own import, loaded before the baseline
+from splinesel.spectrum import DesignGrid, penalty_matrix
+warm, calls = map(int, sys.argv[1:])
+grid = DesignGrid(x=np.linspace(-1.0, 1.0, 1921))
+for _ in range(warm):
+    penalty_matrix(grid)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+for _ in range(calls):
+    penalty_matrix(grid)
+"""
+
+
+def _penalty_peak_rise(warm: int, calls: int) -> int:
+    """Bytes by which `calls` builds raise the high-water mark."""
+    out, peak = run_fresh(_PENALTY_PEAK, str(warm), str(calls))
+    return 1024 * (peak - int(out.split()[-1]))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB; Q is mapped on Unix")
+def test_penalty_build_peaks_at_two_dense_arrays():
+    # R^{-1}Q' and K are dense; of Q's 28.1 MiB only the 4 KiB pages its
+    # three bands write become resident (about 7.6 MiB).  A Q backed by
+    # huge pages is almost fully resident, about 90 MiB in all.
+    assert _penalty_peak_rise(0, 1) < 2.75 * 8 * 1921**2
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB; Q is mapped on Unix")
+def test_penalty_build_releases_q_mapping():
+    # Two builds bring glibc's heap to its steady state: the first raises
+    # the mmap threshold, so the second's R^{-1}Q' is heap memory that stays
+    # resident after it is freed.  From then on each build reaches the same
+    # peak, and a mapping kept past its build would add Q's written pages,
+    # about 7.6 MiB, per build.
+    assert _penalty_peak_rise(2, 3) < 8 * 1921**2 / 4
 
 
 def test_df_matches_dense_inverse_trace(spec61):
