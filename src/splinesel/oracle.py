@@ -47,12 +47,17 @@ class TruthSpectrum:
 
 
 def make_truth(spec: DesignSpectrum, f, sigma: float) -> TruthSpectrum:
+    f = _checked_truth(spec.n, f, sigma)
+    return TruthSpectrum(f=f, sigma=float(sigma), g=rotate(spec, f, sigma))
+
+
+def _checked_truth(n: int, f, sigma: float) -> np.ndarray:
     f = np.asarray(f, dtype=float)
-    if f.shape != (spec.n,):
-        raise ValueError(f"f must have length {spec.n}, got shape {f.shape}")
+    if f.shape != (n,):
+        raise ValueError(f"f must have length {n}, got shape {f.shape}")
     if not (math.isfinite(sigma) and sigma > 0):
         raise ValueError(f"sigma must be positive and finite, got {sigma}")
-    return TruthSpectrum(f=f, sigma=float(sigma), g=rotate(spec, f, sigma))
+    return f
 
 
 def setting(design: dict, n: int, truth_gen, sigma: float, cache_dir=None, *,
@@ -63,13 +68,20 @@ def setting(design: dict, n: int, truth_gen, sigma: float, cache_dir=None, *,
 
     Once the truth is rotated, everything truth-known reads only k and g, so
     the spectrum comes back without its basis (U is None) unless keep_basis
-    is set, as it must be to rotate noisy data.  A cold miss writes the
-    whole spectrum to the cache first.
+    is set, as it must be to rotate noisy data.  Without the basis, a cached
+    spectrum's U is folded into g as its rows are read and is never held
+    whole; a cold miss writes the whole spectrum to the cache first.  g has
+    the same bits either way (rotate's blocked sum).
     """
     grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
-    spec = cached_decompose(grid, cache_dir) if cache_dir else decompose(grid)
-    truth = make_truth(spec, truth_gen(grid), sigma)
-    return (spec if keep_basis else replace(spec, U=None)), truth
+    if keep_basis or not cache_dir:
+        spec = cached_decompose(grid, cache_dir) if cache_dir else decompose(grid)
+        truth = make_truth(spec, truth_gen(grid), sigma)
+        return (spec if keep_basis else replace(spec, U=None)), truth
+    f = _checked_truth(grid.n, truth_gen(grid), sigma)
+    fU = np.empty(grid.n)
+    spec = cached_decompose(grid, cache_dir, fold=(f, fU))
+    return spec, TruthSpectrum(f=f, sigma=float(sigma), g=fU / sigma)
 
 
 @dataclass(frozen=True)
@@ -176,11 +188,11 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
                          f"replicates, got {replicates}")
     # The criterion's table, which the block loop below needs, is built
-    # before the one-row screens of the ideal lambda (a cp screen) and the
-    # central lambda.  glibc's malloc raises its mmap threshold when it
-    # frees a large block, so this order decides which allocations reuse
-    # the heap: the screens first measured a higher peak (51.9 against
-    # 50.4 MB max RSS at n = 961, for cp and ee alike).
+    # before the loop.  Built by the first block instead, its temporaries
+    # coexist with that block's draws and working arrays: 48.7 against
+    # 45.6 MB max RSS at n = 961, for cp and ee alike, and the same with
+    # glibc's mmap threshold fixed.  Its order against the one-row screens
+    # of the ideal and central lambda does not move the peak.
     _criterion_table(c, spec)
     ideal = ideal_lambda(spec, truth)
     central = central_lambda(c, spec, truth)

@@ -6,7 +6,7 @@ factors, eigendecomposed as K = U diag(k) U', and everything downstream works
 with the shrinkage weights a_i = 1/(1 + lam * k_i) in the rotated basis.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 import hashlib
 import logging
@@ -23,7 +23,7 @@ from .errors import NumericError
 
 log = logging.getLogger("splinesel")
 
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 MIN_DESIGN_POINTS = 4  # the fewest points a design may have
 
 # Eigenvalues below _NULL_CLAMP_EPS_MULT * eps * max(k) are treated as exact
@@ -369,18 +369,44 @@ def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
 
 def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:
     """Rotate into spectral coordinates: U'v / sigma, for a vector v or for
-    each row of a (rows x n) block, as one product (v @ U) / sigma.
+    each row of a (rows x n) block.
 
-    The package's one route that applies U'.  For a vector, v @ U equals
-    U'v bit for bit; for a block, each row's rounding depends on the block's
-    shape, which callers fix.
+    The package's one route that applies U'.  A block is one product
+    (v @ U) / sigma, and each row's rounding depends on the block's shape,
+    which callers fix.  A vector is the sum over U's BLOCK_ROWS-row blocks
+    b of v[b] @ U[b], added in block order (_row_sum), so it has the same
+    bits whether U is held or streamed from the cache a block at a time
+    (cached_decompose's fold).  Up to BLOCK_ROWS points that is one v @ U.
     """
     if sigma <= 0:
         raise ValueError(f"rotate requires sigma > 0, got {sigma}")
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != spec.n:
         raise ValueError(f"v must have length {spec.n} (or rows of it), got shape {v.shape}")
-    return (v @ _basis(spec, "rotate")) / sigma
+    U = _basis(spec, "rotate")
+    if v.ndim == 2:
+        return (v @ U) / sigma
+    return _row_sum(v, _row_blocks(U), np.empty(spec.n)) / sigma
+
+
+def _row_blocks(U: np.ndarray):
+    """U's consecutive BLOCK_ROWS-row blocks, as views."""
+    return (U[i:i + BLOCK_ROWS] for i in range(0, len(U), BLOCK_ROWS))
+
+
+def _row_sum(v: np.ndarray, blocks, out: np.ndarray) -> np.ndarray:
+    """out = v @ U, as the sum of v[b] @ U[b] over U's row blocks in the
+    order blocks yields them; each block is used before the next is asked
+    for, so a reader may yield every block in one buffer."""
+    start = 0
+    for block in blocks:
+        stop = start + len(block)
+        if start == 0:
+            np.matmul(v[:stop], block, out=out)
+        else:
+            out += v[start:stop] @ block
+        start = stop
+    return out
 
 
 def _basis(spec: DesignSpectrum, caller: str) -> np.ndarray:
@@ -392,19 +418,46 @@ def _basis(spec: DesignSpectrum, caller: str) -> np.ndarray:
 
 
 # --- disk cache -------------------------------------------------------------
-# Layout: NumPy .npz with arrays format_version (scalar), n (scalar), x (n,),
-# k (n,), U (n, n) row-major, null_dim (scalar).  One file per (design, n),
-# named by a hash of the design points.  Writes go to a temporary file in the
-# same directory that is renamed into place, so a crash never leaves a
-# partial file under the final name.
+# Layout: NumPy .npz with arrays format_version (scalar), environment (a
+# string, _numeric_environment's), n (scalar), x (n,), k (n,), U (n, n)
+# row-major float64, null_dim (scalar).  One file per (design, n), named by
+# a hash of the design points.  Writes go to a temporary file in the same
+# directory that is renamed into place, so a crash never leaves a partial
+# file under the final name.
 
 
 class CacheFormatError(ValueError):
-    """A readable cache file written under another format_version."""
+    """A readable cache file written under another format_version or
+    numeric environment."""
 
 
 # What a truncated or otherwise corrupt .npz raises on load.
 _UNREADABLE = (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile)
+
+
+def _blas_threads() -> int:
+    """The BLAS thread count in effect, as OpenBLAS reads it at start-up:
+    OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per CPU this
+    process may run on, and never more threads than those CPUs."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count()) or 1
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+def _numeric_environment() -> str:
+    """What a spectrum's bits depend on besides the design: numpy's version,
+    its BLAS build and the BLAS thread count in effect.  numpy (1.26 and
+    later) keeps its build configuration in numpy.__config__.CONFIG, which
+    `import numpy` loads."""
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    build = " ".join(str(blas.get(key, "")) for key in ("name", "version",
+                                                        "openblas configuration"))
+    return f"numpy {np.__version__}; blas {build}; threads {_blas_threads()}"
 
 
 def save_spectrum(spec: DesignSpectrum, path) -> None:
@@ -417,6 +470,7 @@ def save_spectrum(spec: DesignSpectrum, path) -> None:
             np.savez(
                 fh,
                 format_version=np.int64(CACHE_FORMAT_VERSION),
+                environment=np.str_(_numeric_environment()),
                 n=np.int64(spec.n),
                 x=spec.x,
                 k=spec.k,
@@ -429,7 +483,45 @@ def save_spectrum(spec: DesignSpectrum, path) -> None:
         raise
 
 
-def load_spectrum(path) -> DesignSpectrum:
+def _read_basis(archive: zipfile.ZipFile, n: int, U: np.ndarray | None = None):
+    """Yield the cached U's consecutive BLOCK_ROWS-row blocks, read from the
+    archive's U member into U's own rows when U is given, else into one
+    reused buffer.  The member must hold an (n, n) row-major float64 array;
+    each block must be whole and finite, and the member must end with the
+    last block, where zipfile checks its CRC.  A failed check raises one of
+    _UNREADABLE."""
+    with archive.open("U.npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        header = {(1, 0): np.lib.format.read_array_header_1_0,
+                  (2, 0): np.lib.format.read_array_header_2_0}.get(version)
+        if header is None:
+            raise ValueError(f"U has .npy format version {version}")
+        shape, fortran_order, dtype = header(fh)
+        if shape != (n, n) or fortran_order or dtype != np.float64:
+            raise ValueError(f"U is a {shape} {dtype} array, not an ({n}, {n}) row-major float64")
+        buf = np.empty((min(BLOCK_ROWS, n), n)) if U is None else None
+        for start in range(0, n, BLOCK_ROWS):
+            stop = min(start + BLOCK_ROWS, n)
+            block = buf[:stop - start] if U is None else U[start:stop]
+            if fh.readinto(block) != block.nbytes:
+                raise EOFError(f"U ends within rows {start}..{stop - 1}")
+            if not np.isfinite(block).all():
+                raise ValueError(f"U holds non-finite values in rows {start}..{stop - 1}")
+            yield block
+        if fh.read(1):
+            raise ValueError("U has bytes past its last row")
+
+
+def load_spectrum(path, *, fold=None) -> DesignSpectrum:
+    """Read a cached spectrum, with U's rows streamed a block at a time.
+
+    fold=None assembles U from its blocks.  fold=(v, out), with v an
+    n-vector, never holds U: each block is folded into out = v @ U by
+    rotate's blocked sum as it is read, and the spectrum comes back
+    without U.  A file of another format_version or numeric environment
+    raises CacheFormatError; one that is corrupt, or does not hold a
+    finite n-point spectrum, raises one of _UNREADABLE.
+    """
     # Opened here so the handle is closed even when np.load rejects the file.
     with open(path, "rb") as fh, np.load(fh) as data:
         version = int(data["format_version"])
@@ -438,20 +530,24 @@ def load_spectrum(path) -> DesignSpectrum:
                 f"spectrum cache {path} has format_version {version}, "
                 f"expected {CACHE_FORMAT_VERSION}"
             )
-        spec = DesignSpectrum(
-            n=int(data["n"]),
-            x=data["x"],
-            U=data["U"],
-            k=data["k"],
-            null_dim=int(data["null_dim"]),
-        )
-    n = spec.n
-    if (spec.x.shape != (n,) or spec.k.shape != (n,) or spec.U.shape != (n, n)
-            or spec.null_dim != 2):
-        raise ValueError(f"spectrum cache {path} does not hold an n = {n} spectrum")
-    if not all(np.all(np.isfinite(v)) for v in (spec.x, spec.k, spec.U)):
-        raise ValueError(f"spectrum cache {path} holds non-finite values")
-    return spec
+        built, here = str(data["environment"]), _numeric_environment()
+        if built != here:
+            raise CacheFormatError(f"spectrum cache {path} was built under numeric "
+                                   f"environment {built!r}, not {here!r}")
+        n, x, k, null_dim = int(data["n"]), data["x"], data["k"], int(data["null_dim"])
+        if x.shape != (n,) or k.shape != (n,) or null_dim != 2:
+            raise ValueError(f"spectrum cache {path} does not hold an n = {n} spectrum")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(k))):
+            raise ValueError(f"spectrum cache {path} holds non-finite values")
+        if fold is None:
+            U = np.empty((n, n))
+            for _ in _read_basis(data.zip, n, U):
+                pass
+        else:
+            U = None
+            v, out = fold
+            _row_sum(v, _read_basis(data.zip, n), out)
+    return DesignSpectrum(n=n, x=x, U=U, k=k, null_dim=null_dim)
 
 
 def cache_key(grid: DesignGrid) -> str:
@@ -459,20 +555,23 @@ def cache_key(grid: DesignGrid) -> str:
     return f"spectrum_n{grid.n}_{digest}"
 
 
-def cached_decompose(grid: DesignGrid, cache_dir) -> DesignSpectrum:
+def cached_decompose(grid: DesignGrid, cache_dir, *, fold=None) -> DesignSpectrum:
     """Decompose with a per-(design, n) disk cache.
 
     A hit is validated against the requested design points; simulations at
-    many replicates then reuse one O(n^3) decomposition.  An unreadable
-    file is a miss (logged and rebuilt); a format_version mismatch is an
-    error.
+    many replicates then reuse one O(n^3) decomposition.  A file that is
+    unreadable, or that was written under another format_version or
+    numeric environment, is a miss (logged and rebuilt).  fold=(v, out)
+    fills out with v @ U and returns the spectrum without U, as
+    load_spectrum does; a miss folds the U it built, by the same blocked
+    sum, after writing the whole spectrum to the cache.
     """
     path = Path(cache_dir) / (cache_key(grid) + ".npz")
     if path.exists():
         try:
-            spec = load_spectrum(path)
-        except CacheFormatError:
-            raise
+            spec = load_spectrum(path, fold=fold)
+        except CacheFormatError as exc:
+            log.warning("stale spectrum cache %s (%s); rebuilding", path, exc)
         except _UNREADABLE as exc:
             log.warning("unreadable spectrum cache %s (%s); rebuilding", path, exc)
         else:
@@ -480,4 +579,8 @@ def cached_decompose(grid: DesignGrid, cache_dir) -> DesignSpectrum:
                 return spec
     spec = decompose(grid)
     save_spectrum(spec, path)
-    return spec
+    if fold is None:
+        return spec
+    v, out = fold
+    _row_sum(v, _row_blocks(spec.U), out)
+    return replace(spec, U=None)

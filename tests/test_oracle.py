@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,7 @@ from splinesel import (
     make_truth,
     rate_probes,
     risk,
+    rotate,
     select,
     select_block,
     setting,
@@ -39,6 +41,7 @@ from splinesel.spectrum import DesignSpectrum
 from splinesel._rng import replicate_normals
 
 from crosscheck import curvature_denominator_closed_form
+from fresh import run_fresh
 
 
 def section_curve(x):
@@ -96,6 +99,73 @@ def test_setting_matches_manual_construction(tmp_path, design, spec61):
             assert got_truth.sigma == 0.5
     assert len(list(tmp_path.glob("*.npz"))) == 1
     assert np.array_equal(load_spectrum(next(tmp_path.glob("*.npz"))).U, spec.U)
+
+
+def _design(kind: str, n: int) -> dict:
+    if kind == "equispaced":
+        return {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    if kind == "normal-quantile":
+        return {"kind": "quantile", "dist": "normal(0,1)"}
+    # Equispaced points on [-1, 1], each moved by up to a quarter gap.
+    jitter = np.random.default_rng(n).uniform(-0.25, 0.25, n) * 2.0 / (n - 1)
+    return {"kind": "explicit", "points": list(np.linspace(-1.0, 1.0, n) + jitter)}
+
+
+@pytest.mark.parametrize("n", [61, 241, 961])
+@pytest.mark.parametrize("kind", ["equispaced", "normal-quantile", "explicit"])
+def test_streamed_truth_rotation_matches_held_basis(tmp_path, kind, n):
+    # Without keep_basis, a cold miss folds the U it built into g, and a warm
+    # hit folds U's rows as they stream from the cache.  Both give the bits
+    # of rotate on the held basis, fresh or loaded, with or without a cache.
+    design = _design(kind, n)
+    grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
+    expect = rotate(decompose(grid), section_curve(grid.x), 0.7)
+    cold_spec, cold = setting(design, n, section_curve_gen, 0.7, tmp_path)
+    warm_spec, warm = setting(design, n, section_curve_gen, 0.7, tmp_path)
+    held_spec, held = setting(design, n, section_curve_gen, 0.7, tmp_path, keep_basis=True)
+    _, uncached = setting(design, n, section_curve_gen, 0.7)
+    assert cold_spec.U is None and warm_spec.U is None and held_spec.U is not None
+    assert np.array_equal(rotate(held_spec, held.f, 0.7), expect)
+    for truth in (cold, warm, held, uncached):
+        assert np.array_equal(truth.g, expect)
+        assert truth.sigma == 0.7
+    assert np.array_equal(cold_spec.k, warm_spec.k) and np.array_equal(warm_spec.k, held_spec.k)
+
+
+# Prints ru_maxrss (KiB) once the package is imported, then builds the
+# n = 961 paper-fig3 setting through the cache in argv[1], keeping U when
+# argv[2] is "keep", and prints whether scipy.linalg (a rebuild) was loaded.
+_SETTING_PEAK = """
+import resource, sys
+from functools import partial
+from splinesel import oracle, simlab
+cache, keep = sys.argv[1], sys.argv[2] == "keep"
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+spec, truth = oracle.setting({"kind": "equispaced", "lo": -1.0, "hi": 1.0}, 961,
+                             partial(simlab.truth_curve, "paper-fig3"), 1.0, cache,
+                             keep_basis=keep)
+assert (spec.U is not None) == keep
+print("scipy.linalg" in sys.modules)
+"""
+
+
+def _setting_peak_rise(cache, keep: str) -> int:
+    """Bytes by which a warm n = 961 setting raises a fresh process's peak."""
+    out, peak = run_fresh(_SETTING_PEAK, str(cache), keep)
+    before, rebuilt = out.split()
+    assert rebuilt == "False"
+    return 1024 * (peak - int(before))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_warm_setting_never_holds_the_basis(tmp_path):
+    # U is 8 n^2 bytes (7.4 MB at n = 961).  A warm setting that drops it
+    # reads it a block of rows at a time and never holds it whole (its peak
+    # rose 1.8 MB, zipfile's read buffers included); one that keeps it does.
+    n = 961
+    run_fresh(_SETTING_PEAK, str(tmp_path), "keep")  # a cold build fills the cache
+    assert _setting_peak_rise(tmp_path, "drop") < 8 * n * n / 2
+    assert _setting_peak_rise(tmp_path, "keep") > 8 * n * n
 
 
 # --- risk -------------------------------------------------------------------

@@ -330,6 +330,48 @@ def test_runs_csv_identical_across_worker_counts(tmp_path, sigma_mode):
         (r, name) for r in range(cfg.replicates) for name in cfg.criteria]
 
 
+def test_runs_csv_identical_fresh_or_cached(tmp_path):
+    # Past one block of rows the truth's rotation is a sum over U's row
+    # blocks; a warm campaign, whose basis is read block by block, writes
+    # the cold one's bytes.
+    cfg = base_config(tmp_path / "w", n_list=[61, 241], replicates=BLOCK_ROWS + 6, seed=5)
+    cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
+    write_runs_csv(run_simulation(cfg), cold)
+    write_runs_csv(run_simulation(cfg), warm)
+    assert cold.read_bytes() == warm.read_bytes()
+
+
+def _simulate_at_threads(tmp_path, out_name: str, threads: int) -> subprocess.CompletedProcess:
+    """simulate at n = 241 in a fresh process with BLAS on `threads` threads,
+    writing to tmp_path/out_name (its spectrum cache included)."""
+    import splinesel
+
+    cfg = tmp_path / f"{out_name}.json"
+    cfg.write_text(base_config(tmp_path / out_name, n_list=[241], replicates=BLOCK_ROWS,
+                               seed=7).to_json())
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(splinesel.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    env["OPENBLAS_NUM_THREADS"] = str(threads)
+    proc = subprocess.run([sys.executable, "-m", "splinesel", "simulate", "--config", str(cfg)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def test_cache_from_another_blas_thread_count_is_rebuilt(tmp_path):
+    # A spectrum's bits depend on the BLAS thread count.  A cache written at
+    # 2 threads is stale at 1, so a warm 1-thread run rebuilds it and writes
+    # the bytes of a cold 1-thread run.
+    _simulate_at_threads(tmp_path, "shared", 2)
+    warm = _simulate_at_threads(tmp_path, "shared", 1)
+    _simulate_at_threads(tmp_path, "cold", 1)
+    runs = [(tmp_path / name / "runs.csv").read_bytes() for name in ("shared", "cold")]
+    assert runs[0] == runs[1]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert ("stale spectrum cache" in warm.stderr) == (cpus > 1)
+
+
 def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, caplog):
     # Replicates whose noise-scale estimate is zero leave their block; the
     # rest of the block is selected as usual.

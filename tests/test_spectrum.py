@@ -1,10 +1,13 @@
 """Design grids, the roughness penalty, and its eigendecomposition."""
 
 from dataclasses import replace
+import io
 import logging
 import math
+import os
 import sys
 import tracemalloc
+import zipfile
 
 import numpy as np
 import pytest
@@ -30,7 +33,8 @@ from splinesel import (
 from splinesel import criteria, spectrum
 from splinesel.criteria import (COARSE_CANDIDATES, CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML,
                                 select, select_block)
-from splinesel.spectrum import BLOCK_ROWS, CACHE_FORMAT_VERSION, DesignSpectrum, cache_key
+from splinesel.spectrum import (BLOCK_ROWS, CACHE_FORMAT_VERSION, DesignSpectrum,
+                                _numeric_environment, cache_key)
 
 from crosscheck import decompose_reference
 from fresh import run_fresh
@@ -634,8 +638,7 @@ def test_cached_decompose_rebuilds_malformed_spectrum(tmp_path, caplog, damage):
     grid = build_design("equispaced", 31, lo=-1.0, hi=1.0)
     first = cached_decompose(grid, tmp_path)
     path = tmp_path / (cache_key(grid) + ".npz")
-    fields = dict(format_version=np.int64(CACHE_FORMAT_VERSION), n=np.int64(31),
-                  x=first.x, k=first.k, U=first.U, null_dim=np.int64(2))
+    fields = _cache_fields(first)
     if damage == "short k and U":
         fields.update(k=first.k[:30], U=first.U[:, :30])
     elif damage == "x length":
@@ -656,10 +659,169 @@ def test_cached_decompose_rebuilds_malformed_spectrum(tmp_path, caplog, damage):
     np.testing.assert_array_equal(load_spectrum(path).U, first.U)
 
 
-def test_cached_decompose_rejects_version_mismatch(tmp_path):
+def _cache_fields(spec):
+    """The arrays save_spectrum writes for spec, as np.savez keywords."""
+    return dict(format_version=np.int64(CACHE_FORMAT_VERSION),
+                environment=np.str_(_numeric_environment()), n=np.int64(spec.n),
+                x=spec.x, k=spec.k, U=spec.U, null_dim=np.int64(spec.null_dim))
+
+
+@pytest.mark.parametrize("field,value", [("format_version", np.int64(999)),
+                                         ("environment", np.str_("numpy 0.0; blas none"))],
+                         ids=["format_version", "environment"])
+def test_cached_decompose_rebuilds_stale_file(tmp_path, caplog, field, value):
+    # A file of another format_version, or one built under another numeric
+    # environment (whose bits may differ), is a logged miss that is rebuilt
+    # and rewritten under the current ones.
     grid = build_design("equispaced", 8, lo=0.0, hi=1.0)
     spec = decompose(grid)
-    np.savez(tmp_path / (cache_key(grid) + ".npz"), format_version=np.int64(999),
-             n=np.int64(8), x=spec.x, k=spec.k, U=spec.U, null_dim=np.int64(2))
-    with pytest.raises(ValueError, match="format_version"):
-        cached_decompose(grid, tmp_path)
+    path = tmp_path / (cache_key(grid) + ".npz")
+    np.savez(path, **{**_cache_fields(spec), field: value})
+    with pytest.raises(ValueError, match=field):
+        load_spectrum(path)
+    with caplog.at_level(logging.WARNING, logger="splinesel"):
+        rebuilt = cached_decompose(grid, tmp_path)
+    assert "stale spectrum cache" in caplog.text and field in caplog.text
+    np.testing.assert_array_equal(rebuilt.U, spec.U)
+    with np.load(path) as data:
+        assert int(data["format_version"]) == CACHE_FORMAT_VERSION
+        assert str(data["environment"]) == _numeric_environment()
+
+
+@pytest.mark.parametrize("env,threads", [
+    ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+    ({"OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "1"}, 1),
+    ({"OPENBLAS_NUM_THREADS": "4096"}, None),
+    ({}, None),
+], ids=["openblas first", "omp", "empty openblas", "capped at cpus", "unset"])
+def test_numeric_environment_names_blas_threads(monkeypatch, env, threads):
+    # OpenBLAS reads OPENBLAS_NUM_THREADS, then OMP_NUM_THREADS, and runs on
+    # no more threads than the CPUs it may use.
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    described = _numeric_environment()
+    assert described.startswith(f"numpy {np.__version__}; blas ")
+    assert described.endswith(f"; threads {threads or cpus}")
+
+
+def test_stale_file_is_rejected_before_its_basis_is_read(tmp_path, monkeypatch):
+    # A stale file is rejected before its U is read.
+    grid = build_design("equispaced", 8, lo=0.0, hi=1.0)
+    cached_decompose(grid, tmp_path)
+    monkeypatch.setattr(spectrum, "_numeric_environment", lambda: "elsewhere")
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("U read")
+
+    monkeypatch.setattr(spectrum, "_read_basis", no_read)
+    with pytest.raises(spectrum.CacheFormatError, match="elsewhere"):
+        load_spectrum(tmp_path / (cache_key(grid) + ".npz"))
+
+
+# --- streaming the cached basis ---------------------------------------------
+
+
+def _u_member(path):
+    """Offset of the U member's stored .npy bytes within a cache file: its
+    local header is 30 bytes, then the name and extra field, whose lengths
+    are the header's last two 16-bit fields."""
+    with zipfile.ZipFile(path) as archive:
+        at = archive.getinfo("U.npy").header_offset
+    head = path.read_bytes()[at:at + 30]
+    return at + 30 + int.from_bytes(head[26:28], "little") + int.from_bytes(head[28:], "little")
+
+
+def _damage_u(path, spec, damage):
+    """Rewrite the cache file at path with its U member damaged in its
+    third row block (rows 128..191)."""
+    if damage == "non-finite block":
+        U = spec.U.copy()
+        U[150, 7] = np.inf
+        np.savez(path, **{**_cache_fields(spec), "U": U})
+    elif damage == "bad crc":
+        # One low mantissa bit of U[150, 7]: still finite, but not the
+        # bytes the member's CRC was taken over.
+        data = bytearray(path.read_bytes())
+        # U's row-major data follows its .npy header, which ends in a newline.
+        data[data.index(b"\n", _u_member(path)) + 1 + 8 * (150 * spec.n + 7)] ^= 1
+        path.write_bytes(bytes(data))
+    else:
+        # A well-formed archive whose U member stops in the third block.
+        npy = io.BytesIO()
+        np.save(npy, spec.U)
+        cut = len(npy.getvalue()) - 8 * spec.n * (spec.n - 150)
+        fields = _cache_fields(spec)
+        del fields["U"]
+        np.savez(path, **fields)
+        with zipfile.ZipFile(path, "a") as archive:
+            archive.writestr("U.npy", npy.getvalue()[:cut])
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["assembled", "folded"])
+@pytest.mark.parametrize("damage", ["truncated block", "non-finite block", "bad crc"])
+def test_damaged_basis_stream_is_rebuilt(tmp_path, caplog, damage, fold):
+    # A U member that fails mid-stream is a logged miss, whether its rows
+    # were being assembled into U or folded into v @ U; the rebuild equals
+    # a fresh build, and so does the file it rewrites.
+    grid = build_design("equispaced", 241, lo=-1.0, hi=1.0)
+    fresh = decompose(grid)
+    v = np.cos(3.0 * grid.x)
+    path = tmp_path / (cache_key(grid) + ".npz")
+    save_spectrum(fresh, path)
+    _damage_u(path, fresh, damage)
+    with pytest.raises(spectrum._UNREADABLE):
+        load_spectrum(path)
+    out = np.full(241, np.nan)
+    with caplog.at_level(logging.WARNING, logger="splinesel"):
+        rebuilt = cached_decompose(grid, tmp_path, fold=(v, out) if fold else None)
+    assert "unreadable spectrum cache" in caplog.text
+    np.testing.assert_array_equal(rebuilt.k, fresh.k)
+    if fold:
+        assert rebuilt.U is None
+        assert np.array_equal(out, rotate(fresh, v, 1.0))
+    else:
+        np.testing.assert_array_equal(rebuilt.U, fresh.U)
+    np.testing.assert_array_equal(load_spectrum(path).U, fresh.U)
+
+
+def test_rotate_vector_is_the_blocked_row_sum(spectra):
+    # A vector's rotation is sum_b v[b] @ U[b] over BLOCK_ROWS-row blocks,
+    # added in block order; up to one block that is the single product.
+    for n in (61, 241, 961):
+        U = spectra[n].U
+        v = np.random.default_rng(n).standard_normal(n)
+        blocks = [v[i:i + BLOCK_ROWS] @ U[i:i + BLOCK_ROWS] for i in range(0, n, BLOCK_ROWS)]
+        expect = blocks[0].copy()
+        for part in blocks[1:]:
+            expect += part
+        assert np.array_equal(rotate(spectra[n], v, 0.3), expect / 0.3)
+        if n <= BLOCK_ROWS:
+            assert np.array_equal(rotate(spectra[n], v, 0.3), (v @ U) / 0.3)
+
+
+def test_load_spectrum_forms_no_whole_basis_array(tmp_path, monkeypatch, spectra):
+    # U's finiteness is checked a block at a time, so no n x n boolean array
+    # is formed, and a folded load holds a few blocks of U, not all of it.
+    n = 961
+    path = tmp_path / "spec.npz"
+    save_spectrum(spectra[n], path)
+    shapes = []
+    real = np.isfinite
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", recording)
+    tracemalloc.start()
+    try:
+        load_spectrum(path, fold=(np.ones(n), np.empty(n)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(math.prod(shape) for shape in shapes) <= BLOCK_ROWS * n
+    assert peak < 8 * n * n / 4
