@@ -130,12 +130,19 @@ def _value_tables(c: Criterion, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # penalized shrunk fractions b has value T @ u + offset at penalized u.
     # t^(p-1) - 1 is taken as expm1((p-1) log t): the direct difference
     # cancels to nothing as p approaches 1, where p/(p-1) blows it up.
-    t = c.c_q * b ** (1.0 / c.q)
+    # Formed in place, in two arrays the shape of b (t and the excess); each
+    # step rounds as the one-expression form in tests/crosscheck.py does.
+    t = b ** (1.0 / c.q)
+    t *= c.c_q
     if c.p == 1.0:
         return t, -np.sum(np.log(b), axis=-1) / c.q
     with np.errstate(divide="ignore"):  # t = 0 at lam = 0: expm1(-inf) = -1
-        excess = np.expm1((c.p - 1.0) * np.log(t))
-    return t**c.p, -np.sum((c.p / (c.p - 1.0)) * excess, axis=-1)
+        excess = np.log(t)
+        excess *= c.p - 1.0
+        np.expm1(excess, out=excess)
+    excess *= c.p / (c.p - 1.0)
+    t **= c.p
+    return t, -np.sum(excess, axis=-1)
 
 
 def _deriv_terms(c: Criterion, kp: np.ndarray, lam) -> tuple:

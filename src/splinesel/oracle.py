@@ -188,11 +188,11 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
                          f"replicates, got {replicates}")
     # The criterion's table, which the block loop below needs, is built
-    # before the loop.  Built by the first block instead, its temporaries
-    # coexist with that block's draws and working arrays: 48.7 against
-    # 45.6 MB max RSS at n = 961, for cp and ee alike, and the same with
-    # glibc's mmap threshold fixed.  Its order against the one-row screens
-    # of the ideal and central lambda does not move the peak.
+    # before the loop, so its temporaries never coexist with a block's
+    # draws and working arrays.  At n = 961 either order peaks within half
+    # a MB: max RSS 45.7 (cp), 44.8 (ee) and 45.2 MB (gml) built here, and
+    # 45.2 MB for each built by the first block.  Its order against the
+    # one-row screens of the ideal and central lambda does not move the peak.
     _criterion_table(c, spec)
     ideal = ideal_lambda(spec, truth)
     central = central_lambda(c, spec, truth)

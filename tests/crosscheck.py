@@ -176,6 +176,18 @@ def classic_statistics(spec: DesignSpectrum, lam: float, y, sigma: float,
     return cp, gcv
 
 
+def value_tables_reference(c: Criterion, b) -> tuple[np.ndarray, np.ndarray]:
+    """(T, offset) of criterion c at the rows of shrunk fractions b, one
+    expression per term.  criteria._value_tables forms the same table in
+    place and must give these bits."""
+    t = c.c_q * b ** (1.0 / c.q)
+    if c.p == 1.0:
+        return t, -np.sum(np.log(b), axis=-1) / c.q
+    with np.errstate(divide="ignore"):  # t = 0 at lam = 0: expm1(-inf) = -1
+        excess = np.expm1((c.p - 1.0) * np.log(t))
+    return t**c.p, -np.sum((c.p / (c.p - 1.0)) * excess, axis=-1)
+
+
 def decompose_reference(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(K, k, U) of the design points x by the copying construction.
 

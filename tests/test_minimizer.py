@@ -26,6 +26,8 @@ from splinesel.criteria import (
 )
 from splinesel.spectrum import DesignSpectrum, _shrink, df, lambdas_for_df
 
+from crosscheck import value_tables_reference
+
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -204,6 +206,24 @@ def test_one_row_screen_is_the_table_product(spectra, n, crit):
     assert spec.tables == {}
     T, offset = criteria._criterion_table(crit, spec)
     assert screen.tobytes() == (up @ T.T + offset).tobytes()
+
+
+@pytest.mark.parametrize("name", ["cp", "gml", "ee", "p1.2q2"])
+def test_value_tables_in_place_match_reference(name, spec61):
+    # The in-place table has the reference expression's bits, on window rows
+    # and on the row at lam = 0 (b = 0, where p > 1 takes expm1(-inf) = -1),
+    # and leaves b as it was.
+    c = ss.criterion_by_name(name)
+    kp = spec61.k[spec61.null_dim:]
+    b = _shrink(kp, spec61.window)[1]
+    if c.p > 1.0:
+        b = np.vstack([_shrink(kp, 0.0)[1], b])
+    before = b.copy()
+    T, offset = _value_tables(c, b)
+    T_ref, offset_ref = value_tables_reference(c, b)
+    assert T.tobytes() == T_ref.tobytes()
+    assert offset.tobytes() == offset_ref.tobytes()
+    assert b.tobytes() == before.tobytes()
 
 
 def test_only_multi_row_blocks_build_criterion_tables(monkeypatch, spec61, truth61):

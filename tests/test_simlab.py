@@ -12,7 +12,7 @@ import weakref
 import numpy as np
 import pytest
 
-from splinesel import geometry, oracle, simlab, specfun
+from splinesel import geometry, oracle, simlab, specfun, spectrum
 from splinesel.cli import cli
 from splinesel.criteria import BLOCK_ROWS, criterion_by_name
 from splinesel.errors import ConfigError, NumericError
@@ -28,7 +28,9 @@ from splinesel.simlab import (
     truth_curve,
     write_runs_csv,
 )
-from splinesel.spectrum import build_design, cached_decompose, load_spectrum
+from splinesel.spectrum import _cache_path, build_design, cached_decompose, load_spectrum
+
+from fresh import run_fresh
 
 
 def base_config(out_dir, **overrides):
@@ -331,9 +333,9 @@ def test_runs_csv_identical_across_worker_counts(tmp_path, sigma_mode):
 
 
 def test_runs_csv_identical_fresh_or_cached(tmp_path):
-    # Past one block of rows the truth's rotation is a sum over U's row
-    # blocks; a warm campaign, whose basis is read block by block, writes
-    # the cold one's bytes.
+    # A cold campaign writes every spectrum to the cache before its first
+    # record and selects from what it reads back, so it writes the bytes of
+    # a warm one.
     cfg = base_config(tmp_path / "w", n_list=[61, 241], replicates=BLOCK_ROWS + 6, seed=5)
     cold, warm = tmp_path / "cold.csv", tmp_path / "warm.csv"
     write_runs_csv(run_simulation(cfg), cold)
@@ -526,6 +528,75 @@ def test_bad_sample_size_aborts_that_n_only(tmp_path, monkeypatch, caplog):
     assert {rec.n for rec in records} == {31}
     assert len(records) == 2 * 3
     assert any("aborted" in msg for msg in caplog.messages)
+
+
+def _record_decompose(monkeypatch, failing_n=None) -> list[int]:
+    """Wrap spectrum.decompose to record the n of each call, failing at
+    failing_n; returns the list it appends to."""
+    calls = []
+    real = spectrum.decompose
+
+    def recording(grid):
+        calls.append(grid.n)
+        if grid.n == failing_n:
+            raise NumericError("penalty eigendecomposition failed")
+        return real(grid)
+
+    monkeypatch.setattr(spectrum, "decompose", recording)
+    return calls
+
+
+def test_missing_spectra_are_built_once_largest_first(tmp_path, monkeypatch):
+    # A cold run builds every spectrum before the first record, largest n
+    # first, and selects from what it wrote; a warm run builds nothing.  A
+    # stale or unreadable file is not missing: the campaign's own load
+    # rebuilds it, in n_list order.
+    cfg = base_config(tmp_path, n_list=[61, 241, 121], replicates=2)
+    calls = _record_decompose(monkeypatch)
+    cold = list(run_simulation(cfg))
+    assert calls == [241, 121, 61]
+    calls.clear()
+    assert list(run_simulation(cfg)) == cold
+    assert calls == []
+    for n in (121, 61):
+        grid = build_design("equispaced", n, lo=-1.0, hi=1.0)
+        _cache_path(grid, spectra_cache_dir(cfg)).write_bytes(b"truncated")
+    assert list(run_simulation(cfg)) == cold
+    assert calls == [61, 121]
+
+
+def test_failed_build_is_tried_once_and_logged_once(tmp_path, monkeypatch, caplog):
+    cfg = base_config(tmp_path, n_list=[61, 241, 121], replicates=2)
+    calls = _record_decompose(monkeypatch, failing_n=121)
+    with caplog.at_level(logging.ERROR, logger="splinesel"):
+        records = list(run_simulation(cfg))
+    assert calls == [241, 121, 61]
+    assert {rec.n for rec in records} == {61, 241}
+    assert [msg for msg in caplog.messages if "aborted" in msg] == [
+        "n=121 aborted: penalty eigendecomposition failed"]
+
+
+# Runs a cold campaign of 2 replicates into the output directory argv[1] at
+# the comma-separated sample sizes argv[2].
+_CAMPAIGN_PEAK = """
+import sys
+from splinesel import simlab
+out, ns = sys.argv[1], [int(n) for n in sys.argv[2].split(",")]
+cfg = simlab.SimConfig(design={"kind": "equispaced", "lo": -1.0, "hi": 1.0}, n_list=ns,
+                       replicates=2, seed=2024, criteria=["cp", "gml", "ee"],
+                       truth="paper-fig3", sigma=1.0, sigma_mode="estimated", output_dir=out)
+for _ in simlab.run_simulation(cfg):
+    pass
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_cold_campaign_peaks_at_one_build_of_its_largest_n(tmp_path):
+    # The n = 1921 build runs first, on a fresh heap, so the smaller n ahead
+    # of it in n_list adds nothing to the peak (both about 128.8 MiB).
+    _, alone = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "alone"), "1921")
+    _, both = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
+    assert both - alone < 1024  # KiB
 
 
 def test_pure_noise_concentrates_at_smooth_boundary(tmp_path):
