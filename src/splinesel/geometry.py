@@ -121,9 +121,9 @@ def reversal_moments(criteria, spec: DesignSpectrum, truth: TruthSpectrum,
         M = lam0^2 E[R0] = lam0^2 (sum coeff E w + base)
         V = lam0^4 Var[R0] = lam0^4 sum coeff^2 var w
 
-    prob_normal = Phi(-M/sqrt(V)) approximates the lower-tail mass P(R0 < 0).
-    The w-moments are computed once per distinct q and shared by the
-    criteria that have it.
+    prob_normal = Phi(-M/sqrt(V)) approximates the lower-tail mass P(R0 < 0);
+    M or V not finite, or V <= 0, raises NumericError.  The w-moments are
+    computed once per distinct q and shared by the criteria that have it.
     """
     g = truth.g[spec.null_dim:]
     sets = {q: specfun.moment_set(g, q) for q in dict.fromkeys(c.q for c in criteria)}
@@ -137,8 +137,9 @@ def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
     lam2 = lam0 * lam0
     M = lam2 * (float(np.sum(coeff * m.m1)) + base)
     V = lam2 * lam2 * float(np.sum(coeff * coeff * m.var_w))
-    if V <= 0:
-        raise NumericError(f"reversal variance V = {V:.3e} is not positive")
+    if not (math.isfinite(M) and math.isfinite(V) and V > 0):
+        raise NumericError(f"reversal moments M = {M:.3e}, V = {V:.3e} are not finite "
+                           "with V > 0")
     # M is the (positive) mean of R0, so reversals R0 < 0 are the lower
     # tail: the normal-approximation quantile is -M/sqrt(V), negative, with
     # magnitude growing in n as the reversal probability vanishes.

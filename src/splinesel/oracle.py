@@ -182,7 +182,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     random numbers.  Replicates are selected BLOCK_ROWS at a time.  The bias
     term is computed exactly from the risk curve; covariance, variability,
     and the total extra risk are averaged over replicates with standard
-    errors.
+    errors.  A term that is not finite raises NumericError.
     """
     if replicates < DECOMPOSITION_MIN_REPLICATES:
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
@@ -218,6 +218,10 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         var_s[block] = ((ghat - gcen) ** 2).sum(axis=1)
         extra_s[block] = ((ghat - truth.g) ** 2).sum(axis=1) - risk0
 
+    cov, var, extra = (float(s.mean()) for s in (cov_s, var_s, extra_s))
+    if not all(map(math.isfinite, (bias, cov, var, extra))):
+        raise NumericError(f"decomposition is not finite: bias {bias}, covariance {cov}, "
+                           f"variability {var}, extra risk {extra}")
     root = math.sqrt(replicates)
     return DecompositionReport(
         lambda0=ideal.lam,
@@ -225,9 +229,9 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
         lambda_c=central.lam,
         df_c=central.df,
         bias_term=bias,
-        covariance_term=float(cov_s.mean()),
-        variability_term=float(var_s.mean()),
-        extra_risk=float(extra_s.mean()),
+        covariance_term=cov,
+        variability_term=var,
+        extra_risk=extra,
         mc_replicates=replicates,
         mc_standard_errors=(
             float(cov_s.std(ddof=1) / root),

@@ -3,13 +3,14 @@ and plot-ready summary tables.
 
 A run is described by a single JSON-serializable config.  Each sample
 size's design is decomposed once into the disk cache: a run first builds
-every spectrum the cache lacks, largest n first, each written and dropped
-before the next, so its peak memory is one build of its largest n whatever
-the order of n_list.  Then, n by n in n_list order, the spectrum is loaded
-from the cache, every replicate draws y = f + sigma * eps with eps keyed by
-(seed, n, replicate), feeds the identical dataset to every requested
-criterion, and streams one record per (n, replicate, criterion) into
-runs.csv.  The campaign runs in one process; replicates are selected in
+and drops every n's setting, largest n first, and the cache's reader
+rebuilds each spectrum that is missing, stale or unreadable there, so its
+peak memory is one build of its largest n whatever the order of n_list or
+the state of the cache.  Then, n by n in n_list order, the spectrum is
+loaded from the cache, every replicate draws y = f + sigma * eps with eps
+keyed by (seed, n, replicate), feeds the identical dataset to every
+requested criterion, and streams one record per (n, replicate, criterion)
+into runs.csv.  The campaign runs in one process; replicates are selected in
 fixed blocks of BLOCK_ROWS counted from replicate 0, so a run's output
 depends only on its config.
 """
@@ -39,8 +40,7 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import (MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _cache_path, _shrink,
-                       build_design, cached_decompose, rotate)
+from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _shrink, build_design, rotate
 
 log = logging.getLogger("splinesel")
 
@@ -354,36 +354,27 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     return out
 
 
-def _build_missing(cfg: SimConfig, cache: Path) -> dict[int, str]:
-    """Decompose and cache each spectrum of the campaign that has no cache
-    file, largest n first, dropping each once it is written, so the largest
-    build runs on a fresh heap.  Returns the error of each n whose build
-    failed.  A file that exists is left to the campaign's own load, which
-    rebuilds it if it is stale or unreadable."""
-    failed = {}
-    for grid in sorted(check_design(cfg.design, cfg.n_list), key=lambda g: g.n, reverse=True):
-        if not _cache_path(grid, cache).exists():
-            try:
-                cached_decompose(grid, cache)
-            except (ValueError, NumericError) as exc:
-                failed[grid.n] = str(exc)  # not the exception: its frames hold the build
-    return failed
-
-
 def run_simulation(cfg: SimConfig):
     """Yield RunRecords for the whole campaign in deterministic order.
 
-    Ordering is (n in cfg order, replicate, criterion in cfg order).  Every
-    spectrum the cache lacks is built first (_build_missing), and each n
-    then selects from its cache-loaded spectrum, as a warm run does.  A
-    spectrum failure aborts that n with one logged error; single-replicate
-    numeric failures yield an error-flagged record rather than disappearing.
+    Ordering is (n in cfg order, replicate, criterion in cfg order).  A
+    pre-pass first builds each n's setting without its basis, largest n
+    first, and drops it at once: the cache's reader rebuilds every spectrum
+    that is missing, stale or unreadable there.  Each n then selects from
+    its cache-loaded spectrum, as a warm run does.  A spectrum failure
+    aborts that n with one logged error; single-replicate numeric failures
+    yield an error-flagged record rather than disappearing.
     """
     cfg.validate()
     cache = spectra_cache_dir(cfg)
     criteria = [criterion_by_name(name) for name in cfg.criteria]
     truth_gen = partial(truth_curve, cfg.truth)
-    failed = _build_missing(cfg, cache)
+    failed = {}
+    for n in sorted(cfg.n_list, reverse=True):
+        try:
+            oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache)
+        except (ValueError, NumericError) as exc:
+            failed[n] = str(exc)  # not the exception: its frames hold the build
     for n in cfg.n_list:
         if n in failed:
             log.error("n=%d aborted: %s", n, failed[n])

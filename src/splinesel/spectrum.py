@@ -555,10 +555,6 @@ def cache_key(grid: DesignGrid) -> str:
     return f"spectrum_n{grid.n}_{digest}"
 
 
-def _cache_path(grid: DesignGrid, cache_dir) -> Path:
-    return Path(cache_dir) / (cache_key(grid) + ".npz")
-
-
 def cached_decompose(grid: DesignGrid, cache_dir, *, fold=None) -> DesignSpectrum:
     """Decompose with a per-(design, n) disk cache.
 
@@ -570,7 +566,7 @@ def cached_decompose(grid: DesignGrid, cache_dir, *, fold=None) -> DesignSpectru
     load_spectrum does; a miss folds the U it built, by the same blocked
     sum, after writing the whole spectrum to the cache.
     """
-    path = _cache_path(grid, cache_dir)
+    path = Path(cache_dir) / (cache_key(grid) + ".npz")
     if path.exists():
         try:
             spec = load_spectrum(path, fold=fold)

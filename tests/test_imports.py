@@ -90,3 +90,37 @@ def test_check_sees_a_private_function_without_a_caller():
                             "def __dunder__(): pass\n"),
              "b": ast.parse("from .a import _used\nx = _used()\n")}
     assert _unreferenced_private_functions(trees) == ["a._self"]
+
+
+# The names that describe the spectrum cache's files.  Only spectrum, whose
+# cached_decompose reads and writes them, may use them; every other module
+# reaches a cached spectrum through cached_decompose (or oracle.setting).
+_CACHE_FILE_NAMES = {"cache_key", "_cache_path"}
+
+
+def _cache_file_name_uses(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name of each import, name or attribute of _CACHE_FILE_NAMES
+    outside spectrum."""
+    uses = []
+    for module, tree in trees.items():
+        if module == "spectrum":
+            continue
+        for node in ast.walk(tree):
+            name = (node.name if isinstance(node, ast.alias)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in _CACHE_FILE_NAMES:
+                uses.append(f"{module}.{name}")
+    return uses
+
+
+def test_only_spectrum_names_cache_files():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    assert _cache_file_name_uses(trees) == []
+
+
+def test_check_sees_a_cache_file_name_outside_spectrum():
+    trees = {"spectrum": ast.parse("def cache_key(): pass\nkey = cache_key()\n"),
+             "simlab": ast.parse("from .spectrum import _cache_path, rotate\n"),
+             "cli": ast.parse("from . import spectrum\nkey = spectrum.cache_key\n")}
+    assert _cache_file_name_uses(trees) == ["simlab._cache_path", "cli.cache_key"]

@@ -28,9 +28,10 @@ from splinesel.simlab import (
     truth_curve,
     write_runs_csv,
 )
-from splinesel.spectrum import _cache_path, build_design, cached_decompose, load_spectrum
+from splinesel.spectrum import build_design, cache_key, cached_decompose, load_spectrum
 
-from fresh import run_fresh
+from fresh import SRC, run_fresh
+from test_spectrum import _cache_fields
 
 
 def base_config(out_dir, **overrides):
@@ -426,7 +427,8 @@ def test_run_simulation_builds_one_window_per_n(tmp_path, monkeypatch):
 @pytest.mark.parametrize("route", ["simulate", "curvature", "rates", "reversal"])
 def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
     # When a command builds the next n's setting, the previous n's spectrum
-    # and truth are already released.
+    # and truth are already released.  simulate builds two per n: one in
+    # its pre-pass over the cache and one to select from.
     alive = []
     real = oracle.setting
 
@@ -454,7 +456,7 @@ def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
         assert cli(["reversal", "--n", "31,41,61", "--criteria", "cp", "--replicates", "1000",
                     "--cache-dir", str(tmp_path / "spectra"),
                     "--out", str(tmp_path / "reversal.csv")]) == 0
-    assert len(alive) in (3, 4)
+    assert len(alive) == {"simulate": 8, "curvature": 4, "rates": 4, "reversal": 3}[route]
 
 
 _BASIS_COMMANDS = [
@@ -472,9 +474,10 @@ _BASIS_COMMANDS = [
 
 def test_only_simulate_keeps_the_basis(tmp_path, monkeypatch, capsys):
     # Only simulate rotates noisy data, so every other command's settings
-    # drop U, on cold misses and warm hits alike.  Dropping it changes no
-    # output: each file, stdout line and cached spectrum is the same as in
-    # a run whose settings all keep U.
+    # drop U, on cold misses and warm hits alike, and so do the settings of
+    # simulate's pre-pass over the cache (one per n, before the loop's).
+    # Dropping it changes no output: each file, stdout line and cached
+    # spectrum is the same as in a run whose settings all keep U.
     real = oracle.setting
     keep = False
     kept = []
@@ -497,7 +500,8 @@ def test_only_simulate_keeps_the_basis(tmp_path, monkeypatch, capsys):
             kept.clear()
             assert cli(argv) == 0
             stdout.append(capsys.readouterr().out)
-            assert kept and all(k == (keep or argv[0] == "simulate") for k in kept), argv[0]
+            expected = [keep] * 2 + [True] * 2 if argv[0] == "simulate" else [keep] * len(kept)
+            assert kept and kept == expected, argv[0]
         files = {p.relative_to(root): p for p in sorted(root.rglob("*")) if p.is_file()}
         runs[keep] = stdout, files
     (out_drop, files_drop), (out_keep, files_keep) = runs[False], runs[True]
@@ -549,20 +553,33 @@ def _record_decompose(monkeypatch, failing_n=None) -> list[int]:
 def test_missing_spectra_are_built_once_largest_first(tmp_path, monkeypatch):
     # A cold run builds every spectrum before the first record, largest n
     # first, and selects from what it wrote; a warm run builds nothing.  A
-    # stale or unreadable file is not missing: the campaign's own load
-    # rebuilds it, in n_list order.
+    # file that is unreadable, or stale (from another numeric environment),
+    # is rebuilt the same way.
     cfg = base_config(tmp_path, n_list=[61, 241, 121], replicates=2)
     calls = _record_decompose(monkeypatch)
-    cold = list(run_simulation(cfg))
-    assert calls == [241, 121, 61]
-    calls.clear()
-    assert list(run_simulation(cfg)) == cold
-    assert calls == []
-    for n in (121, 61):
+
+    def builds_then_records():
+        records = run_simulation(cfg)
+        first = next(records)
+        built = list(calls)
+        calls.clear()
+        return built, [first, *records]
+
+    def path(n):
         grid = build_design("equispaced", n, lo=-1.0, hi=1.0)
-        _cache_path(grid, spectra_cache_dir(cfg)).write_bytes(b"truncated")
-    assert list(run_simulation(cfg)) == cold
-    assert calls == [61, 121]
+        return spectra_cache_dir(cfg) / (cache_key(grid) + ".npz")
+
+    built, cold = builds_then_records()
+    assert built == [241, 121, 61]
+    assert builds_then_records() == ([], cold)
+    for n in (61, 121):
+        path(n).write_bytes(b"truncated")
+    assert builds_then_records() == ([121, 61], cold)
+    for n in (61, 241):
+        fields = _cache_fields(load_spectrum(path(n)))
+        np.savez(path(n), **{**fields, "environment": np.str_("numpy 0.0; blas none")})
+    assert builds_then_records() == ([241, 61], cold)
+    assert builds_then_records() == ([], cold)
 
 
 def test_failed_build_is_tried_once_and_logged_once(tmp_path, monkeypatch, caplog):
@@ -593,10 +610,17 @@ for _ in simlab.run_simulation(cfg):
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
 def test_cold_campaign_peaks_at_one_build_of_its_largest_n(tmp_path):
     # The n = 1921 build runs first, on a fresh heap, so the smaller n ahead
-    # of it in n_list adds nothing to the peak (both about 128.8 MiB).
+    # of it in n_list adds nothing to the peak (both about 128.8 MiB), and
+    # neither does a cache whose files must all be rebuilt.
     _, alone = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "alone"), "1921")
     _, both = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
     assert both - alone < 1024  # KiB
+    cached = sorted((tmp_path / "both" / "spectra").glob("*.npz"))
+    assert len(cached) == 2
+    for path in cached:
+        os.truncate(path, path.stat().st_size // 2)
+    _, damaged = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
+    assert damaged - alone < 1024  # KiB
 
 
 def test_pure_noise_concentrates_at_smooth_boundary(tmp_path):
@@ -1270,6 +1294,27 @@ def test_cli_decompose(tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["mc_replicates"] == 100
     assert payload["variability_term"] > 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["reversal", "--n", "61", "--sigma", "1e-120", "--replicates", "1000", "--out", "out.csv"],
+    ["reversal", "--n", "61", "--sigma", "1e-300", "--replicates", "1000", "--out", "out.csv"],
+    ["decompose", "--n", "61", "--criterion", "ee", "--replicates", "100", "--sigma", "1e-300",
+     "--out", "out.json"],
+], ids=["reversal 1e-120", "reversal 1e-300", "decompose 1e-300"])
+def test_cli_nonfinite_result_is_a_numeric_error(tmp_path, argv):
+    # At so small a sigma the rotated truth g = U'f / sigma is huge, and the
+    # reversal moments or decomposition terms come out nan or inf: the
+    # command fails and writes no file.  It runs in a fresh process, since
+    # numpy's RuntimeWarnings on the way there are errors in this suite.
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "splinesel", *argv, "--cache-dir", "spectra"],
+                          cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 1, proc.stderr
+    error = json.loads(proc.stderr.splitlines()[-1])
+    assert error["error"] == "NumericError" and "not finite" in error["message"]
+    assert not (tmp_path / argv[-1]).exists()
 
 
 def test_cli_rates(tmp_path, capsys):
