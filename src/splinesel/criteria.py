@@ -15,10 +15,16 @@ up to positive-affine transforms that leave the minimizer unchanged.
 Selection minimizes the criterion over a degrees-of-freedom window: a coarse
 screen over a df-equispaced grid whose log-lam gaps are capped at
 MAX_LOG_GAP, then a safeguarded Newton solve for the root of the analytic
-slope in log lam next to the screen's winner.  The minimizer works on a
-block of rows at once: the screen is one matrix product over the block and
-the Newton solve runs on every bracketed row together (select_block);
-scalar selection is a block of one, screened a slice of the window at a time.
+slope in log lam next to the screen's winner.  The winner's slope and
+curvature and its downhill neighbour's slope are contracted from derivative
+rows that the spectrum keeps per window point; the solve starts at the root
+between the two of the quadratic those three values fix, and stops a row
+once two short Newton steps predict the next below a tenth of
+NEWTON_STEP_TOL, so a block costs about two derivative sweeps.  The
+minimizer works on a block of rows at once: the screen is one matrix
+product over the block and the Newton solve runs on every bracketed row
+together (select_block); scalar selection is a block of one, screened a
+slice of the window at a time.
 It is the package's one minimizer over the window: a central lam is selection
 at u = E|z|^(2/q), and the ideal lam is cp's (oracle.ideal_lambda).
 """
@@ -173,7 +179,12 @@ def _deriv_terms(c: Criterion, kp: np.ndarray, lam) -> tuple:
 def _log_derivs(c: Criterion, kp: np.ndarray, up: np.ndarray, lam) -> tuple:
     """(d1, d2): the first and second log-lam derivatives of the criterion at
     the penalized entries up of u, contracted from _deriv_terms, unchecked."""
-    s, e, s0, c0 = _deriv_terms(c, kp, lam)
+    return _contract(c, *_deriv_terms(c, kp, lam), up)
+
+
+def _contract(c: Criterion, s, e, s0, c0, up: np.ndarray) -> tuple:
+    # (d1, d2) from _deriv_terms' (s, e, s0, c0) at penalized u up, as the
+    # docstring of _deriv_terms writes them; s is overwritten.
     su = np.multiply(s, up, out=s)
     r = c.p / c.q
     d1 = r * (su.sum(axis=-1) - s0)
@@ -237,6 +248,26 @@ def _criterion_table(c: Criterion, spec: DesignSpectrum) -> tuple[np.ndarray, np
     return tables[key]
 
 
+def _window_derivs(c: Criterion, spec: DesignSpectrum, points: np.ndarray,
+                   up: np.ndarray) -> tuple:
+    # (d1, d2) of c at each row of penalized u up at its window point
+    # points[i]: _log_derivs at window[points], with its bits.  The
+    # _deriv_terms row of a window point does not depend on the data, so the
+    # first row that needs it forms it alone, at the point's scalar lam, and
+    # spec.tables keeps it under (p, q, point): one (s, e) pair of penalized
+    # length per point touched, never a whole-window table.
+    tables, kp = spec.tables, spec.k[spec.null_dim:]
+    terms = []
+    for j in points.tolist():
+        key = (c.p, c.q, j)
+        if key not in tables:
+            tables[key] = _deriv_terms(c, kp, spec.window[j])
+        terms.append(tables[key])
+    s, e, s0, c0 = zip(*terms) if terms else ((), (), (), ())
+    s, e = (np.array(a).reshape(len(terms), len(kp)) for a in (s, e))
+    return _contract(c, s, e, np.array(s0), np.array(c0), up)
+
+
 def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
     """Data-driven smoothing parameters for a block of replicates at once.
 
@@ -244,8 +275,8 @@ def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
     formed internally.  The coarse screen is one matrix product of the
     block with the criterion's table over the window, and the refinement
     one safeguarded Newton solve in log lam over every bracketed row.  The
-    window and the table are the spectrum's own, built on first use and
-    reused by the rest.
+    window, the table and the window points' derivative rows are the
+    spectrum's own, built on first use and reused by the rest.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != spec.n:
@@ -292,11 +323,15 @@ def _screen(c: Criterion, spec: DesignSpectrum, up: np.ndarray) -> np.ndarray:
 def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSelection:
     # The one minimizer over the window, at every row of full-length u.  Of
     # the pairs the screen's winner forms with its neighbours, only the
-    # downhill one can hold a minimum; where the slope changes sign across
-    # it, _log_lam_root solves all bracketed rows at once from the winner's
-    # slope and curvature.  The pick is the lower of winner and root, ties to
-    # the larger lam, flagged within 2 * REFINE_LOG_TOL of a window end.  df
-    # is summed row by row exactly as df() sums it.
+    # downhill one can hold a minimum.  The winner's slope g and curvature h
+    # and the neighbour's slope come from the window points' memoized
+    # derivative rows (_window_derivs); where the slope changes sign across
+    # the pair, _log_lam_root solves all bracketed rows at once, each
+    # started at the root inside the pair of the quadratic in log lam with
+    # those three values (at the winner where rounding leaves none inside).
+    # The pick is the lower of winner and root, ties to the larger lam,
+    # flagged within 2 * REFINE_LOG_TOL of a window end.  df is summed row
+    # by row exactly as df() sums it.
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 
@@ -312,15 +347,17 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
     best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
     lam = window[best]
     value = coarse[rows, best]
-    g, h = derivs(lam, rows)
+    g, h = _window_derivs(c, spec, best, up)
     side = np.where(g < 0, best + 1, best - 1)
     bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
-    bracketed = bracketed[derivs(window[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
+    g_side = _window_derivs(c, spec, side[bracketed], up[bracketed])[0]
+    crossed = g_side * g[bracketed] < 0
+    bracketed, g_side = bracketed[crossed], g_side[crossed]
 
-    x = logs[best[bracketed]]
-    lo = np.minimum(x, logs[side[bracketed]])
-    hi = np.maximum(x, logs[side[bracketed]])
-    root = _log_lam_root(x, lo, hi, g[bracketed], h[bracketed], derivs, bracketed)
+    x, x_side = logs[best[bracketed]], logs[side[bracketed]]
+    start = _quadratic_root(x, x_side, g[bracketed], h[bracketed], g_side)
+    root = _log_lam_root(start, np.minimum(x, x_side), np.maximum(x, x_side), derivs,
+                         bracketed)
 
     root_value = _values(c, kp, up[bracketed], root)
     coarse_value, coarse_lam = value[bracketed], lam[bracketed]
@@ -335,6 +372,24 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
                   for at_low, at_high in zip(low, high))
     return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
                           at_boundary=flags)
+
+
+def _quadratic_root(x, x_side, g, h, g_side) -> np.ndarray:
+    # The root between x and x_side of the quadratic in log lam that takes
+    # the value g with derivative h at x and the value g_side, of opposite
+    # sign, at x_side; x where rounding puts neither of its roots between
+    # the two.  With d = x_side - x, the quadratic is g + h t + a t^2 at
+    # x + t, and its roots are t = q / a and t = g / q for
+    # q = -(h + sign(h) sqrt(h^2 - 4 a g)) / 2, a form that loses no digits
+    # to cancellation.
+    d = x_side - x
+    a = (g_side - g - h * d) / (d * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -0.5 * (h + np.copysign(np.sqrt(np.maximum(h * h - 4.0 * a * g, 0.0)), h))
+        near, far = g / q, q / a
+        t = np.where((0.0 <= near / d) & (near / d <= 1.0), near,
+                     np.where((0.0 <= far / d) & (far / d <= 1.0), far, 0.0))
+    return x + t
 
 
 def sigma_estimate(coeffs, M: int):

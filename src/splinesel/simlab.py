@@ -19,6 +19,7 @@ from dataclasses import MISSING, asdict, dataclass, fields
 from functools import partial
 import ast
 import csv
+import itertools
 import json
 import logging
 import math
@@ -33,10 +34,10 @@ from ._rng import replicate_block
 from .criteria import (
     BLOCK_ROWS,
     Criterion,
+    _select_rows,
     criterion_by_name,
     default_sigma_m,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
-    select_block,
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
@@ -314,9 +315,11 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
                        criteria: list[Criterion], cfg: SimConfig,
                        sigma_mode: tuple, block: range) -> list[RunRecord]:
     """Records of one block of replicates, each criterion selecting the
-    whole block at once; sigma_mode is parse_sigma_mode's result.  A
-    replicate whose noise-scale estimate collapsed gets an error record
-    per criterion."""
+    whole block at once; sigma_mode is parse_sigma_mode's result.  The
+    block is scaled and checked once, and u = |z|^(2/q) formed once per
+    distinct q (cp and gml share q = 1); each criterion selects from it
+    through select_block's row routine, _select_rows.  A replicate whose
+    noise-scale estimate collapsed gets an error record per criterion."""
     estimated, M, _ = sigma_mode
     sigma = cfg.sigma
     y = replicate_block(cfg.seed, spec.n, block.start, block.stop)
@@ -331,8 +334,14 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
     ok = np.isfinite(sigma_use)
     picks, sqerrs = [], []
     if ok.any():
+        Z = coeffs[ok] / sigma_use[ok, None]
+        if not np.all(np.isfinite(Z)):
+            raise ValueError("z must be finite")
+        powers = {}
         for c in criteria:
-            picked = select_block(c, spec, coeffs[ok] / sigma_use[ok, None])
+            if c.q not in powers:
+                powers[c.q] = np.abs(Z) ** (2.0 / c.q)
+            picked = _select_rows(c, spec, powers[c.q])
             ahat = _shrink(spec.k, picked.lam_hat)[0]
             picks.append(picked)
             sqerrs.append(((ahat * coeffs[ok] / sigma - truth.g) ** 2).sum(axis=1))
@@ -393,17 +402,33 @@ def run_simulation(cfg: SimConfig):
 
 
 def _write_csv(path, header, rows) -> int:
-    """Write a CSV of header and rows, creating its directory; floats are
-    written with 17 significant digits, so they round-trip exactly.  rows is
-    consumed as it is written (a generator streams).  Returns the row count."""
+    """Write a CSV of header and rows, creating its directory, with the
+    bytes csv.writer writes: fields joined by commas, each line ended by
+    \\r\\n.  Floats are written with 17 significant digits, so they
+    round-trip exactly, and every other field as str.  A row is formatted
+    in one step, by a format string kept per tuple of its field types.  No
+    field the package writes needs quoting (a comma, a double quote, a line
+    break, or an empty sole field), and each line is checked for that.  rows
+    is consumed as it is written (a generator streams).  Returns the row
+    count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    formats = {}
+    commas = len(header) - 1
     count = 0
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for count, row in enumerate(rows, 1):
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+        for count, row in enumerate(itertools.chain([header], rows)):
+            row = tuple(row)
+            kinds = tuple(map(type, row))
+            fmt = formats.get(kinds)
+            if fmt is None:
+                fmt = formats[kinds] = ",".join(
+                    "%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\r\n"
+            line = fmt % row
+            assert (line.count(",") == commas and '"' not in line and line.count("\r") == 1
+                    and line.count("\n") == 1 and len(line) > 2), \
+                f"{path}: {line!r} is not {commas + 1} fields free of quoting"
+            fh.write(line)
     return count
 
 

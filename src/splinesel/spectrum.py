@@ -68,7 +68,8 @@ class DesignSpectrum:
     selection window, the array of candidate lams, built on first use and
     kept for the spectrum's lifetime.
     tables maps a criterion's (p, q) to its (T, offset) table over the
-    window, filled by criteria._criterion_table.
+    window, filled by criteria._criterion_table, and (p, q, j) to its
+    derivative terms at window point j, filled by criteria._window_derivs.
     """
 
     n: int
@@ -282,25 +283,35 @@ def df(spec: DesignSpectrum, lam: float) -> float:
 
 
 # Both root searches in log lam, the df inverse and selection's refinement,
-# stop once a step is below NEWTON_STEP_TOL.
+# stop a row once a step is below NEWTON_STEP_TOL, or once two short Newton
+# steps in a row predict that the next would be below a tenth of it.
 NEWTON_STEP_TOL = 1e-12
+_SHORT_STEP = math.sqrt(NEWTON_STEP_TOL)
 
 
-def _log_lam_root(x, lo, hi, g, h, slope, rows) -> np.ndarray:
+def _log_lam_root(x, lo, hi, slope, rows) -> np.ndarray:
     """The one safeguarded Newton solve in log lam, for many rows at once.
 
-    Row i starts at x[i] inside its bracket [lo[i], hi[i]] with the function
-    g[i] and its log-lam derivative h[i] there; g must rise through zero
-    across the bracket.  slope(lams, rows) evaluates (g, h) of rows rows[j]
-    at lams[j].  Rows drop out as they finish.  A Newton step that would
-    leave the row's bracket, or that does not halve its previous step,
-    becomes a bisection step; a row stops once a step is below
-    NEWTON_STEP_TOL, or where its g is exactly zero.  Returns each row's
-    root as lam.
+    Row i starts at x[i] inside its bracket [lo[i], hi[i]], across which its
+    function g must rise through zero.  slope(lams, rows) evaluates g and
+    its log-lam derivative h of rows rows[j] at lams[j], first at the
+    starts.  Rows drop out as they finish.  A Newton step that would leave
+    the row's bracket, or that does not halve its previous step, becomes a
+    bisection step.  A row stops once a step is below NEWTON_STEP_TOL, where
+    its g is exactly zero, or after two Newton steps d_prev, d with
+    |d| <= sqrt(NEWTON_STEP_TOL) and 10 |d|^3 < NEWTON_STEP_TOL d_prev^2.
+    Newton's error squares from step to step, d ~ K d_prev^2, so the step
+    after d would be about K d^2 = |d|^3 / d_prev^2, under a tenth of
+    NEWTON_STEP_TOL.  The ratio measures K only where the steps are short:
+    after a long first step from a crude start (the df inverse's) it can
+    fall well below the K that the next step sees.  Returns each row's root
+    as lam.
     """
     step_old = hi - lo
+    newton_old = np.zeros(len(rows), dtype=bool)
     root = np.empty(len(rows))
     live = np.arange(len(rows))
+    g, h = slope(np.exp(x), rows)
     while len(live):
         lo = np.where(g < 0, x, lo)
         hi = np.where(g > 0, x, hi)
@@ -308,9 +319,12 @@ def _log_lam_root(x, lo, hi, g, h, slope, rows) -> np.ndarray:
         newton = (lo <= x + step) & (x + step <= hi) & (np.abs(step) <= 0.5 * np.abs(step_old))
         step = np.where(newton, step, 0.5 * (lo + hi) - x) * (g != 0)
         x = x + step
-        done = np.abs(step) < NEWTON_STEP_TOL
+        size = np.abs(step)
+        done = (size < NEWTON_STEP_TOL) | (newton & newton_old & (size <= _SHORT_STEP)
+                                           & (10.0 * size**3 < NEWTON_STEP_TOL * step_old**2))
         root[live[done]] = np.exp(x[done])
-        live, x, lo, hi, step_old = (v[~done] for v in (live, x, lo, hi, step))
+        live, x, lo, hi, step_old, newton_old = (v[~done] for v in (live, x, lo, hi, step,
+                                                                     newton))
         if len(live):
             g, h = slope(np.exp(x), rows[live])
     return root
@@ -353,9 +367,7 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     def slope(lams, rows):
         return _in_slices(part, lams, rows)
 
-    rows = np.arange(len(targets))
-    g, h = slope(np.exp(x), rows)
-    return _log_lam_root(x, lo, hi, g, h, slope, rows)
+    return _log_lam_root(x, lo, hi, slope, np.arange(len(targets)))
 
 
 def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:

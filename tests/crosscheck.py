@@ -9,11 +9,12 @@ import math
 import numpy as np
 from scipy.linalg import eigh, solveh_banded
 
-from splinesel.criteria import Criterion, loss_derivs
+from splinesel.criteria import (REFINE_LOG_TOL, BlockSelection, Criterion, _log_derivs,
+                                _screen, _values, loss_derivs)
 from splinesel.errors import NumericError
 from splinesel.geometry import _penalized_ab, reversal_beta
 from splinesel.specfun import moment_set
-from splinesel.spectrum import DesignSpectrum, df, smooth
+from splinesel.spectrum import NEWTON_STEP_TOL, DesignSpectrum, _shrink, df, smooth
 
 
 def gauss_hermite_expectation(g: float, fn, nodes: int = 64) -> float:
@@ -214,3 +215,74 @@ def decompose_reference(x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     k[:2] = 0.0
     k[2:] = np.maximum(k[2:], 0.0)
     return K, k, np.ascontiguousarray(U)
+
+
+def log_lam_root_strict(x, lo, hi, g, h, slope, rows) -> np.ndarray:
+    """The safeguarded Newton solve in log lam with the strict stop alone:
+    a row stops once a step is below NEWTON_STEP_TOL (or its g is exactly
+    zero), never on a predicted step.  g and h are given at the start x;
+    otherwise as spectrum._log_lam_root."""
+    step_old = hi - lo
+    root = np.empty(len(rows))
+    live = np.arange(len(rows))
+    while len(live):
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g > 0, x, hi)
+        step = np.divide(-g, h, out=np.full(len(live), np.inf), where=h > 0)
+        newton = (lo <= x + step) & (x + step <= hi) & (np.abs(step) <= 0.5 * np.abs(step_old))
+        step = np.where(newton, step, 0.5 * (lo + hi) - x) * (g != 0)
+        x = x + step
+        done = np.abs(step) < NEWTON_STEP_TOL
+        root[live[done]] = np.exp(x[done])
+        live, x, lo, hi, step_old = (v[~done] for v in (live, x, lo, hi, step))
+        if len(live):
+            g, h = slope(np.exp(x), rows[live])
+    return root
+
+
+def log_lam_root_strict_from_start(x, lo, hi, slope, rows) -> np.ndarray:
+    """log_lam_root_strict with g and h evaluated at the start, in
+    spectrum._log_lam_root's signature: lambdas_for_df with this solve in
+    place of the package's is the strict df inverse."""
+    return log_lam_root_strict(x, lo, hi, *slope(np.exp(x), rows), slope, rows)
+
+
+def select_rows_reference(c: Criterion, spec: DesignSpectrum, U) -> BlockSelection:
+    """criteria._select_rows by the strict refinement: the screen's winner
+    and downhill neighbour are tested with _log_derivs evaluated at both,
+    and log_lam_root_strict starts at the winner.  The package's quadratic
+    start and predicted-step stop must land within a few NEWTON_STEP_TOL of
+    this root."""
+    nd = spec.null_dim
+    kp, up = spec.k[nd:], U[:, nd:]
+
+    def derivs(lams, rows):
+        return _log_derivs(c, kp, up[rows], lams)
+
+    coarse = _screen(c, spec, up)
+    window = spec.window
+    logs = np.log(window)
+    rows = np.arange(coarse.shape[0])
+    best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
+    lam = window[best]
+    value = coarse[rows, best]
+    g, h = derivs(lam, rows)
+    side = np.where(g < 0, best + 1, best - 1)
+    bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
+    bracketed = bracketed[derivs(window[side[bracketed]], bracketed)[0] * g[bracketed] < 0]
+    x = logs[best[bracketed]]
+    lo = np.minimum(x, logs[side[bracketed]])
+    hi = np.maximum(x, logs[side[bracketed]])
+    root = log_lam_root_strict(x, lo, hi, g[bracketed], h[bracketed], derivs, bracketed)
+    root_value = _values(c, kp, up[bracketed], root)
+    coarse_value, coarse_lam = value[bracketed], lam[bracketed]
+    take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
+    lam[bracketed[take]] = root[take]
+    value[bracketed[take]] = root_value[take]
+    log_lam = np.log(lam)
+    low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
+    high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
+    flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
+                  for at_low, at_high in zip(low, high))
+    return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
+                          at_boundary=flags)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import splinesel as ss
 from splinesel import criteria
-from splinesel._rng import replicate_normals
+from splinesel._rng import replicate_block, replicate_normals
 from splinesel.criteria import (
     BLOCK_ROWS,
     COARSE_CANDIDATES,
@@ -24,9 +24,9 @@ from splinesel.criteria import (
     select,
     select_block,
 )
-from splinesel.spectrum import DesignSpectrum, _shrink, df, lambdas_for_df
+from splinesel.spectrum import NEWTON_STEP_TOL, DesignSpectrum, _shrink, df, lambdas_for_df
 
-from crosscheck import value_tables_reference
+from crosscheck import select_rows_reference, value_tables_reference
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -228,15 +228,21 @@ def test_value_tables_in_place_match_reference(name, spec61):
 
 def test_only_multi_row_blocks_build_criterion_tables(monkeypatch, spec61, truth61):
     # A block of one row (select, and the central and ideal lambda) leaves
-    # the spectrum without tables; the first block of two builds its
+    # the spectrum without value tables; the first block of two builds its
     # criterion's table, and later blocks reuse that table: one build per
-    # (p, q) per spectrum.
+    # (p, q) per spectrum.  Blocks of every size keep the derivative rows
+    # of the window points they touch, under (p, q, point).
     spec = _fresh(spec61)
     z = truth61.g + np.random.default_rng(3).standard_normal(61)
+
+    def value_tables():
+        return [key for key in spec.tables if len(key) == 2]
+
     select(ss.GML, spec, z)
     ss.central_lambda(ss.EE, spec, truth61)
     ss.ideal_lambda(spec, truth61)
-    assert spec.tables == {}
+    assert value_tables() == []
+    assert {key[:2] for key in spec.tables} == {(c.p, c.q) for c in (ss.GML, ss.EE, ss.CP)}
 
     rows_tabled = []  # rows of every b tabled; a whole-window table has len(window)
 
@@ -247,9 +253,110 @@ def test_only_multi_row_blocks_build_criterion_tables(monkeypatch, spec61, truth
     monkeypatch.setattr(criteria, "_value_tables", spy)
     key = (ss.GML.p, ss.GML.q)
     select_block(ss.GML, spec, np.vstack([z, -z]))
-    assert list(spec.tables) == [key]
+    assert value_tables() == [key]
     table = spec.tables[key]
     select_block(ss.GML, spec, np.vstack([-z, 2.0 * z]))
-    assert list(spec.tables) == [key]
+    assert value_tables() == [key]
     assert spec.tables[key] is table
     assert rows_tabled.count(len(spec.window)) == 1
+
+
+REFINE_CRITERIA = ["cp", "gml", "ee", "p1.2q2"]
+
+
+@pytest.mark.parametrize("n", [61, 241, 961])
+@pytest.mark.parametrize("name", REFINE_CRITERIA)
+def test_refinement_matches_the_strict_reference(spectra, truths, n, name):
+    # The quadratic start and the predicted-step stop land within 1e-12
+    # relative of the strict refinement (winner start, stop only on a step
+    # below NEWTON_STEP_TOL), with the same boundary flags, on the demo
+    # curve and on pure noise.  The stop leaves a row once its next step is
+    # predicted below a tenth of NEWTON_STEP_TOL, so every lam lands within
+    # 0.3 NEWTON_STEP_TOL (measured: 1.1e-13 at most); a stop at a whole
+    # NEWTON_STEP_TOL reached 9.9e-13.
+    c = ss.criterion_by_name(name)
+    spec = spectra[n]
+    for g in (truths[n].g, np.zeros(n)):
+        for start in range(0, 16 * BLOCK_ROWS, BLOCK_ROWS):
+            Z = g + replicate_block(29, n, start, start + BLOCK_ROWS)
+            picked = select_block(c, spec, Z)
+            strict = select_rows_reference(c, spec, np.abs(Z) ** (2.0 / c.q))
+            shift = np.max(np.abs(picked.lam_hat / strict.lam_hat - 1.0))
+            assert shift <= 1e-12 and shift <= 0.3 * NEWTON_STEP_TOL, start
+            assert picked.at_boundary == strict.at_boundary, start
+
+
+@pytest.mark.parametrize("n", [61, 961])
+@pytest.mark.parametrize("name", REFINE_CRITERIA)
+def test_window_derivative_rows_have_log_derivs_bits(spectra, n, name):
+    # Each memoized window row is _deriv_terms' row at that point, formed
+    # alone, with the bits of the row-block evaluation; contracted with u,
+    # the winner's slope and curvature and the neighbour's slope are
+    # _log_derivs' own.
+    c = ss.criterion_by_name(name)
+    spec = _fresh(spectra[n])
+    kp = spec.k[spec.null_dim:]
+    rng = np.random.default_rng(n)
+    points = np.concatenate([[0, len(spec.window) - 1],
+                             rng.integers(0, len(spec.window), BLOCK_ROWS - 2)])
+    up = np.abs(rng.standard_normal((BLOCK_ROWS, n - 2)) + 1.0) ** (2.0 / c.q)
+    lams = spec.window[points]
+    g, h = criteria._window_derivs(c, spec, points, up)
+    g_ref, h_ref = criteria._log_derivs(c, kp, up, lams)
+    assert g.tobytes() == g_ref.tobytes()
+    assert h.tobytes() == h_ref.tobytes()
+    assert sorted(spec.tables) == sorted({(c.p, c.q, j) for j in points.tolist()})
+    terms = criteria._deriv_terms(c, kp, lams)
+    for i, j in enumerate(points.tolist()):
+        for row, block in zip(spec.tables[(c.p, c.q, j)], terms):
+            assert np.asarray(row).tobytes() == block[i].tobytes(), (i, j)
+
+
+@pytest.mark.parametrize("name", REFINE_CRITERIA)
+def test_block_refines_in_two_derivative_sweeps(monkeypatch, spectra, truths, name):
+    # The winner's and the neighbour's derivatives come from the window
+    # rows, and the quadratic start leaves the Newton solve two sweeps of
+    # the block's rows: a typical 64-row block at n = 241 evaluates
+    # _log_derivs on 2 x 64 rows, where the strict refinement took about
+    # 5 x 64.  A row that has not converged after two steps takes a third.
+    c = ss.criterion_by_name(name)
+    spec = spectra[241]
+    rows = []
+
+    def spy(c, kp, up, lam, real=criteria._log_derivs):
+        rows.append(len(up))
+        return real(c, kp, up, lam)
+
+    monkeypatch.setattr(criteria, "_log_derivs", spy)
+    per_block = []
+    for start in range(0, 16 * BLOCK_ROWS, BLOCK_ROWS):
+        rows.clear()
+        select_block(c, spec, truths[241].g + replicate_block(1, 241, start, start + BLOCK_ROWS))
+        per_block.append(sum(rows))
+    assert np.median(per_block) <= 2 * BLOCK_ROWS
+    assert max(per_block) <= 2.5 * BLOCK_ROWS
+
+
+def test_window_memo_holds_one_row_pair_per_point_touched(monkeypatch, spectra, truths):
+    # After decompose's 2000 ee replicates at n = 961, the spectrum keeps
+    # the ee value table and one (s, e) pair of penalized length, in arrays
+    # of its own, for each window point whose derivatives were asked for:
+    # never a view into a larger array, never a whole-window table.
+    spec = _fresh(spectra[961])
+    m = spec.n - spec.null_dim
+    touched = set()
+
+    def spy(c, spec, points, up, real=criteria._window_derivs):
+        touched.update((c.p, c.q, j) for j in points.tolist())
+        return real(c, spec, points, up)
+
+    monkeypatch.setattr(criteria, "_window_derivs", spy)
+    ss.decomposition_mc(ss.EE, spec, truths[961], 2000, 0)
+    rows = {key: terms for key, terms in spec.tables.items() if len(key) == 3}
+    assert set(rows) == touched
+    assert len(rows) < len(spec.window) // 4
+    for s, e, s0, c0 in rows.values():
+        for a in (s, e):
+            assert a.shape == (m,) and a.base is None
+        assert np.ndim(s0) == np.ndim(c0) == 0
+    assert [key for key in spec.tables if len(key) == 2] == [(ss.EE.p, ss.EE.q)]

@@ -1,6 +1,9 @@
 """Simulation lab: configs, truth curves, campaign runs, tables, and the CLI."""
 
+from dataclasses import astuple
 from functools import partial
+import csv
+import io
 import json
 import logging
 import math
@@ -14,7 +17,8 @@ import pytest
 
 from splinesel import geometry, oracle, simlab, specfun, spectrum
 from splinesel.cli import cli
-from splinesel.criteria import BLOCK_ROWS, criterion_by_name
+from splinesel._rng import replicate_block
+from splinesel.criteria import BLOCK_ROWS, criterion_by_name, select_block, sigma_estimate
 from splinesel.errors import ConfigError, NumericError
 from splinesel.simlab import (
     RUNS_COLUMNS,
@@ -319,6 +323,28 @@ def test_campaign_identical_data_across_criteria(campaign):
         lams.setdefault(rec.replicate, set()).add(rec.lambda_hat)
     per_rep = [rec.lambda_hat for rec in records if rec.criterion == "gml"]
     assert len(set(per_rep)) == len(per_rep)
+
+
+@pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
+def test_campaign_picks_are_select_block_picks(tmp_path, sigma_mode):
+    # The lab scales each block and forms |z|^(2/q) once per q for all its
+    # criteria; every pick has the bits select_block gives the scaled block.
+    cfg = base_config(tmp_path, replicates=BLOCK_ROWS + 6, sigma_mode=sigma_mode,
+                      criteria=["cp", "gml", "ee", "p1.2q2"])
+    records = list(run_simulation(cfg))
+    spec, truth = oracle.setting(cfg.design, 61, partial(truth_curve, cfg.truth), cfg.sigma,
+                                 spectra_cache_dir(cfg), keep_basis=True)
+    estimated, M, _ = parse_sigma_mode(sigma_mode, 61)
+    for lo in range(0, cfg.replicates, BLOCK_ROWS):
+        hi = min(lo + BLOCK_ROWS, cfg.replicates)
+        coeffs = spectrum.rotate(spec, cfg.sigma * replicate_block(cfg.seed, 61, lo, hi)
+                                 + truth.f, 1.0)
+        scale = np.sqrt(sigma_estimate(coeffs, M))[:, None] if estimated else cfg.sigma
+        for ci, name in enumerate(cfg.criteria):
+            picked = select_block(criterion_by_name(name), spec, coeffs / scale)
+            got = records[lo * 4 + ci:hi * 4:4]
+            assert [r.lambda_hat for r in got] == picked.lam_hat.tolist()
+            assert [r.at_boundary for r in got] == list(picked.at_boundary)
 
 
 @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
@@ -671,6 +697,43 @@ def test_runs_csv_blank_lines_are_skipped(campaign, tmp_path):
     write_runs_csv(records[:3], path)
     path.write_text(path.read_text().replace("\r\n", "\r\n\r\n"))
     assert read_runs_csv(path) == records[:3]
+
+
+def _csv_module_bytes(header, rows) -> bytes:
+    """What csv.writer writes for header and rows, floats at 17 digits."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+    return out.getvalue().encode()
+
+
+def test_csv_writer_has_the_csv_module_bytes(tmp_path):
+    # _write_csv formats each row in one step; its bytes are csv.writer's
+    # on every kind of field the package writes.
+    records = [RunRecord(61, 0, "cp", 0.1, 5.25, 1e-300, -0.0, "none"),
+               RunRecord(61, 0, "p1.2q2", math.inf, -math.inf, 2.0 / 3.0, 5e-324, "low-lambda"),
+               RunRecord(121, 7, "ee", math.nan, math.nan, math.nan, math.nan, "error"),
+               RunRecord(121, 7, "p3q1", np.float64(1e17 / 3.0), 2.0, 1.5e300, -1e-5,
+                         "high-lambda")]
+    path = tmp_path / "runs.csv"
+    assert write_runs_csv(records, path) == len(records)
+    assert path.read_bytes() == _csv_module_bytes(RUNS_COLUMNS, map(astuple, records))
+    header = ["criterion", "n", "mean_sqerr", "sd_sqerr", "count"]
+    rows = [["gml", 61, "", "", 0], ["ee", 241, np.float64(-0.0), 0.25, np.int64(12)],
+            ("cp", 61, math.inf, -math.nan, 3)]
+    assert simlab._write_csv(path, header, iter(rows)) == 3
+    assert path.read_bytes() == _csv_module_bytes(header, rows)
+    assert simlab._write_csv(path, header, []) == 0
+    assert path.read_bytes() == _csv_module_bytes(header, [])
+
+
+@pytest.mark.parametrize("row", [["a,b", 1], ['say "x"', 1], ["two\nlines", 1],
+                                 ["cr\r", 1], [1, 2, 3]])
+def test_csv_writer_refuses_fields_that_need_quoting(tmp_path, row):
+    with pytest.raises(AssertionError, match="fields free of quoting"):
+        simlab._write_csv(tmp_path / "t.csv", ["a", "b"], [row])
 
 
 @pytest.mark.parametrize("row", [

@@ -33,10 +33,10 @@ from splinesel import (
 from splinesel import criteria, spectrum
 from splinesel.criteria import (COARSE_CANDIDATES, CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML,
                                 select, select_block)
-from splinesel.spectrum import (BLOCK_ROWS, CACHE_FORMAT_VERSION, DesignSpectrum,
-                                _numeric_environment, cache_key)
+from splinesel.spectrum import (BLOCK_ROWS, CACHE_FORMAT_VERSION, NEWTON_STEP_TOL,
+                                DesignSpectrum, _numeric_environment, cache_key)
 
-from crosscheck import decompose_reference
+from crosscheck import decompose_reference, log_lam_root_strict_from_start
 from fresh import run_fresh
 
 
@@ -391,6 +391,26 @@ def test_lambdas_for_df_at_the_df_ends(n):
         assert 0 < lam < math.inf
         assert abs(df(spec, lam) - target) <= 1e-9
     assert lams[0] > lams[1] > lams[2] > lams[3]
+
+
+@pytest.mark.parametrize("n", [61, 241, 961])
+def test_lambdas_for_df_within_step_tol_of_strict_solve(monkeypatch, spectra, n):
+    # The predicted-step stop ends a solve early, never by as much as
+    # NEWTON_STEP_TOL in log lam: the window's targets and random ones in
+    # its df range land within it of the solve that stops only on a step
+    # below it.  Without the short-step condition, a long first step
+    # mismeasured Newton's error constant and the stop strayed 1.8e-12 at
+    # n = 961.  (Within about 0.05 of n, df's slope in log lam falls below
+    # 0.05, and df's rounding alone moves its root by more than
+    # NEWTON_STEP_TOL; no solve is held there.)
+    spec = spectra[n]
+    window_range = (DF_WINDOW_LO, n - DF_WINDOW_MARGIN)
+    targets = np.concatenate([np.linspace(*window_range[::-1], COARSE_CANDIDATES),
+                              np.random.default_rng(n).uniform(*window_range, 2000)])
+    lams = lambdas_for_df(spec, targets)
+    monkeypatch.setattr(spectrum, "_log_lam_root", log_lam_root_strict_from_start)
+    strict = lambdas_for_df(spec, targets)
+    assert np.max(np.abs(np.log(lams) - np.log(strict))) <= NEWTON_STEP_TOL
 
 
 @pytest.mark.parametrize("n", [61, 961])
