@@ -2,10 +2,13 @@
 
 Every Monte Carlo draw in the package is keyed by (seed, n, replicate) so any
 single record can be regenerated in isolation and results do not depend on
-the order in which replicates are drawn.
+the order in which replicates are drawn.  spectral_blocks, the package's one
+caller of replicate_block, draws them in spectral coordinates, z = g + eps.
 """
 
 import numpy as np
+
+from .spectrum import BLOCK_ROWS
 
 
 def replicate_block(seed: int, n: int, start: int, stop: int,
@@ -37,3 +40,17 @@ def replicate_block(seed: int, n: int, start: int, stop: int,
 def replicate_normals(seed: int, n: int, replicate: int, size: int) -> np.ndarray:
     """Standard-normal vector for one replicate: a block of one row."""
     return replicate_block(seed, n, replicate, replicate + 1, out=np.empty((1, size)))[0]
+
+
+def spectral_blocks(seed: int, n: int, replicates: int, g: np.ndarray):
+    """Spectral data z = g + eps of replicates 0..replicates-1, BLOCK_ROWS
+    rows at a time: yields (start, z) with row i of z the replicate
+    start + i, and eps its replicate_block row.  Every block is drawn into
+    one reused buffer, so z is valid only until the next block is asked for.
+    """
+    buf = np.empty((min(BLOCK_ROWS, replicates), n))
+    for start in range(0, replicates, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, replicates)
+        z = replicate_block(seed, n, start, stop, out=buf[:stop - start])
+        z += g
+        yield start, z

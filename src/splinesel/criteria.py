@@ -37,8 +37,8 @@ import numpy as np
 
 from . import specfun
 from .errors import ConfigError
-from .spectrum import (BLOCK_ROWS, DesignSpectrum, _in_slices, _log_lam_root, _shrink,
-                       lambdas_for_df, weights)
+from .spectrum import (DesignSpectrum, _in_slices, _log_lam_root, _shrink, lambdas_for_df,
+                       weights)
 
 # Search window in degrees of freedom: just inside the interpolation end
 # (df = n) and just above the null fit (df = 2), per-spectrum.
@@ -395,11 +395,12 @@ def _quadratic_root(x, x_side, g, h, g_side) -> np.ndarray:
 def sigma_estimate(coeffs, M: int):
     """Noise-variance estimate from the M + 2 highest rotated components.
 
-    coeffs is the rotated data U'y, a vector or a (rows x n) block of them.
-    Returns the sum of its top M + 2 squares divided by M - 2: a float for
-    a vector, one value per row for a block (each row's bits equal its
-    vector estimate).  High components of a smooth signal are essentially
-    zero, so for noisy data the estimate is close to sigma^2 inflated by
+    coeffs is rotated data, a vector or a (rows x n) block of them: U'y, or
+    z = g + eps in the simulation lab, whose noise variance is 1.  Returns
+    the sum of its top M + 2 squares divided by M - 2: a float for a vector,
+    one value per row for a block (each row's bits equal its vector
+    estimate).  High components of a smooth signal are essentially zero, so
+    for noisy data the estimate is close to the noise variance inflated by
     (M + 2)/(M - 2); the index/divisor asymmetry is intentional, matching
     the estimator this implements.
     """

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import specfun
 from ._rng import (
-    replicate_block,
     replicate_normals,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
+    spectral_blocks,
 )
-from .criteria import BLOCK_ROWS, Criterion, _deriv_terms
+from .criteria import Criterion, _deriv_terms
 from .errors import NumericError
 from .oracle import TruthSpectrum
 from .spectrum import DesignSpectrum, weights
@@ -157,10 +157,10 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
 
     z ~ Normal(g, I) is keyed by (seed, n, replicate), not by criterion, so
     every criterion is evaluated on the same draws (common random numbers).
-    Draws are made BLOCK_ROWS at a time, in place, so the working set is one
-    block whatever the replicate count; u = |z|^(2/q) is formed once per
-    distinct q on the penalized components, and each criterion's affine R0
-    is evaluated on it.
+    Draws are made a block at a time into one buffer (spectral_blocks), so
+    the working set is one block whatever the replicate count; u = |z|^(2/q)
+    is formed once per distinct q on the penalized components, and each
+    criterion's affine R0 is evaluated on it.
     """
     if replicates < REVERSAL_MIN_REPLICATES:
         raise ValueError(f"reversal_probs_mc needs >= {REVERSAL_MIN_REPLICATES} replicates, "
@@ -171,11 +171,7 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
         by_q.setdefault(c.q, []).append(i)
     nd = spec.null_dim
     hits = [0] * len(forms)
-    z = np.empty((BLOCK_ROWS, spec.n))
-    for start in range(0, replicates, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, replicates)
-        block = replicate_block(seed, spec.n, start, stop, out=z[:stop - start])
-        block += truth.g
+    for _, block in spectral_blocks(seed, spec.n, replicates, truth.g):
         for q, members in by_q.items():
             u = np.abs(block[:, nd:])
             u **= 2.0 / q

@@ -17,9 +17,8 @@ import math
 import numpy as np
 
 from . import specfun
-from ._rng import replicate_block
+from ._rng import spectral_blocks
 from .criteria import (
-    BLOCK_ROWS,
     CP,
     Criterion,
     _criterion_table,
@@ -60,24 +59,23 @@ def _checked_truth(n: int, f, sigma: float) -> np.ndarray:
     return f
 
 
-def setting(design: dict, n: int, truth_gen, sigma: float, cache_dir=None, *,
-            keep_basis: bool = False) -> tuple[DesignSpectrum, TruthSpectrum]:
+def setting(design: dict, n: int, truth_gen, sigma: float,
+            cache_dir=None) -> tuple[DesignSpectrum, TruthSpectrum]:
     """Spectrum and truth of one setting: the n-point grid of a design dict
     ({"kind": ..., plus that kind's fields}), decomposed through the disk
     cache when cache_dir is given, with truth_gen(grid) as the true curve.
 
-    Once the truth is rotated, everything truth-known reads only k and g, so
-    the spectrum comes back without its basis (U is None) unless keep_basis
-    is set, as it must be to rotate noisy data.  Without the basis, a cached
-    spectrum's U is folded into g as its rows are read and is never held
-    whole; a cold miss writes the whole spectrum to the cache first.  g has
-    the same bits either way (rotate's blocked sum).
+    Once the truth is rotated, everything truth-known, Monte Carlo included
+    (z = g + eps), reads only k and g, so the spectrum comes back without
+    its basis (U is None).  A cached spectrum's U is folded into g as its
+    rows are read and is never held whole; a cold miss writes the whole
+    spectrum to the cache first.  g has the same bits either way (rotate's
+    blocked sum).
     """
     grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
-    if keep_basis or not cache_dir:
-        spec = cached_decompose(grid, cache_dir) if cache_dir else decompose(grid)
-        truth = make_truth(spec, truth_gen(grid), sigma)
-        return (spec if keep_basis else replace(spec, U=None)), truth
+    if not cache_dir:
+        spec = decompose(grid)
+        return replace(spec, U=None), make_truth(spec, truth_gen(grid), sigma)
     f = _checked_truth(grid.n, truth_gen(grid), sigma)
     fU = np.empty(grid.n)
     spec = cached_decompose(grid, cache_dir, fold=(f, fU))
@@ -111,15 +109,17 @@ def ideal_lambda(spec: DesignSpectrum, truth: TruthSpectrum) -> LambdaPoint:
     minimizer, located by selection's one-row screen and Newton solve.  A
     boundary winner is flagged, never clipped.
     """
-    return _central_at(CP, spec, 1.0 + truth.g**2)
+    return central_lambda(CP, spec, truth)
 
 
 def _penalized_power(spec: DesignSpectrum, truth: TruthSpectrum, q: float) -> np.ndarray:
     # E|z|^(2/q) on the penalized components and 0 on the null ones, which
-    # no criterion formula reads, so no moment is taken there.
+    # no criterion formula reads, so no moment is taken there.  For q = 1 it
+    # is E z^2 = 1 + g^2 exactly, the identity ideal_lambda rests on.
     nd = spec.null_dim
+    g = truth.g[nd:]
     eu = np.zeros(spec.n)
-    eu[nd:] = specfun.abs_moment(truth.g[nd:], 1.0 / q)
+    eu[nd:] = 1.0 + g**2 if q == 1 else specfun.abs_moment(g, 1.0 / q)
     return eu
 
 
@@ -179,7 +179,7 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
 
     Per replicate r, z = g + eps with eps keyed by (seed, n, r) -- the same
     draws for every criterion, so cross-criterion comparisons use common
-    random numbers.  Replicates are selected BLOCK_ROWS at a time.  The bias
+    random numbers, drawn a block at a time (spectral_blocks).  The bias
     term is computed exactly from the risk curve; covariance, variability,
     and the total extra risk are averaged over replicates with standard
     errors.  A term that is not finite raises NumericError.
@@ -204,12 +204,8 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     var_s = np.empty(replicates)
     extra_s = np.empty(replicates)
     boundary = 0
-    buf = np.empty((min(BLOCK_ROWS, replicates), spec.n))
-    for start in range(0, replicates, BLOCK_ROWS):
-        block = slice(start, min(start + BLOCK_ROWS, replicates))
-        Z = replicate_block(seed, spec.n, block.start, block.stop,
-                            out=buf[:block.stop - block.start])
-        Z += truth.g
+    for start, Z in spectral_blocks(seed, spec.n, replicates, truth.g):
+        block = slice(start, start + len(Z))
         picked = select_block(c, spec, Z)
         boundary += sum(flag != "none" for flag in picked.at_boundary)
         ghat = _shrink(spec.k, picked.lam_hat)[0] * Z

@@ -3,16 +3,16 @@ and plot-ready summary tables.
 
 A run is described by a single JSON-serializable config.  Each sample
 size's design is decomposed once into the disk cache: a run first builds
-and drops every n's setting, largest n first, and the cache's reader
-rebuilds each spectrum that is missing, stale or unreadable there, so its
-peak memory is one build of its largest n whatever the order of n_list or
-the state of the cache.  Then, n by n in n_list order, the spectrum is
-loaded from the cache, every replicate draws y = f + sigma * eps with eps
-keyed by (seed, n, replicate), feeds the identical dataset to every
-requested criterion, and streams one record per (n, replicate, criterion)
-into runs.csv.  The campaign runs in one process; replicates are selected in
-fixed blocks of BLOCK_ROWS counted from replicate 0, so a run's output
-depends only on its config.
+every n's setting, largest n first, without its basis, and the cache's
+reader rebuilds each spectrum that is missing, stale or unreadable there, so
+its peak memory is one build of its largest n whatever the order of n_list
+or the state of the cache.  Then, n by n in n_list order, every replicate's
+spectral data is z = g + eps with eps keyed by (seed, n, replicate), the
+law of U'y / sigma for y = f + sigma * eps' since U is orthogonal; the
+identical z goes to every requested criterion, and one record per (n,
+replicate, criterion) streams into runs.csv.  The campaign runs in one
+process; replicates are selected in fixed blocks of BLOCK_ROWS counted from
+replicate 0 (spectral_blocks), so a run's output depends only on its config.
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
@@ -30,9 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from . import geometry, oracle
-from ._rng import replicate_block
+from ._rng import spectral_blocks
 from .criteria import (
-    BLOCK_ROWS,
     Criterion,
     _select_rows,
     criterion_by_name,
@@ -41,7 +40,7 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _shrink, build_design, rotate
+from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _shrink, build_design
 
 log = logging.getLogger("splinesel")
 
@@ -311,30 +310,28 @@ def spectra_cache_dir(cfg: SimConfig) -> Path:
     return Path(cfg.output_dir) / "spectra"
 
 
-def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
-                       criteria: list[Criterion], cfg: SimConfig,
-                       sigma_mode: tuple, block: range) -> list[RunRecord]:
-    """Records of one block of replicates, each criterion selecting the
-    whole block at once; sigma_mode is parse_sigma_mode's result.  The
-    block is scaled and checked once, and u = |z|^(2/q) formed once per
-    distinct q (cp and gml share q = 1); each criterion selects from it
-    through select_block's row routine, _select_rows.  A replicate whose
-    noise-scale estimate collapsed gets an error record per criterion."""
+def _replicate_records(spec: DesignSpectrum, g: np.ndarray, criteria: list[Criterion],
+                       sigma: float, sigma_mode: tuple, start: int, z) -> list[RunRecord]:
+    """Records of one block of replicates, start onwards, from their
+    spectral data z (rows of g + eps); sigma_mode is parse_sigma_mode's
+    result.  Each criterion selects the whole block at once, on z with known
+    sigma and with an estimated one on z / sqrt(sigma_estimate(z, M)), whose
+    divisor is sigma_hat / sigma; sigma enters only sqerr_response.  The
+    block is checked once, and u = |z|^(2/q) formed once per distinct q (cp
+    and gml share q = 1) for select_block's row routine, _select_rows.  A
+    replicate whose noise-scale estimate collapsed gets an error record per
+    criterion."""
     estimated, M, _ = sigma_mode
-    sigma = cfg.sigma
-    y = replicate_block(cfg.seed, spec.n, block.start, block.stop)
-    y *= sigma
-    y += truth.f
-    coeffs = rotate(spec, y, 1.0)
+    ok = np.ones(len(z), dtype=bool)
+    Z = z
     if estimated:
-        s2 = sigma_estimate(coeffs, M)
-        sigma_use = np.sqrt(s2, out=np.full(len(block), math.nan), where=s2 > 0)
-    else:
-        sigma_use = np.full(len(block), sigma)
-    ok = np.isfinite(sigma_use)
+        s2 = sigma_estimate(z, M)
+        scale = np.sqrt(s2, out=np.full(len(z), math.nan), where=s2 > 0)
+        ok = np.isfinite(scale)
+        z = z[ok]
+        Z = z / scale[ok, None]
     picks, sqerrs = [], []
     if ok.any():
-        Z = coeffs[ok] / sigma_use[ok, None]
         if not np.all(np.isfinite(Z)):
             raise ValueError("z must be finite")
         powers = {}
@@ -344,11 +341,11 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
             picked = _select_rows(c, spec, powers[c.q])
             ahat = _shrink(spec.k, picked.lam_hat)[0]
             picks.append(picked)
-            sqerrs.append(((ahat * coeffs[ok] / sigma - truth.g) ** 2).sum(axis=1))
+            sqerrs.append(((ahat * z - g) ** 2).sum(axis=1))
 
     index = np.cumsum(ok) - 1  # each good replicate's row among the selected ones
     out: list[RunRecord] = []
-    for i, r in enumerate(block):
+    for i, r in enumerate(range(start, start + len(ok))):
         for ci, c in enumerate(criteria):
             if ok[i]:
                 picked, j = picks[ci], index[i]
@@ -366,39 +363,35 @@ def _replicate_records(spec: DesignSpectrum, truth: oracle.TruthSpectrum,
 def run_simulation(cfg: SimConfig):
     """Yield RunRecords for the whole campaign in deterministic order.
 
-    Ordering is (n in cfg order, replicate, criterion in cfg order).  A
-    pre-pass first builds each n's setting without its basis, largest n
-    first, and drops it at once: the cache's reader rebuilds every spectrum
-    that is missing, stale or unreadable there.  Each n then selects from
-    its cache-loaded spectrum, as a warm run does.  A spectrum failure
-    aborts that n with one logged error; single-replicate numeric failures
-    yield an error-flagged record rather than disappearing.
+    Ordering is (n in cfg order, replicate, criterion in cfg order).  Every
+    n's setting is built first, largest n first, without its basis (see
+    oracle.setting): the cache's reader rebuilds every spectrum that is
+    missing, stale or unreadable, and reads a valid file once.  Each n then
+    selects from its setting, released once its records are out.  A spectrum
+    failure aborts that n with one logged error; single-replicate numeric
+    failures yield an error-flagged record rather than disappearing.
     """
     cfg.validate()
     cache = spectra_cache_dir(cfg)
     criteria = [criterion_by_name(name) for name in cfg.criteria]
     truth_gen = partial(truth_curve, cfg.truth)
-    failed = {}
+    settings = {}
     for n in sorted(cfg.n_list, reverse=True):
         try:
-            oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache)
+            settings[n] = oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache)
         except (ValueError, NumericError) as exc:
-            failed[n] = str(exc)  # not the exception: its frames hold the build
+            settings[n] = str(exc)  # not the exception: its frames hold the build
     for n in cfg.n_list:
-        if n in failed:
-            log.error("n=%d aborted: %s", n, failed[n])
+        built = settings.pop(n)
+        if isinstance(built, str):
+            log.error("n=%d aborted: %s", n, built)
             continue
-        try:
-            spec, truth = oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache,
-                                         keep_basis=True)
-        except (ValueError, NumericError) as exc:
-            log.error("n=%d aborted: %s", n, exc)
-            continue
-        sigma_mode = parse_sigma_mode(cfg.sigma_mode, spec.n)
-        for lo in range(0, cfg.replicates, BLOCK_ROWS):
-            block = range(lo, min(lo + BLOCK_ROWS, cfg.replicates))
-            yield from _replicate_records(spec, truth, criteria, cfg, sigma_mode, block)
-        del spec, truth  # released before the next n's setting is built
+        spec, truth = built
+        sigma_mode = parse_sigma_mode(cfg.sigma_mode, n)
+        for start, z in spectral_blocks(cfg.seed, n, cfg.replicates, truth.g):
+            yield from _replicate_records(spec, truth.g, criteria, cfg.sigma, sigma_mode,
+                                          start, z)
+        del built, spec, truth  # released once this n's records are out
 
 
 def _write_csv(path, header, rows) -> int:

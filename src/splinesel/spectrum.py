@@ -63,8 +63,8 @@ class DesignSpectrum:
     U is orthogonal with columns ordered by ascending eigenvalue k; the first
     null_dim = 2 eigenvalues are exactly zero (constant and linear functions
     are never penalized).  U is None in a spectrum that dropped its basis
-    (oracle.setting's default): it still serves every quantity of k and the
-    rotated truth, but cannot rotate, smooth or be saved.  window is its
+    (oracle.setting's): it still serves every quantity of k and the rotated
+    truth, but cannot rotate, smooth or be saved.  window is its
     selection window, the array of candidate lams, built on first use and
     kept for the spectrum's lifetime.
     tables maps a criterion's (p, q) to its (T, offset) table over the
@@ -380,25 +380,20 @@ def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
 
 
 def rotate(spec: DesignSpectrum, v, sigma: float) -> np.ndarray:
-    """Rotate into spectral coordinates: U'v / sigma, for a vector v or for
-    each row of a (rows x n) block.
+    """Rotate a vector into spectral coordinates: U'v / sigma.
 
-    The package's one route that applies U'.  A block is one product
-    (v @ U) / sigma, and each row's rounding depends on the block's shape,
-    which callers fix.  A vector is the sum over U's BLOCK_ROWS-row blocks
-    b of v[b] @ U[b], added in block order (_row_sum), so it has the same
-    bits whether U is held or streamed from the cache a block at a time
-    (cached_decompose's fold).  Up to BLOCK_ROWS points that is one v @ U.
+    The package's one route that applies U'.  It is the sum over U's
+    BLOCK_ROWS-row blocks b of v[b] @ U[b], added in block order (_row_sum),
+    so it has the same bits whether U is held or streamed from the cache a
+    block at a time (cached_decompose's fold).  Up to BLOCK_ROWS points that
+    is one v @ U.
     """
     if sigma <= 0:
         raise ValueError(f"rotate requires sigma > 0, got {sigma}")
     v = np.asarray(v, dtype=float)
-    if v.ndim not in (1, 2) or v.shape[-1] != spec.n:
-        raise ValueError(f"v must have length {spec.n} (or rows of it), got shape {v.shape}")
-    U = _basis(spec, "rotate")
-    if v.ndim == 2:
-        return (v @ U) / sigma
-    return _row_sum(v, _row_blocks(U), np.empty(spec.n)) / sigma
+    if v.shape != (spec.n,):
+        raise ValueError(f"v must have length {spec.n}, got shape {v.shape}")
+    return _row_sum(v, _row_blocks(_basis(spec, "rotate")), np.empty(spec.n)) / sigma
 
 
 def _row_blocks(U: np.ndarray):
@@ -425,7 +420,7 @@ def _basis(spec: DesignSpectrum, caller: str) -> np.ndarray:
     """spec.U, or a ValueError naming caller when the spectrum dropped it."""
     if spec.U is None:
         raise ValueError(f"{caller} needs the eigenbasis U, which this spectrum dropped; "
-                         "build it with oracle.setting(..., keep_basis=True)")
+                         "build it with decompose or cached_decompose")
     return spec.U
 
 

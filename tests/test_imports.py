@@ -124,3 +124,30 @@ def test_check_sees_a_cache_file_name_outside_spectrum():
              "simlab": ast.parse("from .spectrum import _cache_path, rotate\n"),
              "cli": ast.parse("from . import spectrum\nkey = spectrum.cache_key\n")}
     assert _cache_file_name_uses(trees) == ["simlab._cache_path", "cli.cache_key"]
+
+
+# Every Monte Carlo route draws its replicates' spectral data z = g + eps
+# through _rng.spectral_blocks, so no other module draws replicate rows.
+_DRAW = "replicate_block"
+
+
+def _draw_callers(trees: dict[str, ast.Module]) -> list[str]:
+    """Each module other than _rng that calls _DRAW, by name or attribute."""
+    return [module for module, tree in trees.items() if module != "_rng"
+            and any(isinstance(node, ast.Call)
+                    and (getattr(node.func, "id", None) == _DRAW
+                         or getattr(node.func, "attr", None) == _DRAW)
+                    for node in ast.walk(tree))]
+
+
+def test_only_rng_draws_replicate_rows():
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    assert _draw_callers(trees) == []
+
+
+def test_check_sees_a_replicate_draw_outside_rng():
+    trees = {"_rng": ast.parse("def replicate_block(): pass\nz = replicate_block()\n"),
+             "oracle": ast.parse("from ._rng import replicate_block\nz = replicate_block()\n"),
+             "simlab": ast.parse("from . import _rng\nz = _rng.replicate_block()\n"),
+             "geometry": ast.parse("from ._rng import spectral_blocks\n")}
+    assert _draw_callers(trees) == ["oracle", "simlab"]

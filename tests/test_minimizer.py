@@ -14,7 +14,6 @@ import splinesel as ss
 from splinesel import criteria
 from splinesel._rng import replicate_block, replicate_normals
 from splinesel.criteria import (
-    BLOCK_ROWS,
     COARSE_CANDIDATES,
     DF_WINDOW_LO,
     DF_WINDOW_MARGIN,
@@ -24,7 +23,8 @@ from splinesel.criteria import (
     select,
     select_block,
 )
-from splinesel.spectrum import NEWTON_STEP_TOL, DesignSpectrum, _shrink, df, lambdas_for_df
+from splinesel.spectrum import (BLOCK_ROWS, NEWTON_STEP_TOL, DesignSpectrum, _shrink, df,
+                                lambdas_for_df)
 
 from crosscheck import select_rows_reference, value_tables_reference
 

@@ -15,6 +15,7 @@ from splinesel import (
     GML,
     NumericError,
     build_design,
+    cached_decompose,
     central_lambda,
     decomposition_approx,
     decomposition_mc,
@@ -83,20 +84,15 @@ def test_setting_matches_manual_construction(tmp_path, design, spec61):
     grid = build_design(design["kind"], 61, **params)
     spec = decompose(grid)
     truth = make_truth(spec, section_curve(grid.x), 0.5)
-    # By default the spectrum drops U once the truth is rotated; keep_basis
-    # keeps it.  With a cache, the default call is the cold miss.
-    for cache in (None, tmp_path):
-        for keep in (False, True):
-            kwargs = {"keep_basis": True} if keep else {}
-            got_spec, got_truth = setting(design, 61, section_curve_gen, 0.5, cache, **kwargs)
-            assert np.array_equal(got_spec.x, spec.x) and np.array_equal(got_spec.k, spec.k)
-            if keep:
-                assert np.array_equal(got_spec.U, spec.U)
-            else:
-                assert got_spec.U is None
-            assert np.array_equal(got_truth.f, truth.f)
-            assert np.array_equal(got_truth.g, truth.g)
-            assert got_truth.sigma == 0.5
+    # The spectrum drops U once the truth is rotated.  With a cache, the
+    # first call is the cold miss and the second the warm hit.
+    for cache in (None, tmp_path, tmp_path):
+        got_spec, got_truth = setting(design, 61, section_curve_gen, 0.5, cache)
+        assert np.array_equal(got_spec.x, spec.x) and np.array_equal(got_spec.k, spec.k)
+        assert got_spec.U is None
+        assert np.array_equal(got_truth.f, truth.f)
+        assert np.array_equal(got_truth.g, truth.g)
+        assert got_truth.sigma == 0.5
     assert len(list(tmp_path.glob("*.npz"))) == 1
     assert np.array_equal(load_spectrum(next(tmp_path.glob("*.npz"))).U, spec.U)
 
@@ -114,36 +110,42 @@ def _design(kind: str, n: int) -> dict:
 @pytest.mark.parametrize("n", [61, 241, 961])
 @pytest.mark.parametrize("kind", ["equispaced", "normal-quantile", "explicit"])
 def test_streamed_truth_rotation_matches_held_basis(tmp_path, kind, n):
-    # Without keep_basis, a cold miss folds the U it built into g, and a warm
-    # hit folds U's rows as they stream from the cache.  Both give the bits
-    # of rotate on the held basis, fresh or loaded, with or without a cache.
+    # A cold miss folds the U it built into g, and a warm hit folds U's rows
+    # as they stream from the cache.  Both give the bits of rotate on the
+    # held basis, fresh or loaded, with or without a cache.
     design = _design(kind, n)
     grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
     expect = rotate(decompose(grid), section_curve(grid.x), 0.7)
     cold_spec, cold = setting(design, n, section_curve_gen, 0.7, tmp_path)
     warm_spec, warm = setting(design, n, section_curve_gen, 0.7, tmp_path)
-    held_spec, held = setting(design, n, section_curve_gen, 0.7, tmp_path, keep_basis=True)
+    held_spec = cached_decompose(grid, tmp_path)
     _, uncached = setting(design, n, section_curve_gen, 0.7)
     assert cold_spec.U is None and warm_spec.U is None and held_spec.U is not None
-    assert np.array_equal(rotate(held_spec, held.f, 0.7), expect)
-    for truth in (cold, warm, held, uncached):
+    assert np.array_equal(rotate(held_spec, warm.f, 0.7), expect)
+    for truth in (cold, warm, uncached):
         assert np.array_equal(truth.g, expect)
         assert truth.sigma == 0.7
     assert np.array_equal(cold_spec.k, warm_spec.k) and np.array_equal(warm_spec.k, held_spec.k)
 
 
 # Prints ru_maxrss (KiB) once the package is imported, then builds the
-# n = 961 paper-fig3 setting through the cache in argv[1], keeping U when
-# argv[2] is "keep", and prints whether scipy.linalg (a rebuild) was loaded.
+# n = 961 paper-fig3 setting through the cache in argv[1], or, when argv[2]
+# is "keep", loads the spectrum with U (cached_decompose) and rotates the
+# truth with it, and prints whether scipy.linalg (a rebuild) was loaded.
 _SETTING_PEAK = """
 import resource, sys
 from functools import partial
-from splinesel import oracle, simlab
+from splinesel import build_design, cached_decompose, make_truth, oracle, simlab
 cache, keep = sys.argv[1], sys.argv[2] == "keep"
+design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+truth_gen = partial(simlab.truth_curve, "paper-fig3")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
-spec, truth = oracle.setting({"kind": "equispaced", "lo": -1.0, "hi": 1.0}, 961,
-                             partial(simlab.truth_curve, "paper-fig3"), 1.0, cache,
-                             keep_basis=keep)
+if keep:
+    grid = build_design("equispaced", 961, lo=-1.0, hi=1.0)
+    spec = cached_decompose(grid, cache)
+    truth = make_truth(spec, truth_gen(grid), 1.0)
+else:
+    spec, truth = oracle.setting(design, 961, truth_gen, 1.0, cache)
 assert (spec.U is not None) == keep
 print("scipy.linalg" in sys.modules)
 """
@@ -159,9 +161,9 @@ def _setting_peak_rise(cache, keep: str) -> int:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
 def test_warm_setting_never_holds_the_basis(tmp_path):
-    # U is 8 n^2 bytes (7.4 MB at n = 961).  A warm setting that drops it
-    # reads it a block of rows at a time and never holds it whole (its peak
-    # rose 1.8 MB, zipfile's read buffers included); one that keeps it does.
+    # U is 8 n^2 bytes (7.4 MB at n = 961).  A warm setting reads it a block
+    # of rows at a time and never holds it whole (its peak rose 1.8 MB,
+    # zipfile's read buffers included); a load that keeps U does.
     n = 961
     run_fresh(_SETTING_PEAK, str(tmp_path), "keep")  # a cold build fills the cache
     assert _setting_peak_rise(tmp_path, "drop") < 8 * n * n / 2
@@ -599,7 +601,8 @@ def test_rate_probes_builds_each_setting_and_window_once(cache_dir, monkeypatch)
 
 def test_rate_probes_compute_each_power_once_per_q(cache_dir, monkeypatch):
     # cp and gml share q = 1: one E|z|^(2/q) series per distinct q and n,
-    # and every lam_c is the one central_lambda finds on its own.
+    # and every lam_c is the one central_lambda finds on its own.  For q = 1
+    # the series is E z^2 = 1 + g^2 exactly, so only ee's q takes a moment.
     calls = []
     real = specfun.abs_moment
 
@@ -611,7 +614,7 @@ def test_rate_probes_compute_each_power_once_per_q(cache_dir, monkeypatch):
     ns = [61, 81, 101, 121]
     monkeypatch.setattr(specfun, "abs_moment", counting)
     probes = rate_probes([CP, GML, EE], design, ns, section_curve_gen, cache_dir=cache_dir)
-    assert calls == [s for _ in ns for s in (1.0, 1.0 / 1.5)]
+    assert calls == [1.0 / 1.5 for _ in ns]
     monkeypatch.undo()
     for c, probe in zip((CP, GML, EE), probes):
         expected = []

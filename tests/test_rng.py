@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from splinesel._rng import replicate_block, replicate_normals
+from splinesel._rng import replicate_block, replicate_normals, spectral_blocks
+from splinesel.spectrum import BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n", [5, 31, 961])
@@ -52,3 +53,19 @@ def test_keys_separate_streams():
     assert not np.array_equal(base[0], base[1])
     assert not np.array_equal(base, replicate_block(2, 31, 0, 2))
     assert not np.array_equal(base[:, :5], replicate_block(1, 5, 0, 2))
+
+
+@pytest.mark.parametrize("replicates", [1, BLOCK_ROWS, 2 * BLOCK_ROWS + 5])
+def test_spectral_blocks_are_g_plus_replicate_rows(replicates):
+    # Blocks of BLOCK_ROWS replicates counted from replicate 0, row r equal
+    # to g + replicate_block's row r, every block in one reused buffer.
+    g = np.linspace(-3.0, 3.0, 31)
+    starts, buffers = [], set()
+    for start, z in spectral_blocks(9, 31, replicates, g):
+        stop = min(start + BLOCK_ROWS, replicates)
+        assert z.shape == (stop - start, 31)
+        assert np.array_equal(z, g + replicate_block(9, 31, start, stop))
+        starts.append(start)
+        buffers.add(z.__array_interface__["data"][0])
+    assert starts == list(range(0, replicates, BLOCK_ROWS))
+    assert len(buffers) == 1

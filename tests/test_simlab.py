@@ -18,7 +18,7 @@ import pytest
 from splinesel import geometry, oracle, simlab, specfun, spectrum
 from splinesel.cli import cli
 from splinesel._rng import replicate_block
-from splinesel.criteria import BLOCK_ROWS, criterion_by_name, select_block, sigma_estimate
+from splinesel.criteria import criterion_by_name, select_block, sigma_estimate
 from splinesel.errors import ConfigError, NumericError
 from splinesel.simlab import (
     RUNS_COLUMNS,
@@ -32,7 +32,8 @@ from splinesel.simlab import (
     truth_curve,
     write_runs_csv,
 )
-from splinesel.spectrum import build_design, cache_key, cached_decompose, load_spectrum
+from splinesel.spectrum import (BLOCK_ROWS, _shrink, build_design, cache_key, cached_decompose,
+                                load_spectrum)
 
 from fresh import SRC, run_fresh
 from test_spectrum import _cache_fields
@@ -327,24 +328,28 @@ def test_campaign_identical_data_across_criteria(campaign):
 
 @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
 def test_campaign_picks_are_select_block_picks(tmp_path, sigma_mode):
-    # The lab scales each block and forms |z|^(2/q) once per q for all its
-    # criteria; every pick has the bits select_block gives the scaled block.
-    cfg = base_config(tmp_path, replicates=BLOCK_ROWS + 6, sigma_mode=sigma_mode,
+    # Replicate r's spectral data is z = g + eps_r, eps_r its replicate_block
+    # row.  The lab forms |z|^(2/q) once per q for all its criteria; every
+    # pick has the bits select_block gives z (known sigma) or
+    # z / sqrt(sigma_estimate(z, M)) (estimated), and sqerr is ||a z - g||^2.
+    cfg = base_config(tmp_path, replicates=BLOCK_ROWS + 6, sigma=0.7, sigma_mode=sigma_mode,
                       criteria=["cp", "gml", "ee", "p1.2q2"])
     records = list(run_simulation(cfg))
     spec, truth = oracle.setting(cfg.design, 61, partial(truth_curve, cfg.truth), cfg.sigma,
-                                 spectra_cache_dir(cfg), keep_basis=True)
+                                 spectra_cache_dir(cfg))
     estimated, M, _ = parse_sigma_mode(sigma_mode, 61)
     for lo in range(0, cfg.replicates, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, cfg.replicates)
-        coeffs = spectrum.rotate(spec, cfg.sigma * replicate_block(cfg.seed, 61, lo, hi)
-                                 + truth.f, 1.0)
-        scale = np.sqrt(sigma_estimate(coeffs, M))[:, None] if estimated else cfg.sigma
+        z = truth.g + replicate_block(cfg.seed, 61, lo, hi)
+        Z = z / np.sqrt(sigma_estimate(z, M))[:, None] if estimated else z
         for ci, name in enumerate(cfg.criteria):
-            picked = select_block(criterion_by_name(name), spec, coeffs / scale)
+            picked = select_block(criterion_by_name(name), spec, Z)
+            sqerr = ((_shrink(spec.k, picked.lam_hat)[0] * z - truth.g) ** 2).sum(axis=1)
             got = records[lo * 4 + ci:hi * 4:4]
             assert [r.lambda_hat for r in got] == picked.lam_hat.tolist()
             assert [r.at_boundary for r in got] == list(picked.at_boundary)
+            assert [r.sqerr for r in got] == sqerr.tolist()
+            assert [r.sqerr_response for r in got] == (0.7 * 0.7 * sqerr).tolist()
 
 
 @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
@@ -453,14 +458,19 @@ def test_run_simulation_builds_one_window_per_n(tmp_path, monkeypatch):
 @pytest.mark.parametrize("route", ["simulate", "curvature", "rates", "reversal"])
 def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
     # When a command builds the next n's setting, the previous n's spectrum
-    # and truth are already released.  simulate builds two per n: one in
-    # its pre-pass over the cache and one to select from.
+    # and truth are already released.  simulate instead builds one setting
+    # per n up front, largest n first, each without its basis, and releases
+    # each once that n's records are out.
     alive = []
     real = oracle.setting
 
+    def released(ns) -> bool:
+        return all(ref() is None for n, refs in alive if n in ns for ref in refs)
+
     def tracking(*args, **kwargs):
-        held = [n for n, refs in alive if any(ref() is not None for ref in refs)]
-        assert held == [], f"setting of n={held} still alive"
+        if route != "simulate":
+            held = [n for n, refs in alive if any(ref() is not None for ref in refs)]
+            assert held == [], f"setting of n={held} still alive"
         spec, truth = real(*args, **kwargs)
         alive.append((spec.n, (weakref.ref(spec), weakref.ref(truth))))
         return spec, truth
@@ -470,8 +480,16 @@ def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     truth_gen = partial(truth_curve, "paper-fig3")
     if route == "simulate":
-        cfg = base_config(tmp_path, n_list=ns, replicates=BLOCK_ROWS + 1)
-        assert len(list(run_simulation(cfg))) == 4 * cfg.replicates * len(cfg.criteria)
+        order = [41, 61, 31, 51]
+        cfg = base_config(tmp_path, n_list=order, replicates=BLOCK_ROWS + 1)
+        count = 0
+        for rec in run_simulation(cfg):
+            assert [n for n, _ in alive] == [61, 51, 41, 31]
+            assert released(order[:order.index(rec.n)])
+            assert not released([rec.n])
+            count += 1
+        assert count == 4 * cfg.replicates * len(cfg.criteria)
+        assert released(order)
     elif route == "curvature":
         simlab.write_curvature_table(tmp_path / "table1.csv", ["cp", "gml"], design, ns,
                                      truth_gen, 1.0, tmp_path / "spectra")
@@ -482,7 +500,7 @@ def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
         assert cli(["reversal", "--n", "31,41,61", "--criteria", "cp", "--replicates", "1000",
                     "--cache-dir", str(tmp_path / "spectra"),
                     "--out", str(tmp_path / "reversal.csv")]) == 0
-    assert len(alive) == {"simulate": 8, "curvature": 4, "rates": 4, "reversal": 3}[route]
+    assert len(alive) == {"simulate": 4, "curvature": 4, "rates": 4, "reversal": 3}[route]
 
 
 _BASIS_COMMANDS = [
@@ -498,49 +516,79 @@ _BASIS_COMMANDS = [
 ]
 
 
-def test_only_simulate_keeps_the_basis(tmp_path, monkeypatch, capsys):
-    # Only simulate rotates noisy data, so every other command's settings
-    # drop U, on cold misses and warm hits alike, and so do the settings of
-    # simulate's pre-pass over the cache (one per n, before the loop's).
-    # Dropping it changes no output: each file, stdout line and cached
-    # spectrum is the same as in a run whose settings all keep U.
+def test_no_command_keeps_the_basis(tmp_path, monkeypatch):
+    # Every command's settings drop U once the truth is rotated, on cold
+    # misses and warm hits alike: simulate draws its data in spectral
+    # coordinates (z = g + eps) and rotates nothing.
     real = oracle.setting
-    keep = False
     kept = []
 
     def recording(*args, **kwargs):
-        spec, truth = real(*args, **({**kwargs, "keep_basis": True} if keep else kwargs))
+        spec, truth = real(*args, **kwargs)
         kept.append(spec.U is not None)
         return spec, truth
 
     monkeypatch.setattr(oracle, "setting", recording)
-    runs = {}
-    for keep in (False, True):
-        root = tmp_path / f"keep_basis_{keep}"
-        root.mkdir()
-        monkeypatch.chdir(root)
-        (root / "sim.json").write_text(
-            base_config("out", n_list=[31, 61], replicates=4, seed=7).to_json())
-        stdout = []
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(
+        base_config("out", n_list=[31, 61], replicates=4, seed=7).to_json())
+    for _ in ("cold", "warm"):
         for argv in _BASIS_COMMANDS:
             kept.clear()
             assert cli(argv) == 0
-            stdout.append(capsys.readouterr().out)
-            expected = [keep] * 2 + [True] * 2 if argv[0] == "simulate" else [keep] * len(kept)
-            assert kept and kept == expected, argv[0]
-        files = {p.relative_to(root): p for p in sorted(root.rglob("*")) if p.is_file()}
-        runs[keep] = stdout, files
-    (out_drop, files_drop), (out_keep, files_keep) = runs[False], runs[True]
-    assert out_drop == out_keep
-    assert files_drop.keys() == files_keep.keys()
-    assert sum(p.suffix == ".npz" for p in files_drop) == 4 + 2  # spectra/, out/spectra/
-    for name, path in files_drop.items():
-        if path.suffix == ".npz":
-            dropped, held = load_spectrum(path), load_spectrum(files_keep[name])
-            assert all(np.array_equal(getattr(dropped, f), getattr(held, f))
-                       for f in ("x", "k", "U"))
-        else:
-            assert path.read_bytes() == files_keep[name].read_bytes(), name
+            assert kept and not any(kept), argv[0]
+
+
+def test_warm_simulate_reads_each_cache_file_once(tmp_path, monkeypatch):
+    # A cold run builds every spectrum and reads none back; a warm run reads
+    # each n's file once, largest n first, folding U into the truth's
+    # rotation as it streams.
+    loaded = []
+    real = spectrum.load_spectrum
+
+    def counting(path, **kwargs):
+        spec = real(path, **kwargs)
+        loaded.append((spec.n, spec.U is None))
+        return spec
+
+    monkeypatch.setattr(spectrum, "load_spectrum", counting)
+    cfg = base_config(tmp_path, n_list=[31, 61, 41], replicates=BLOCK_ROWS + 1)
+    cold = list(run_simulation(cfg))
+    assert loaded == []
+    assert list(run_simulation(cfg)) == cold
+    assert loaded == [(61, True), (41, True), (31, True)]
+
+
+# Prints ru_maxrss (KiB) once the package and numpy.random (the draws'
+# generators, about 2 MB of modules a run imports on its first draw) are
+# imported, then runs the config in argv[1] and prints whether scipy.linalg
+# (a rebuild) was loaded.
+_SIMULATE_PEAK = """
+import resource, sys
+import numpy.random
+from splinesel import simlab
+cfg = simlab.SimConfig.from_json(open(sys.argv[1]).read())
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+assert len(list(simlab.run_simulation(cfg))) == cfg.replicates * len(cfg.criteria)
+print("scipy.linalg" in sys.modules)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_warm_simulate_never_holds_the_basis(tmp_path):
+    # U is 8 n^2 bytes (7.4 MB at n = 961).  A warm simulate streams it from
+    # the cache into the truth's rotation and draws its data in spectral
+    # coordinates, so it never holds U whole.  One replicate is a block of
+    # one row, which builds no criterion table, so the rise is the setting
+    # and selection's slices: 2.1 MB, where holding U would add 7.4 MB.
+    n = 961
+    cfg = tmp_path / "sim.json"
+    cfg.write_text(base_config(tmp_path / "out", n_list=[n], replicates=1).to_json())
+    run_fresh(_SIMULATE_PEAK, str(cfg))  # a cold build fills the cache
+    out, peak = run_fresh(_SIMULATE_PEAK, str(cfg))
+    before, rebuilt = out.split()
+    assert rebuilt == "False"
+    assert 1024 * (peak - int(before)) < 8 * n * n / 2
 
 
 def test_bad_sample_size_aborts_that_n_only(tmp_path, monkeypatch, caplog):
@@ -650,9 +698,13 @@ def test_cold_campaign_peaks_at_one_build_of_its_largest_n(tmp_path):
 
 
 def test_pure_noise_concentrates_at_smooth_boundary(tmp_path):
-    cfg = base_config(tmp_path, truth="zero", replicates=8, seed=5150)
+    # On pure noise 60-69 % of picks sit at the high-lambda end (20 000
+    # replicates per criterion at seeds 7 and 8), so at 256 replicates "at
+    # least half" holds with room to spare: 478-516 of 768 at seeds 5150, 1,
+    # 2 and 3.
+    cfg = base_config(tmp_path, truth="zero", replicates=256, seed=5150)
     records = list(run_simulation(cfg))
-    assert len(records) == 8 * 3
+    assert len(records) == 256 * 3
     high = sum(rec.at_boundary == "high-lambda" for rec in records)
     assert high >= len(records) // 2
     assert np.median([rec.df_hat for rec in records]) < 4.0

@@ -523,21 +523,21 @@ def test_rotate_rejects_bad_input(spec61):
 
 
 def test_rotate_vector_and_block(spec61):
-    # A vector rotates to exactly U'v / sigma; a block rotates each row to
-    # the vector result up to the rounding of the block product.
+    # A vector rotates to exactly U'v / sigma.  rotate takes vectors only:
+    # replicates are drawn in spectral coordinates, so no block of rows is
+    # ever rotated, and a block is refused.
     y = np.random.default_rng(12).standard_normal((5, 61))
     for row in y:
         assert np.array_equal(rotate(spec61, row, 0.7), (spec61.U.T @ row) / 0.7)
-    block = rotate(spec61, y, 0.7)
-    assert block.shape == (5, 61)
-    for got, row in zip(block, y):
-        np.testing.assert_allclose(got, rotate(spec61, row, 0.7), rtol=0, atol=1e-13)
+    with pytest.raises(ValueError, match=r"v must have length 61, got shape \(5, 61\)"):
+        rotate(spec61, y, 0.7)
 
 
-def test_rotate_without_basis_names_keep_basis(spec61):
+def test_rotate_without_basis_names_decompose(spec61):
     # A spectrum that dropped U fails with a ValueError, which the CLI
     # reports as a JSON error line, not with a TypeError from v @ None.
-    with pytest.raises(ValueError, match=r"rotate needs the eigenbasis U.*keep_basis=True"):
+    with pytest.raises(ValueError,
+                       match=r"rotate needs the eigenbasis U.*decompose or cached_decompose"):
         rotate(replace(spec61, U=None), np.zeros(61), 1.0)
 
 
@@ -554,8 +554,9 @@ def test_smooth_equals_rotation_route(spec61):
     np.testing.assert_allclose(smooth(spec61, 0.3, y), via_rotation, atol=1e-10)
 
 
-def test_smooth_without_basis_names_keep_basis(spec61):
-    with pytest.raises(ValueError, match=r"smooth needs the eigenbasis U.*keep_basis=True"):
+def test_smooth_without_basis_names_decompose(spec61):
+    with pytest.raises(ValueError,
+                       match=r"smooth needs the eigenbasis U.*decompose or cached_decompose"):
         smooth(replace(spec61, U=None), 0.3, np.zeros(61))
 
 
@@ -628,10 +629,10 @@ def test_save_spectrum_failure_keeps_previous_file(tmp_path, spec61, monkeypatch
     assert [p.name for p in tmp_path.iterdir()] == ["spec.npz"]
 
 
-def test_save_spectrum_without_basis_names_keep_basis(tmp_path, spec61):
+def test_save_spectrum_without_basis_names_decompose(tmp_path, spec61):
     path = tmp_path / "cache" / "spec.npz"
-    with pytest.raises(ValueError,
-                       match=r"save_spectrum needs the eigenbasis U.*keep_basis=True"):
+    with pytest.raises(ValueError, match=r"save_spectrum needs the eigenbasis U.*"
+                                         r"decompose or cached_decompose"):
         save_spectrum(replace(spec61, U=None), path)
     assert list(tmp_path.iterdir()) == []
 
