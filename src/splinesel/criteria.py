@@ -13,9 +13,9 @@ cp = (2, 1), gml = (1, 1), ee = (3/2, 3/2): all three are recovered exactly,
 up to positive-affine transforms that leave the minimizer unchanged.
 
 Selection minimizes the criterion over a degrees-of-freedom window: a coarse
-screen over a df-equispaced grid whose log-lam gaps are capped at
-MAX_LOG_GAP, then a safeguarded Newton solve for the root of the analytic
-slope in log lam next to the screen's winner.  The winner's slope and
+screen over lams from df = n - 0.5 to df = 2.1 in equal log-lam steps of at
+most MAX_LOG_GAP, then a safeguarded Newton solve for the root of the
+analytic slope in log lam next to the screen's winner.  The winner's slope and
 curvature and its downhill neighbour's slope are contracted from derivative
 rows that the spectrum keeps per window point; the solve starts at the root
 between the two of the quadratic those three values fix, and stops a row
@@ -44,10 +44,9 @@ from .spectrum import (DesignSpectrum, _in_slices, _log_lam_root, _shrink, lambd
 # (df = n) and just above the null fit (df = 2), per-spectrum.
 DF_WINDOW_LO = 2.1
 DF_WINDOW_MARGIN = 0.5
-COARSE_CANDIDATES = 201
-# Largest log-lam gap left between neighbouring window points: where the
-# df-equispaced grid is sparser (the smooth end), log-uniform points fill in.
-MAX_LOG_GAP = 0.25
+# Largest log-lam step between neighbouring window points; the window takes
+# equal steps no longer than this between its two df ends.
+MAX_LOG_GAP = 0.2
 # A pick within 2 * REFINE_LOG_TOL (in log lam) of a window end is flagged.
 REFINE_LOG_TOL = 1e-6
 
@@ -221,19 +220,14 @@ def selection_window(spec: DesignSpectrum) -> np.ndarray:
     """The candidate lams for one spectrum, ascending from df = n - 0.5 down
     to df = 2.1.
 
-    COARSE_CANDIDATES df-equispaced points (both ends included, kept exactly),
-    with log-uniform points inserted so no log-lam gap exceeds MAX_LOG_GAP.
+    The two ends are the df inverse's lams, kept exactly; between them the
+    window takes ceil(span / MAX_LOG_GAP) equal steps in log lam.
     """
-    targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
-    coarse = lambdas_for_df(spec, targets)
-    logs = np.log(coarse)
-    parts = [coarse[:1]]
-    for i, gap in enumerate(np.diff(logs)):
-        pieces = math.ceil(gap / MAX_LOG_GAP)
-        if pieces > 1:
-            parts.append(np.exp(np.linspace(logs[i], logs[i + 1], pieces + 1)[1:-1]))
-        parts.append(coarse[i + 1:i + 2])
-    return np.concatenate(parts)
+    ends = lambdas_for_df(spec, [spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO])
+    lo, hi = np.log(ends)
+    window = np.exp(np.linspace(lo, hi, math.ceil((hi - lo) / MAX_LOG_GAP) + 1))
+    window[[0, -1]] = ends
+    return window
 
 
 def _criterion_table(c: Criterion, spec: DesignSpectrum) -> tuple[np.ndarray, np.ndarray]:
@@ -307,8 +301,8 @@ def _screen(c: Criterion, spec: DesignSpectrum, up: np.ndarray) -> np.ndarray:
     # Each row of penalized u's criterion value at every window point.  A
     # block of several rows is screened against the criterion's whole table;
     # a block of one row, table slice by table slice (_in_slices), so no
-    # table outlives a slice.  Each value is one product of u with a table
-    # row, so both give the same bits.
+    # table outlives a slice, with the bits of the row's whole-table product.
+    # A block of several rows may round a row's product otherwise.
     def product(tables):
         T, offset = tables
         return up @ T.T + offset
@@ -360,6 +354,10 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
                          bracketed)
 
     root_value = _values(c, kp, up[bracketed], root)
+    # A root within REFINE_LOG_TOL of its winner can tie with it to rounding,
+    # which differs between block sizes (_screen): recompute the winner's value.
+    near = bracketed[np.abs(np.log(root) - x) <= REFINE_LOG_TOL]
+    value[near] = _values(c, kp, up[near], lam[near])
     coarse_value, coarse_lam = value[bracketed], lam[bracketed]
     take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
     lam[bracketed[take]] = root[take]

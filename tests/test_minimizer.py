@@ -1,4 +1,4 @@
-"""The shared minimizer: gap-capped window, Newton refinement, block
+"""The shared minimizer: log-uniform window, Newton refinement, block
 selection, and the golden-section route it replaced, kept here as an
 independent cross-check."""
 
@@ -14,7 +14,6 @@ import splinesel as ss
 from splinesel import criteria
 from splinesel._rng import replicate_block, replicate_normals
 from splinesel.criteria import (
-    COARSE_CANDIDATES,
     DF_WINDOW_LO,
     DF_WINDOW_MARGIN,
     MAX_LOG_GAP,
@@ -27,13 +26,15 @@ from splinesel.spectrum import (BLOCK_ROWS, NEWTON_STEP_TOL, DesignSpectrum, _sh
                                 lambdas_for_df)
 
 from crosscheck import select_rows_reference, value_tables_reference
+from fresh import run_fresh
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+DF_POINTS = 201
 
 
 def df_window(spec):
     """The 201-point df-equispaced window the golden-section route screens."""
-    targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
+    targets = np.linspace(spec.n - DF_WINDOW_MARGIN, DF_WINDOW_LO, DF_POINTS)
     return lambdas_for_df(spec, targets)
 
 
@@ -100,7 +101,7 @@ def test_select_never_worse_than_golden_section(spectra, truths, n, truth):
 ])
 def test_select_finds_minimum_hidden_in_wide_gap(spectra, truths, crit, n, truth, replicate):
     # On these draws the 201-point df-equispaced screen puts its winner in
-    # the wrong basin; the gap-capped window does not.
+    # the wrong basin; the log-uniform window does not.
     spec = spectra[n]
     window = spec.window
     z = _g(truths, n, truth) + replicate_normals(11, n, replicate, n)
@@ -112,14 +113,18 @@ def test_select_finds_minimum_hidden_in_wide_gap(spectra, truths, crit, n, truth
 
 
 def test_window_keeps_df_points_and_caps_log_gaps(spectra):
+    # The window's ends are the df inverse's lams at its two df targets, bit
+    # for bit; between them it takes the fewest equal log-lam steps that
+    # MAX_LOG_GAP allows.
     for n in (61, 241, 961):
         lams = spectra[n].window
-        df_points = df_window(spectra[n])
-        assert np.all(np.isin(df_points, lams))
-        assert lams[0] == df_points[0] and lams[-1] == df_points[-1]
-        assert np.all(np.diff(np.log(lams)) <= MAX_LOG_GAP)
-    assert [len(spectra[n].window) - COARSE_CANDIDATES
-            for n in (61, 241, 961)] == [24, 49, 77]
+        ends = lambdas_for_df(spectra[n], [n - DF_WINDOW_MARGIN, DF_WINDOW_LO])
+        assert lams[0] == ends[0] and lams[-1] == ends[1]
+        steps = np.diff(np.log(lams))
+        assert np.all(steps <= MAX_LOG_GAP)
+        assert np.max(steps) - np.min(steps) <= 1e-13
+        assert len(steps) == math.ceil(math.log(ends[1] / ends[0]) / MAX_LOG_GAP)
+    assert [len(spectra[n].window) for n in (61, 241, 961)] == [102, 136, 171]
 
 
 def test_minimizer_leaves_no_reference_cycle():
@@ -197,15 +202,40 @@ def _fresh(spec):
 @pytest.mark.parametrize("crit", [ss.CP, ss.GML, ss.EE, ss.criterion_by_name("p3q1")])
 def test_one_row_screen_is_the_table_product(spectra, n, crit):
     # A block of one row is screened BLOCK_ROWS window points at a time, yet
-    # every screen value has the bits of the whole table product.
+    # every screen value has the bits of the whole table product.  The
+    # window spans two slices at n = 61 and three at n = 241 and 961.
     spec = _fresh(spectra[n])
-    assert len(spec.window) > 2 * BLOCK_ROWS
+    assert len(spec.window) > BLOCK_ROWS
     u = np.abs(np.random.default_rng(n).standard_normal(n) + 1.5) ** (2.0 / crit.q)
     up = u[None, spec.null_dim:]
     screen = criteria._screen(crit, spec, up)
     assert spec.tables == {}
     T, offset = criteria._criterion_table(crit, spec)
     assert screen.tobytes() == (up @ T.T + offset).tobytes()
+
+
+_TIED_ROW = """
+import splinesel as ss
+from splinesel._rng import replicate_block
+grid = ss.build_design("equispaced", 961, lo=-1.0, hi=1.0)
+spec = ss.decompose(grid)
+g = ss.make_truth(spec, ss.truth_curve("paper-fig3", grid), 1.0).g
+Z = g + replicate_block(11, 961, 2112, 2176)
+block, single = ss.select_block(ss.EE, spec, Z), ss.select(ss.EE, spec, Z[2])
+print(repr(float(block.lam_hat[2])), repr(single.lam_hat))
+"""
+
+
+def test_block_and_single_selection_agree_where_winner_and_root_tie():
+    # ee at n = 961, replicate 2114 of seed 11 (row 2 of its 64-row block),
+    # OpenBLAS on one thread (Haswell kernels): the screen's winner lies
+    # 4.3e-8 from the Newton root in log lam, and the criterion's values
+    # there tie to the last ulp.  The block's screen and a one-row screen round the winner's
+    # value differently, so comparing the root with a screen value picked
+    # the winner in one route and the root in the other.  The winner's
+    # value recomputed row by row gives both routes one lam, bit for bit.
+    block, single = run_fresh(_TIED_ROW)[0].split()
+    assert block == single
 
 
 @pytest.mark.parametrize("name", ["cp", "gml", "ee", "p1.2q2"])

@@ -31,8 +31,7 @@ from splinesel import (
     weights,
 )
 from splinesel import criteria, spectrum
-from splinesel.criteria import (COARSE_CANDIDATES, CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML,
-                                select, select_block)
+from splinesel.criteria import CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML, select, select_block
 from splinesel.spectrum import (BLOCK_ROWS, CACHE_FORMAT_VERSION, NEWTON_STEP_TOL,
                                 DesignSpectrum, _numeric_environment, cache_key)
 
@@ -396,16 +395,16 @@ def test_lambdas_for_df_at_the_df_ends(n):
 @pytest.mark.parametrize("n", [61, 241, 961])
 def test_lambdas_for_df_within_step_tol_of_strict_solve(monkeypatch, spectra, n):
     # The predicted-step stop ends a solve early, never by as much as
-    # NEWTON_STEP_TOL in log lam: the window's targets and random ones in
-    # its df range land within it of the solve that stops only on a step
-    # below it.  Without the short-step condition, a long first step
+    # NEWTON_STEP_TOL in log lam: 201 df-equispaced targets and random ones
+    # in the window's df range land within it of the solve that stops only
+    # on a step below it.  Without the short-step condition, a long first step
     # mismeasured Newton's error constant and the stop strayed 1.8e-12 at
     # n = 961.  (Within about 0.05 of n, df's slope in log lam falls below
     # 0.05, and df's rounding alone moves its root by more than
     # NEWTON_STEP_TOL; no solve is held there.)
     spec = spectra[n]
     window_range = (DF_WINDOW_LO, n - DF_WINDOW_MARGIN)
-    targets = np.concatenate([np.linspace(*window_range[::-1], COARSE_CANDIDATES),
+    targets = np.concatenate([np.linspace(*window_range[::-1], 201),
                               np.random.default_rng(n).uniform(*window_range, 2000)])
     lams = lambdas_for_df(spec, targets)
     monkeypatch.setattr(spectrum, "_log_lam_root", log_lam_root_strict_from_start)
@@ -415,10 +414,10 @@ def test_lambdas_for_df_within_step_tol_of_strict_solve(monkeypatch, spectra, n)
 
 @pytest.mark.parametrize("n", [61, 961])
 def test_lambdas_for_df_window_targets_match_single_solves(spectra, n):
-    # The window's 201 targets cross slice boundaries of the df and slope
+    # 201 df-equispaced targets cross slice boundaries of the df and slope
     # evaluation; each lam still has the bits of its single-target solve.
     spec = spectra[n]
-    targets = np.linspace(n - DF_WINDOW_MARGIN, DF_WINDOW_LO, COARSE_CANDIDATES)
+    targets = np.linspace(n - DF_WINDOW_MARGIN, DF_WINDOW_LO, 201)
     assert len(targets) > 3 * BLOCK_ROWS
     lams = lambdas_for_df(spec, targets)
     assert lams.tolist() == [lambdas_for_df(spec, [t])[0] for t in targets]
