@@ -15,7 +15,10 @@ up to positive-affine transforms that leave the minimizer unchanged.
 Selection minimizes the criterion over a degrees-of-freedom window: a coarse
 screen over lams from df = n - 0.5 to df = 2.1 in equal log-lam steps of at
 most MAX_LOG_GAP, then a safeguarded Newton solve for the root of the
-analytic slope in log lam next to the screen's winner.  The winner's slope and
+analytic slope in log lam next to the screen's winner.  That root, where the
+winner and its downhill neighbour bracket one, is the pick: the screen only
+ranks the window, and a criterion value is computed only where it is
+reported (loss, and select_block's per-row loss).  The winner's slope and
 curvature and its downhill neighbour's slope are contracted from derivative
 rows that the spectrum keeps per window point; the solve starts at the root
 between the two of the quadratic those three values fix, and stops a row
@@ -94,6 +97,8 @@ def criterion_by_name(name: str) -> Criterion:
 
 @dataclass(frozen=True)
 class SelectionResult:
+    """The pick of select, and loss()'s value of the criterion there."""
+
     lam_hat: float
     df_hat: float
     loss: float
@@ -102,7 +107,8 @@ class SelectionResult:
 
 @dataclass(frozen=True)
 class BlockSelection:
-    """Per-row results of select_block, in the order of the block's rows."""
+    """Per-row results of select_block, in the order of the block's rows;
+    loss[i] is loss()'s value of the criterion at lam_hat[i], bit for bit."""
 
     lam_hat: np.ndarray
     df_hat: np.ndarray
@@ -115,7 +121,8 @@ def loss(c: Criterion, spec: DesignSpectrum, lam: float, u) -> float:
 
     u must be the full-length vector |z|^(2/q) (nonnegative); only its
     penalized entries matter.  For p = 1 the value diverges as lam -> 0, and
-    lam = 0 itself is a domain error (log of zero).
+    lam = 0 itself is a domain error (log of zero).  Evaluated as a block of
+    one row, so select and select_block report these bits at their picks.
     """
     nd = spec.null_dim
     b = weights(spec, lam)[1][nd:]
@@ -126,8 +133,7 @@ def loss(c: Criterion, spec: DesignSpectrum, lam: float, u) -> float:
         raise ValueError("u must be nonnegative")
     if c.p == 1.0 and np.any(b <= 0):
         raise ValueError("p = 1 criterion undefined at lam = 0 (log of zero)")
-    T, offset = _value_tables(c, b)
-    return float(T @ u[nd:] + offset)
+    return float(_values(c, spec.k[nd:], u[None, nd:], np.array([lam]))[0])
 
 
 def _value_tables(c: Criterion, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -270,14 +276,20 @@ def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
     block with the criterion's table over the window, and the refinement
     one safeguarded Newton solve in log lam over every bracketed row.  The
     window, the table and the window points' derivative rows are the
-    spectrum's own, built on first use and reused by the rest.
+    spectrum's own, built on first use and reused by the rest.  Each row's
+    loss is the criterion's value at its pick, with loss()'s bits.
     """
     Z = np.asarray(Z, dtype=float)
     if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != spec.n:
         raise ValueError(f"Z must be a nonempty (rows x {spec.n}) block, got shape {Z.shape}")
     if not np.all(np.isfinite(Z)):
         raise ValueError("z must be finite")
-    return _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q))
+    U = np.abs(Z) ** (2.0 / c.q)
+    lam_hat, df_hat, at_boundary = _select_rows(c, spec, U)
+    nd = spec.null_dim
+    return BlockSelection(lam_hat=lam_hat, df_hat=df_hat,
+                          loss=_values(c, spec.k[nd:], U[:, nd:], lam_hat),
+                          at_boundary=at_boundary)
 
 
 def select(c: Criterion, spec: DesignSpectrum, z) -> SelectionResult:
@@ -314,18 +326,19 @@ def _screen(c: Criterion, spec: DesignSpectrum, up: np.ndarray) -> np.ndarray:
     return product(_criterion_table(c, spec))
 
 
-def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSelection:
-    # The one minimizer over the window, at every row of full-length u.  Of
-    # the pairs the screen's winner forms with its neighbours, only the
-    # downhill one can hold a minimum.  The winner's slope g and curvature h
-    # and the neighbour's slope come from the window points' memoized
-    # derivative rows (_window_derivs); where the slope changes sign across
-    # the pair, _log_lam_root solves all bracketed rows at once, each
-    # started at the root inside the pair of the quadratic in log lam with
-    # those three values (at the winner where rounding leaves none inside).
-    # The pick is the lower of winner and root, ties to the larger lam,
-    # flagged within 2 * REFINE_LOG_TOL of a window end.  df is summed row
-    # by row exactly as df() sums it.
+def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
+    # (lam_hat, df_hat, at_boundary): the one minimizer over the window, at
+    # every row of full-length u.  The screen's values only rank the window
+    # points.  Of the pairs the screen's winner forms with its neighbours,
+    # only the downhill one can hold a minimum.  The winner's slope g and
+    # curvature h and the neighbour's slope come from the window points'
+    # memoized derivative rows (_window_derivs); where the slope changes
+    # sign across the pair, _log_lam_root solves all bracketed rows at once,
+    # each started at the root inside the pair of the quadratic in log lam
+    # with those three values (at the winner where rounding leaves none
+    # inside).  The pick is that root, or the winner where the pair
+    # brackets none, flagged within 2 * REFINE_LOG_TOL of a window end.  df
+    # is summed row by row exactly as df() sums it.
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 
@@ -340,7 +353,6 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
     # makes ties resolve toward larger lam (ascending lam ordering).
     best = coarse.shape[1] - 1 - np.argmin(coarse[:, ::-1], axis=1)
     lam = window[best]
-    value = coarse[rows, best]
     g, h = _window_derivs(c, spec, best, up)
     side = np.where(g < 0, best + 1, best - 1)
     bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
@@ -350,26 +362,15 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> BlockSele
 
     x, x_side = logs[best[bracketed]], logs[side[bracketed]]
     start = _quadratic_root(x, x_side, g[bracketed], h[bracketed], g_side)
-    root = _log_lam_root(start, np.minimum(x, x_side), np.maximum(x, x_side), derivs,
-                         bracketed)
-
-    root_value = _values(c, kp, up[bracketed], root)
-    # A root within REFINE_LOG_TOL of its winner can tie with it to rounding,
-    # which differs between block sizes (_screen): recompute the winner's value.
-    near = bracketed[np.abs(np.log(root) - x) <= REFINE_LOG_TOL]
-    value[near] = _values(c, kp, up[near], lam[near])
-    coarse_value, coarse_lam = value[bracketed], lam[bracketed]
-    take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
-    lam[bracketed[take]] = root[take]
-    value[bracketed[take]] = root_value[take]
+    lam[bracketed] = _log_lam_root(start, np.minimum(x, x_side), np.maximum(x, x_side),
+                                   derivs, bracketed)
 
     log_lam = np.log(lam)
     low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
     high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
     flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
                   for at_low, at_high in zip(low, high))
-    return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
-                          at_boundary=flags)
+    return lam, _shrink(spec.k, lam)[0].sum(axis=1), flags
 
 
 def _quadratic_root(x, x_side, g, h, g_side) -> np.ndarray:

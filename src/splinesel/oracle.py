@@ -21,11 +21,9 @@ from ._rng import spectral_blocks
 from .criteria import (
     CP,
     Criterion,
-    _criterion_table,
     _log_derivs,
     _select_rows,
     select,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
-    select_block,
     selection_window,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
 from .errors import NumericError
@@ -139,9 +137,8 @@ def central_lambda(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum) -> 
 def _central_at(c: Criterion, spec: DesignSpectrum, eu: np.ndarray) -> LambdaPoint:
     # central_lambda at a precomputed E|z|^(2/q), shared by criteria of one
     # q: selection at u = eu as a block of one row.
-    picked = _select_rows(c, spec, eu[None, :])
-    return LambdaPoint(lam=float(picked.lam_hat[0]), df=float(picked.df_hat[0]),
-                       at_boundary=picked.at_boundary[0])
+    lam, df, flags = _select_rows(c, spec, eu[None, :])
+    return LambdaPoint(lam=float(lam[0]), df=float(df[0]), at_boundary=flags[0])
 
 
 @dataclass(frozen=True)
@@ -187,13 +184,6 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     if replicates < DECOMPOSITION_MIN_REPLICATES:
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
                          f"replicates, got {replicates}")
-    # The criterion's table, which the block loop below needs, is built
-    # before the loop, so its temporaries never coexist with a block's
-    # draws and working arrays.  At n = 961 either order peaks within half
-    # a MB: max RSS 45.7 (cp), 44.8 (ee) and 45.2 MB (gml) built here, and
-    # 45.2 MB for each built by the first block.  Its order against the
-    # one-row screens of the ideal and central lambda does not move the peak.
-    _criterion_table(c, spec)
     ideal = ideal_lambda(spec, truth)
     central = central_lambda(c, spec, truth)
     risk0 = risk(spec, truth, ideal.lam)
@@ -206,9 +196,9 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     boundary = 0
     for start, Z in spectral_blocks(seed, spec.n, replicates, truth.g):
         block = slice(start, start + len(Z))
-        picked = select_block(c, spec, Z)
-        boundary += sum(flag != "none" for flag in picked.at_boundary)
-        ghat = _shrink(spec.k, picked.lam_hat)[0] * Z
+        lam_hat, _, flags = _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q))
+        boundary += sum(flag != "none" for flag in flags)
+        ghat = _shrink(spec.k, lam_hat)[0] * Z
         gcen = a_c * Z
         cov_s[block] = ((gcen - truth.g) * (ghat - gcen)).sum(axis=1)
         var_s[block] = ((ghat - gcen) ** 2).sum(axis=1)

@@ -338,9 +338,9 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, criteria: list[Crite
         for c in criteria:
             if c.q not in powers:
                 powers[c.q] = np.abs(Z) ** (2.0 / c.q)
-            picked = _select_rows(c, spec, powers[c.q])
-            ahat = _shrink(spec.k, picked.lam_hat)[0]
-            picks.append(picked)
+            lam_hat, df_hat, flags = _select_rows(c, spec, powers[c.q])
+            ahat = _shrink(spec.k, lam_hat)[0]
+            picks.append((lam_hat, df_hat, flags))
             sqerrs.append(((ahat * z - g) ** 2).sum(axis=1))
 
     index = np.cumsum(ok) - 1  # each good replicate's row among the selected ones
@@ -348,10 +348,10 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, criteria: list[Crite
     for i, r in enumerate(range(start, start + len(ok))):
         for ci, c in enumerate(criteria):
             if ok[i]:
-                picked, j = picks[ci], index[i]
+                (lam_hat, df_hat, flags), j = picks[ci], index[i]
                 sqerr = float(sqerrs[ci][j])
-                values = (float(picked.lam_hat[j]), float(picked.df_hat[j]),
-                          sqerr, sigma * sigma * sqerr, picked.at_boundary[j])
+                values = (float(lam_hat[j]), float(df_hat[j]),
+                          sqerr, sigma * sigma * sqerr, flags[j])
             else:
                 log.warning("replicate %d criterion %s failed: "
                             "noise-scale estimate collapsed to zero", r, c.name)

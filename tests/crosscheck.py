@@ -250,9 +250,11 @@ def log_lam_root_strict_from_start(x, lo, hi, slope, rows) -> np.ndarray:
 def select_rows_reference(c: Criterion, spec: DesignSpectrum, U) -> BlockSelection:
     """criteria._select_rows by the strict refinement: the screen's winner
     and downhill neighbour are tested with _log_derivs evaluated at both,
-    and log_lam_root_strict starts at the winner.  The package's quadratic
-    start and predicted-step stop must land within a few NEWTON_STEP_TOL of
-    this root."""
+    and log_lam_root_strict starts at the winner.  The pick is the lower in
+    value of winner and root, ties to the larger lam, where the package
+    takes the root and compares no values.  The package's quadratic start
+    and predicted-step stop must land within a few NEWTON_STEP_TOL of this
+    pick."""
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 

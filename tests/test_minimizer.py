@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import splinesel as ss
 from splinesel import criteria
-from splinesel._rng import replicate_block, replicate_normals
+from splinesel._rng import replicate_block, replicate_normals, spectral_blocks
 from splinesel.criteria import (
     DF_WINDOW_LO,
     DF_WINDOW_MARGIN,
@@ -25,7 +25,7 @@ from splinesel.criteria import (
 from splinesel.spectrum import (BLOCK_ROWS, NEWTON_STEP_TOL, DesignSpectrum, _shrink, df,
                                 lambdas_for_df)
 
-from crosscheck import select_rows_reference, value_tables_reference
+from crosscheck import imhof_lower_tail, select_rows_reference, value_tables_reference
 from fresh import run_fresh
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -230,12 +230,56 @@ def test_block_and_single_selection_agree_where_winner_and_root_tie():
     # ee at n = 961, replicate 2114 of seed 11 (row 2 of its 64-row block),
     # OpenBLAS on one thread (Haswell kernels): the screen's winner lies
     # 4.3e-8 from the Newton root in log lam, and the criterion's values
-    # there tie to the last ulp.  The block's screen and a one-row screen round the winner's
-    # value differently, so comparing the root with a screen value picked
-    # the winner in one route and the root in the other.  The winner's
-    # value recomputed row by row gives both routes one lam, bit for bit.
+    # there tie to the last ulp.  The block's screen and a one-row screen
+    # round the winner's value differently, so a pick that compared the
+    # root's value with the winner's took the winner in one route and the
+    # root in the other.  The pick compares no values: a bracketed root is
+    # the pick in both routes, bit for bit.
     block, single = run_fresh(_TIED_ROW)[0].split()
     assert block == single
+
+
+@pytest.mark.parametrize("n", [61, 241])
+@pytest.mark.parametrize("name", ["cp", "gml", "ee"])
+def test_block_single_and_loss_report_one_value(spectra, n, name):
+    # The criterion's value is computed only where it is reported, by one
+    # route: select_block's loss, select's loss and loss() at the pick are
+    # the same bits on every row of a pure-noise block, boundary rows
+    # included.
+    c = ss.criterion_by_name(name)
+    spec = spectra[n]
+    Z = replicate_block(5, n, 0, BLOCK_ROWS)
+    block = select_block(c, spec, Z)
+    for i, z in enumerate(Z):
+        u = np.abs(z) ** (2.0 / c.q)
+        assert block.loss[i] == select(c, spec, z).loss, i
+        assert block.loss[i] == loss(c, spec, block.lam_hat[i], u), i
+
+
+def test_selection_computes_no_criterion_value(monkeypatch, tmp_path, spectra, truths,
+                                               cache_dir):
+    # Picking lam needs the screen's ranking and the slope, never a
+    # criterion value: the campaign (known and estimated sigma), the Monte
+    # Carlo decomposition, the rate probes and the ideal and central lam
+    # all run with criteria._values raising.
+    def refuse(*args):
+        raise AssertionError("criterion value computed")
+
+    monkeypatch.setattr(criteria, "_values", refuse)
+    for sigma_mode in ("known", "estimated"):
+        cfg = ss.SimConfig(design={"kind": "equispaced", "lo": -1.0, "hi": 1.0}, n_list=[61],
+                           replicates=70, seed=3, criteria=["cp", "gml", "ee"],
+                           truth="paper-fig3", sigma=1.0, sigma_mode=sigma_mode,
+                           output_dir=str(tmp_path))
+        assert len(list(ss.run_simulation(cfg))) == 3 * 70
+    ss.decomposition_mc(ss.EE, spectra[61], truths[61], 100, 0)
+    ss.rate_probes([ss.CP, ss.GML, ss.EE], {"kind": "equispaced", "lo": -1.0, "hi": 1.0},
+                   [61, 121, 241, 481], lambda grid: ss.truth_curve("paper-fig3", grid),
+                   cache_dir=cache_dir)
+    ss.ideal_lambda(spectra[241], truths[241])
+    ss.central_lambda(ss.GML, spectra[241], truths[241])
+    with pytest.raises(AssertionError, match="criterion value"):
+        select(ss.CP, spectra[61], truths[61].g)
 
 
 @pytest.mark.parametrize("name", ["cp", "gml", "ee", "p1.2q2"])
@@ -303,7 +347,9 @@ def test_refinement_matches_the_strict_reference(spectra, truths, n, name):
     # curve and on pure noise.  The stop leaves a row once its next step is
     # predicted below a tenth of NEWTON_STEP_TOL, so every lam lands within
     # 0.3 NEWTON_STEP_TOL (measured: 1.1e-13 at most); a stop at a whole
-    # NEWTON_STEP_TOL reached 9.9e-13.
+    # NEWTON_STEP_TOL reached 9.9e-13.  The reference keeps the lower in
+    # value of winner and root, so this also shows that comparing values
+    # would change no pick on these rows.
     c = ss.criterion_by_name(name)
     spec = spectra[n]
     for g in (truths[n].g, np.zeros(n)):
@@ -390,3 +436,23 @@ def test_window_memo_holds_one_row_pair_per_point_touched(monkeypatch, spectra, 
             assert a.shape == (m,) and a.base is None
         assert np.ndim(s0) == np.ndim(c0) == 0
     assert [key for key in spec.tables if len(key) == 2] == [(ss.EE.p, ss.EE.q)]
+
+
+def test_slope_sign_law_is_the_selection_cdf(spectra, truths):
+    # Where a row's criterion has one minimum, lam_hat <= lam exactly when
+    # the log-lam slope d1(lam) >= 0.  For q = 1, d1 = (p/q)[sum s z^2 - s0]
+    # with z = g + eps, so P(d1 >= 0) is one Imhof integral.  gml at n = 241
+    # has almost no multimodal draws on the demo curve, and over 20,000
+    # draws the empirical CDF of lam_hat lies within 4 SE of that law at its
+    # 5, 25, 50, 75 and 95 % quantiles (measured: -1.13 to -0.13 SE).
+    c, n, replicates = ss.GML, 241, 20000
+    spec, g = spectra[n], truths[n].g
+    lam_hat = np.concatenate([select_block(c, spec, z).lam_hat
+                              for _, z in spectral_blocks(11, n, replicates, g)])
+    nd = spec.null_dim
+    for level in (0.05, 0.25, 0.5, 0.75, 0.95):
+        lam = float(np.quantile(lam_hat, level))
+        s, _, s0, _ = criteria._deriv_terms(c, spec.k[nd:], lam)
+        law = 1.0 - imhof_lower_tail(s, g[nd:], float(s0))[0]
+        se = math.sqrt(law * (1.0 - law) / replicates)
+        assert abs(np.mean(lam_hat <= lam) - law) <= 4.0 * se, level
