@@ -33,7 +33,6 @@ from .criteria import (
     CP,
     EE,
     GML,
-    BlockSelection,
     Criterion,
     SelectionResult,
     criterion_by_name,
@@ -41,7 +40,6 @@ from .criteria import (
     loss_derivs,
     make_criterion,
     select,
-    select_block,
     selection_window,
     sigma_estimate,
 )
@@ -76,9 +74,9 @@ __all__ = [
     "DesignGrid", "DesignSpectrum", "build_design",
     "cached_decompose", "decompose", "df", "lambdas_for_df",
     "load_spectrum", "penalty_matrix", "rotate", "save_spectrum", "smooth", "weights",
-    "CP", "EE", "GML", "BlockSelection", "Criterion", "SelectionResult",
+    "CP", "EE", "GML", "Criterion", "SelectionResult",
     "criterion_by_name", "loss", "loss_derivs", "make_criterion",
-    "select", "select_block", "selection_window", "sigma_estimate",
+    "select", "selection_window", "sigma_estimate",
     "DecompositionReport", "LambdaPoint", "RateProbe", "TruthSpectrum",
     "central_lambda", "decomposition_approx", "decomposition_mc",
     "ideal_lambda", "make_truth", "rate_probes", "risk", "setting",

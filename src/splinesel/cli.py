@@ -149,9 +149,9 @@ def _cmd_select(args) -> str:
     estimated, M, sigma = simlab.parse_sigma_mode(args.sigma, spec.n, known_value=True)
     if estimated:
         s2 = sigma_estimate(coeffs, M)
-        if not s2 > 0:
-            raise NumericError("noise-scale estimate collapsed to zero "
-                               f"(sigma_estimate over the top {M + 2} rotated components)")
+        if not simlab.usable_sigma_estimate(s2):
+            raise NumericError(f"{simlab.UNUSABLE_SIGMA_ESTIMATE} (sigma_estimate over the "
+                               f"top {M + 2} rotated components)")
         sigma = float(np.sqrt(s2))
     picked = select(c, spec, coeffs / sigma)
     return (f"select criterion={c.name} n={spec.n} lambda_hat={picked.lam_hat:.8g} "

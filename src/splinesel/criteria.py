@@ -18,18 +18,19 @@ most MAX_LOG_GAP, then a safeguarded Newton solve for the root of the
 analytic slope in log lam next to the screen's winner.  That root, where the
 winner and its downhill neighbour bracket one, is the pick: the screen only
 ranks the window, and a criterion value is computed only where it is
-reported (loss, and select_block's per-row loss).  The winner's slope and
+reported (loss, and select's loss).  The winner's slope and
 curvature and its downhill neighbour's slope are contracted from derivative
 rows that the spectrum keeps per window point; the solve starts at the root
 between the two of the quadratic those three values fix, and stops a row
 once two short Newton steps predict the next below a tenth of
 NEWTON_STEP_TOL, so a block costs about two derivative sweeps.  The
-minimizer works on a block of rows at once: the screen is one matrix
-product over the block and the Newton solve runs on every bracketed row
-together (select_block); scalar selection is a block of one, screened a
-slice of the window at a time.
-It is the package's one minimizer over the window: a central lam is selection
-at u = E|z|^(2/q), and the ideal lam is cp's (oracle.ideal_lambda).
+minimizer, _select_rows, takes a block of rows of u at once: the screen is
+one matrix product over the block and the Newton solve runs on every
+bracketed row together; select is a block of one, screened a slice of the
+window at a time.  It is the package's one minimizer over the window and
+its one numeric guard on selection (a screen value that is not finite
+raises NumericError): a central lam is selection at u = E|z|^(2/q), and
+the ideal lam is cp's (oracle.ideal_lambda).
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ import re
 import numpy as np
 
 from . import specfun
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .spectrum import (DesignSpectrum, _in_slices, _log_lam_root, _shrink, lambdas_for_df,
                        weights)
 
@@ -105,24 +106,13 @@ class SelectionResult:
     at_boundary: str  # "none" | "low-lambda" | "high-lambda"
 
 
-@dataclass(frozen=True)
-class BlockSelection:
-    """Per-row results of select_block, in the order of the block's rows;
-    loss[i] is loss()'s value of the criterion at lam_hat[i], bit for bit."""
-
-    lam_hat: np.ndarray
-    df_hat: np.ndarray
-    loss: np.ndarray
-    at_boundary: tuple[str, ...]
-
-
 def loss(c: Criterion, spec: DesignSpectrum, lam: float, u) -> float:
     """Criterion value at smoothing parameter lam >= 0.
 
     u must be the full-length vector |z|^(2/q) (nonnegative); only its
     penalized entries matter.  For p = 1 the value diverges as lam -> 0, and
     lam = 0 itself is a domain error (log of zero).  Evaluated as a block of
-    one row, so select and select_block report these bits at their picks.
+    one row, so select reports these bits at its pick.
     """
     nd = spec.null_dim
     b = weights(spec, lam)[1][nd:]
@@ -268,45 +258,24 @@ def _window_derivs(c: Criterion, spec: DesignSpectrum, points: np.ndarray,
     return _contract(c, s, e, np.array(s0), np.array(c0), up)
 
 
-def select_block(c: Criterion, spec: DesignSpectrum, Z) -> BlockSelection:
-    """Data-driven smoothing parameters for a block of replicates at once.
-
-    Z is (rows x n) rotated data, one replicate per row; u = |Z|^(2/q) is
-    formed internally.  The coarse screen is one matrix product of the
-    block with the criterion's table over the window, and the refinement
-    one safeguarded Newton solve in log lam over every bracketed row.  The
-    window, the table and the window points' derivative rows are the
-    spectrum's own, built on first use and reused by the rest.  Each row's
-    loss is the criterion's value at its pick, with loss()'s bits.
-    """
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[0] < 1 or Z.shape[1] != spec.n:
-        raise ValueError(f"Z must be a nonempty (rows x {spec.n}) block, got shape {Z.shape}")
-    if not np.all(np.isfinite(Z)):
-        raise ValueError("z must be finite")
-    U = np.abs(Z) ** (2.0 / c.q)
-    lam_hat, df_hat, at_boundary = _select_rows(c, spec, U)
-    nd = spec.null_dim
-    return BlockSelection(lam_hat=lam_hat, df_hat=df_hat,
-                          loss=_values(c, spec.k[nd:], U[:, nd:], lam_hat),
-                          at_boundary=at_boundary)
-
-
 def select(c: Criterion, spec: DesignSpectrum, z) -> SelectionResult:
     """Data-driven smoothing parameter: global minimizer of the criterion.
 
-    z is the rotated data of one replicate, selected as a block of one row
-    (see select_block).
+    z is the rotated data of one replicate; u = |z|^(2/q) is selected as a
+    block of one row by the package's one minimizer, and loss is the
+    criterion's value at the pick, with loss()'s bits.
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (spec.n,):
         raise ValueError(f"z must have length {spec.n}, got shape {z.shape}")
-    return _first(select_block(c, spec, z[None, :]))
-
-
-def _first(block: BlockSelection) -> SelectionResult:
-    return SelectionResult(lam_hat=float(block.lam_hat[0]), df_hat=float(block.df_hat[0]),
-                           loss=float(block.loss[0]), at_boundary=block.at_boundary[0])
+    if not np.all(np.isfinite(z)):
+        raise ValueError("z must be finite")
+    U = np.abs(z[None, :]) ** (2.0 / c.q)
+    lam_hat, df_hat, at_boundary = _select_rows(c, spec, U)
+    nd = spec.null_dim
+    return SelectionResult(lam_hat=float(lam_hat[0]), df_hat=float(df_hat[0]),
+                           loss=float(_values(c, spec.k[nd:], U[:, nd:], lam_hat)[0]),
+                           at_boundary=at_boundary[0])
 
 
 def _screen(c: Criterion, spec: DesignSpectrum, up: np.ndarray) -> np.ndarray:
@@ -338,7 +307,8 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
     # with those three values (at the winner where rounding leaves none
     # inside).  The pick is that root, or the winner where the pair
     # brackets none, flagged within 2 * REFINE_LOG_TOL of a window end.  df
-    # is summed row by row exactly as df() sums it.
+    # is summed row by row exactly as df() sums it.  A screen value that is
+    # not finite (u overflowed, or was nan or inf) raises NumericError.
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 
@@ -346,6 +316,10 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
         return _log_derivs(c, kp, up[rows], lams)
 
     coarse = _screen(c, spec, up)
+    finite = np.isfinite(coarse).all(axis=1)
+    if not finite.all():
+        raise NumericError(f"{c.name} criterion is not finite on the selection window "
+                           f"in {len(finite) - np.count_nonzero(finite)} of {len(finite)} rows")
     window = spec.window
     logs = np.log(window)
     rows = np.arange(coarse.shape[0])

@@ -24,6 +24,7 @@ import json
 import logging
 import math
 import operator
+import os
 import re
 from pathlib import Path
 
@@ -216,6 +217,15 @@ def parse_sigma_mode(mode: str, n: int, *,
     return True, M, None
 
 
+UNUSABLE_SIGMA_ESTIMATE = "noise-scale estimate is zero or not finite"
+
+
+def usable_sigma_estimate(s2):
+    """The one rule for a usable sigma_estimate, per row of a block's
+    estimates: finite and positive.  Others get UNUSABLE_SIGMA_ESTIMATE."""
+    return np.isfinite(s2) & (s2 > 0)
+
+
 _EXPR_FUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
     "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
@@ -316,24 +326,22 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, criteria: list[Crite
     spectral data z (rows of g + eps); sigma_mode is parse_sigma_mode's
     result.  Each criterion selects the whole block at once, on z with known
     sigma and with an estimated one on z / sqrt(sigma_estimate(z, M)), whose
-    divisor is sigma_hat / sigma; sigma enters only sqerr_response.  The
-    block is checked once, and u = |z|^(2/q) formed once per distinct q (cp
-    and gml share q = 1) for select_block's row routine, _select_rows.  A
-    replicate whose noise-scale estimate collapsed gets an error record per
-    criterion."""
+    divisor is sigma_hat / sigma; sigma enters only sqerr_response.
+    u = |z|^(2/q) is formed once per distinct q (cp and gml share q = 1) for
+    the package's one minimizer, _select_rows, whose guard raises
+    NumericError on a block whose criterion is not finite.  A replicate
+    whose noise-scale estimate is not usable (usable_sigma_estimate) gets an
+    error record per criterion."""
     estimated, M, _ = sigma_mode
     ok = np.ones(len(z), dtype=bool)
     Z = z
     if estimated:
         s2 = sigma_estimate(z, M)
-        scale = np.sqrt(s2, out=np.full(len(z), math.nan), where=s2 > 0)
-        ok = np.isfinite(scale)
+        ok = usable_sigma_estimate(s2)
         z = z[ok]
-        Z = z / scale[ok, None]
+        Z = z / np.sqrt(s2[ok])[:, None]
     picks, sqerrs = [], []
     if ok.any():
-        if not np.all(np.isfinite(Z)):
-            raise ValueError("z must be finite")
         powers = {}
         for c in criteria:
             if c.q not in powers:
@@ -353,8 +361,8 @@ def _replicate_records(spec: DesignSpectrum, g: np.ndarray, criteria: list[Crite
                 values = (float(lam_hat[j]), float(df_hat[j]),
                           sqerr, sigma * sigma * sqerr, flags[j])
             else:
-                log.warning("replicate %d criterion %s failed: "
-                            "noise-scale estimate collapsed to zero", r, c.name)
+                log.warning("replicate %d criterion %s failed: %s", r, c.name,
+                            UNUSABLE_SIGMA_ESTIMATE)
                 values = (math.nan, math.nan, math.nan, math.nan, "error")
             out.append(RunRecord(spec.n, r, c.name, *values))
     return out
@@ -368,8 +376,9 @@ def run_simulation(cfg: SimConfig):
     oracle.setting): the cache's reader rebuilds every spectrum that is
     missing, stale or unreadable, and reads a valid file once.  Each n then
     selects from its setting, released once its records are out.  A spectrum
-    failure aborts that n with one logged error; single-replicate numeric
-    failures yield an error-flagged record rather than disappearing.
+    failure aborts that n with one logged error; a replicate whose noise
+    estimate is not usable yields an error-flagged record rather than
+    disappearing, and selection's NumericError ends the run.
     """
     cfg.validate()
     cache = spectra_cache_dir(cfg)
@@ -402,26 +411,34 @@ def _write_csv(path, header, rows) -> int:
     in one step, by a format string kept per tuple of its field types.  No
     field the package writes needs quoting (a comma, a double quote, a line
     break, or an empty sole field), and each line is checked for that.  rows
-    is consumed as it is written (a generator streams).  Returns the row
+    is consumed as it is written (a generator streams) into <name>.<pid>.tmp
+    beside path, which replaces path only once every row is out: a run that
+    fails leaves no file and an earlier one as it was.  Returns the row
     count."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     formats = {}
     commas = len(header) - 1
     count = 0
-    with open(path, "w", newline="") as fh:
-        for count, row in enumerate(itertools.chain([header], rows)):
-            row = tuple(row)
-            kinds = tuple(map(type, row))
-            fmt = formats.get(kinds)
-            if fmt is None:
-                fmt = formats[kinds] = ",".join(
-                    "%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\r\n"
-            line = fmt % row
-            assert (line.count(",") == commas and '"' not in line and line.count("\r") == 1
-                    and line.count("\n") == 1 and len(line) > 2), \
-                f"{path}: {line!r} is not {commas + 1} fields free of quoting"
-            fh.write(line)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            for count, row in enumerate(itertools.chain([header], rows)):
+                row = tuple(row)
+                kinds = tuple(map(type, row))
+                fmt = formats.get(kinds)
+                if fmt is None:
+                    fmt = formats[kinds] = ",".join(
+                        "%.17g" if issubclass(kind, float) else "%s" for kind in kinds) + "\r\n"
+                line = fmt % row
+                assert (line.count(",") == commas and '"' not in line and line.count("\r") == 1
+                        and line.count("\n") == 1 and len(line) > 2), \
+                    f"{path}: {line!r} is not {commas + 1} fields free of quoting"
+                fh.write(line)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.linalg import eigh, solveh_banded
 
-from splinesel.criteria import (REFINE_LOG_TOL, BlockSelection, Criterion, _log_derivs,
+from splinesel.criteria import (REFINE_LOG_TOL, Criterion, _log_derivs,
                                 _screen, _values, loss_derivs)
 from splinesel.errors import NumericError
 from splinesel.geometry import _penalized_ab, reversal_beta
@@ -247,14 +247,14 @@ def log_lam_root_strict_from_start(x, lo, hi, slope, rows) -> np.ndarray:
     return log_lam_root_strict(x, lo, hi, *slope(np.exp(x), rows), slope, rows)
 
 
-def select_rows_reference(c: Criterion, spec: DesignSpectrum, U) -> BlockSelection:
+def select_rows_reference(c: Criterion, spec: DesignSpectrum, U) -> tuple:
     """criteria._select_rows by the strict refinement: the screen's winner
     and downhill neighbour are tested with _log_derivs evaluated at both,
     and log_lam_root_strict starts at the winner.  The pick is the lower in
     value of winner and root, ties to the larger lam, where the package
     takes the root and compares no values.  The package's quadratic start
     and predicted-step stop must land within a few NEWTON_STEP_TOL of this
-    pick."""
+    pick.  Returns (lam_hat, df_hat, at_boundary), as _select_rows does."""
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 
@@ -280,11 +280,9 @@ def select_rows_reference(c: Criterion, spec: DesignSpectrum, U) -> BlockSelecti
     coarse_value, coarse_lam = value[bracketed], lam[bracketed]
     take = (root_value < coarse_value) | ((root_value == coarse_value) & (root > coarse_lam))
     lam[bracketed[take]] = root[take]
-    value[bracketed[take]] = root_value[take]
     log_lam = np.log(lam)
     low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
     high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
     flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
                   for at_low, at_high in zip(low, high))
-    return BlockSelection(lam_hat=lam, df_hat=_shrink(spec.k, lam)[0].sum(axis=1), loss=value,
-                          at_boundary=flags)
+    return lam, _shrink(spec.k, lam)[0].sum(axis=1), flags

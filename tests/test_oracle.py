@@ -30,13 +30,13 @@ from splinesel import (
     risk,
     rotate,
     select,
-    select_block,
     setting,
     truth_curve,
     weights,
 )
 import splinesel
 from splinesel import criteria, oracle, simlab, specfun
+from splinesel.criteria import _select_rows
 from splinesel.oracle import curvature_denominator
 from splinesel.spectrum import DesignSpectrum
 from splinesel._rng import replicate_normals
@@ -652,7 +652,7 @@ def test_each_spectrum_builds_its_window_once(monkeypatch):
         truth = make_truth(spec, truth_curve("paper-fig3", grid), 1.0)
         z = truth.g + replicate_normals(5, 31, 0, 31)
         select(GML, spec, z)
-        select_block(CP, spec, np.vstack([z, -z]))
+        _select_rows(CP, spec, np.abs(np.vstack([z, -z])) ** (2.0 / CP.q))
         ideal_lambda(spec, truth)
         central_lambda(EE, spec, truth)
         decomposition_mc(GML, spec, truth, 100, seed=5)

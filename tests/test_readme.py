@@ -1,6 +1,7 @@
 """The README's Python examples run as written, its commands parse, and
 the CSV columns it documents are the ones written."""
 
+import inspect
 import json
 import re
 import shlex
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import splinesel
 from splinesel.cli import build_parser, cli
 from splinesel.simlab import RUNS_COLUMNS
 
@@ -26,6 +28,16 @@ def test_readme_has_a_python_example():
 def test_readme_python_block_runs(source, capsys):
     exec(compile(source, str(README), "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_names_every_public_function():
+    # The public API holds what the README documents: every function in
+    # splinesel.__all__ is named there in code type, as `name` or `name(...`.
+    text = README.read_text()
+    missing = [name for name in splinesel.__all__
+               if inspect.isfunction(getattr(splinesel, name))
+               and not re.search(rf"`(?:[\w.]+\.)?{name}[`(]", text)]
+    assert missing == []
 
 
 def test_readme_has_command_examples():

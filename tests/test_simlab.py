@@ -18,7 +18,7 @@ import pytest
 from splinesel import geometry, oracle, simlab, specfun, spectrum
 from splinesel.cli import cli
 from splinesel._rng import replicate_block
-from splinesel.criteria import criterion_by_name, select_block, sigma_estimate
+from splinesel.criteria import _select_rows, criterion_by_name, sigma_estimate
 from splinesel.errors import ConfigError, NumericError
 from splinesel.simlab import (
     RUNS_COLUMNS,
@@ -327,11 +327,12 @@ def test_campaign_identical_data_across_criteria(campaign):
 
 
 @pytest.mark.parametrize("sigma_mode", ["known", "estimated"])
-def test_campaign_picks_are_select_block_picks(tmp_path, sigma_mode):
+def test_campaign_picks_are_select_rows_picks(tmp_path, sigma_mode):
     # Replicate r's spectral data is z = g + eps_r, eps_r its replicate_block
     # row.  The lab forms |z|^(2/q) once per q for all its criteria; every
-    # pick has the bits select_block gives z (known sigma) or
-    # z / sqrt(sigma_estimate(z, M)) (estimated), and sqerr is ||a z - g||^2.
+    # pick has the bits _select_rows gives |Z|^(2/q) for Z = z (known sigma)
+    # or z / sqrt(sigma_estimate(z, M)) (estimated), and sqerr is
+    # ||a z - g||^2.
     cfg = base_config(tmp_path, replicates=BLOCK_ROWS + 6, sigma=0.7, sigma_mode=sigma_mode,
                       criteria=["cp", "gml", "ee", "p1.2q2"])
     records = list(run_simulation(cfg))
@@ -343,11 +344,12 @@ def test_campaign_picks_are_select_block_picks(tmp_path, sigma_mode):
         z = truth.g + replicate_block(cfg.seed, 61, lo, hi)
         Z = z / np.sqrt(sigma_estimate(z, M))[:, None] if estimated else z
         for ci, name in enumerate(cfg.criteria):
-            picked = select_block(criterion_by_name(name), spec, Z)
-            sqerr = ((_shrink(spec.k, picked.lam_hat)[0] * z - truth.g) ** 2).sum(axis=1)
+            c = criterion_by_name(name)
+            lam_hat, _, flags = _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q))
+            sqerr = ((_shrink(spec.k, lam_hat)[0] * z - truth.g) ** 2).sum(axis=1)
             got = records[lo * 4 + ci:hi * 4:4]
-            assert [r.lambda_hat for r in got] == picked.lam_hat.tolist()
-            assert [r.at_boundary for r in got] == list(picked.at_boundary)
+            assert [r.lambda_hat for r in got] == lam_hat.tolist()
+            assert [r.at_boundary for r in got] == list(flags)
             assert [r.sqerr for r in got] == sqerr.tolist()
             assert [r.sqerr_response for r in got] == (0.7 * 0.7 * sqerr).tolist()
 
@@ -407,20 +409,22 @@ def test_cache_from_another_blas_thread_count_is_rebuilt(tmp_path):
 
 
 def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, caplog):
-    # Replicates whose noise-scale estimate is zero leave their block; the
-    # rest of the block is selected as usual.
+    # Replicates whose noise-scale estimate is zero or not finite leave
+    # their block; the rest of the block is selected as usual.
     cfg = base_config(tmp_path, n_list=[31], replicates=BLOCK_ROWS + 6, seed=8,
                       sigma_mode="estimated")
     clean = list(run_simulation(cfg))
-    collapsed = {1, BLOCK_ROWS + 2}
+    collapsed = {1: 0.0, BLOCK_ROWS + 2: math.inf}
     starts = iter(range(0, cfg.replicates, BLOCK_ROWS))
     real = simlab.sigma_estimate
 
     def collapse(coeffs, M):
-        # One call per block: zero the estimates of the collapsed replicates.
+        # One call per block: replace the estimates of the collapsed replicates.
         s2 = real(coeffs, M)
         start = next(starts)
-        s2[[start + i in collapsed for i in range(len(s2))]] = 0.0
+        for r, value in collapsed.items():
+            if start <= r < start + len(s2):
+                s2[r - start] = value
         return s2
 
     monkeypatch.setattr(simlab, "sigma_estimate", collapse)
@@ -434,7 +438,8 @@ def test_collapsed_sigma_estimate_gives_error_records(tmp_path, monkeypatch, cap
         else:
             assert rec.at_boundary == ref.at_boundary
             assert rec.lambda_hat == pytest.approx(ref.lambda_hat, rel=1e-12)
-    assert sum("collapsed" in msg for msg in caplog.messages) == 2 * 3
+    assert sum("noise-scale estimate is zero or not finite" in msg
+               for msg in caplog.messages) == 2 * 3
 
 
 def test_run_simulation_builds_one_window_per_n(tmp_path, monkeypatch):
@@ -784,8 +789,14 @@ def test_csv_writer_has_the_csv_module_bytes(tmp_path):
 @pytest.mark.parametrize("row", [["a,b", 1], ['say "x"', 1], ["two\nlines", 1],
                                  ["cr\r", 1], [1, 2, 3]])
 def test_csv_writer_refuses_fields_that_need_quoting(tmp_path, row):
+    # A refused row fails the write: an earlier file keeps its bytes, and no
+    # partial or temporary file is left beside it.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"earlier\r\n")
     with pytest.raises(AssertionError, match="fields free of quoting"):
-        simlab._write_csv(tmp_path / "t.csv", ["a", "b"], [row])
+        simlab._write_csv(path, ["a", "b"], [row])
+    assert path.read_bytes() == b"earlier\r\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 @pytest.mark.parametrize("row", [
@@ -1088,25 +1099,25 @@ def test_cli_select_rejects_bad_input(tmp_path, capsys, monkeypatch, rows, fragm
 
 
 def test_cli_select_collapsed_noise_estimate_is_a_numeric_error(tmp_path):
-    # y = 0 everywhere rotates to an exactly zero tail: sigma_estimate is 0,
-    # which the command reports instead of dividing the data by it.
-    import splinesel
-
-    path = tmp_path / "zero.csv"
-    path.write_text("x,y\n" + "".join(f"{i / 39:.17g},0\n" for i in range(40)))
+    # y = 0 everywhere rotates to an exactly zero tail, and y = +-1e200 to a
+    # tail whose squares overflow: sigma_estimate is 0 or inf, which the
+    # command reports instead of dividing the data by it.
     env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(splinesel.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-m", "splinesel", "select", "--input", str(path),
-         "--criterion", "cp", "--sigma", "estimated"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    (line,) = proc.stderr.splitlines()  # the JSON error and no warning
-    err = json.loads(line)
-    assert err["error"] == "NumericError"
-    assert "noise-scale estimate collapsed to zero" in err["message"]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    for name, points, y in [("zero", 40, lambda i: "0"),
+                            ("overflow", 200, lambda i: "1e200" if i % 2 else "-1e200")]:
+        path = tmp_path / f"{name}.csv"
+        path.write_text("x,y\n" + "".join(f"{i / (points - 1):.17g},{y(i)}\n"
+                                          for i in range(points)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "splinesel", "select", "--input", str(path),
+             "--criterion", "cp", "--sigma", "estimated"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 1, name
+        assert proc.stdout == "", name
+        err = json.loads(proc.stderr.splitlines()[-1])  # a RuntimeWarning may come first
+        assert err["error"] == "NumericError", name
+        assert "noise-scale estimate is zero or not finite" in err["message"], name
 
 
 def test_cli_select_missing_file(tmp_path, capsys):
@@ -1134,6 +1145,31 @@ def test_cli_simulate_then_tables(tmp_path, capsys):
     assert code == 0
     for name in ("table1.csv", "table2.csv", "fig4_hist.csv", "df0_bars.csv"):
         assert (out_dir / name).exists()
+
+
+def test_cli_failed_simulate_and_tables_keep_earlier_outputs(tmp_path, capsys, monkeypatch):
+    # A command that fails part way, after its first n's rows are out,
+    # leaves the earlier runs.csv and tables with their bytes and no
+    # temporary file beside them.
+    out_dir = tmp_path / "out"
+    cfg_path = tmp_path / "sim.json"
+    cfg_path.write_text(base_config(out_dir, n_list=[31, 41], replicates=4, seed=12).to_json())
+    assert cli(["simulate", "--config", str(cfg_path)]) == 0
+    assert cli(["tables", "--config", str(cfg_path)]) == 0
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+    assert len(before) == 5
+
+    def fail_at_41(c, spec, U, real=simlab._select_rows):
+        if spec.n == 41:
+            raise NumericError("criterion is not finite")
+        return real(c, spec, U)
+
+    monkeypatch.setattr(simlab, "_select_rows", fail_at_41)
+    monkeypatch.setattr(oracle, "_select_rows", fail_at_41)
+    for command in ("simulate", "tables"):
+        assert cli([command, "--config", str(cfg_path)]) == 1, command
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()} == before
+    capsys.readouterr()
 
 
 def test_cli_malformed_config(tmp_path, capsys):
@@ -1416,20 +1452,40 @@ def test_cli_decompose(tmp_path, capsys):
     ["reversal", "--n", "61", "--sigma", "1e-300", "--replicates", "1000", "--out", "out.csv"],
     ["decompose", "--n", "61", "--criterion", "ee", "--replicates", "100", "--sigma", "1e-300",
      "--out", "out.json"],
-], ids=["reversal 1e-120", "reversal 1e-300", "decompose 1e-300"])
+    ["simulate", "--config", "sim.json"],
+    ["select", "--input", "data.csv", "--criterion", "ee", "--sigma", "known:1e-300"],
+    ["curvature", "--n", "61", "--sigma", "1e-160", "--out", "out.csv"],
+    ["rates", "--n", "61,121,241,481", "--sigma", "1e-160", "--out", "out.csv"],
+], ids=["reversal 1e-120", "reversal 1e-300", "decompose 1e-300", "simulate 1e-160",
+        "select 1e-300", "curvature 1e-160", "rates 1e-160"])
 def test_cli_nonfinite_result_is_a_numeric_error(tmp_path, argv):
-    # At so small a sigma the rotated truth g = U'f / sigma is huge, and the
-    # reversal moments or decomposition terms come out nan or inf: the
-    # command fails and writes no file.  It runs in a fresh process, since
-    # numpy's RuntimeWarnings on the way there are errors in this suite.
+    # At so small a sigma the rotated truth g = U'f / sigma (or select's
+    # data U'y / sigma) is huge: u = |z|^(2/q) overflows, and selection's
+    # guard, or the reversal moments or decomposition terms, come out not
+    # finite.  The command fails and writes no output file; simulate's
+    # config asks for 3 replicates at n = 61 with sigma = 1e-160.  It runs in
+    # a fresh process, since numpy's RuntimeWarnings on the way there are
+    # errors in this suite.
+    (tmp_path / "sim.json").write_text(base_config(
+        "run", replicates=3, sigma=1e-160).to_json())
+    x = np.linspace(-1.0, 1.0, 200)
+    y = truth_curve("paper-fig3", build_design("explicit", points=x))
+    y += 0.3 * np.random.default_rng(0).standard_normal(200)
+    (tmp_path / "data.csv").write_text(
+        "x,y\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y)))
+    inputs = {"sim.json", "data.csv"}
+    cache = [] if argv[0] in ("simulate", "select") else ["--cache-dir", "spectra"]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-m", "splinesel", *argv, "--cache-dir", "spectra"],
+    proc = subprocess.run([sys.executable, "-m", "splinesel", *argv, *cache],
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == ""
     error = json.loads(proc.stderr.splitlines()[-1])
     assert error["error"] == "NumericError" and "not finite" in error["message"]
-    assert not (tmp_path / argv[-1]).exists()
+    written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+               if p.is_file() and "spectra" not in p.parts}
+    assert written == inputs
 
 
 def test_cli_rates(tmp_path, capsys):

@@ -31,7 +31,7 @@ from splinesel import (
     weights,
 )
 from splinesel import criteria, spectrum
-from splinesel.criteria import CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML, select, select_block
+from splinesel.criteria import CP, DF_WINDOW_LO, DF_WINDOW_MARGIN, GML, _select_rows, select
 from splinesel.spectrum import (BLOCK_ROWS, CACHE_FORMAT_VERSION, NEWTON_STEP_TOL,
                                 DesignSpectrum, _numeric_environment, cache_key)
 
@@ -456,7 +456,7 @@ def test_df_inverse_and_selection_share_one_root_finder(monkeypatch, spec61):
     spec = DesignSpectrum(n=61, x=spec61.x, U=spec61.U, k=spec61.k, null_dim=2)
     z = spec.U.T @ np.sin(3.0 * spec.x) / 0.3 + np.random.default_rng(4).standard_normal(61)
     select(GML, spec, z)  # builds the window: one df inversion
-    select_block(CP, spec, np.vstack([z, -z, 2.0 * z]))
+    _select_rows(CP, spec, np.abs(np.vstack([z, -z, 2.0 * z])) ** (2.0 / CP.q))
     select(CP, spec, z)
     lambdas_for_df(spec, [3.0, 10.0])
     assert calls == ["df", "select", "select", "select", "df"]
