@@ -239,13 +239,15 @@ def _criterion_table(c: Criterion, spec: DesignSpectrum) -> tuple[np.ndarray, np
 
 
 def _window_derivs(c: Criterion, spec: DesignSpectrum, points: np.ndarray,
-                   up: np.ndarray) -> tuple:
-    # (d1, d2) of c at each row of penalized u up at its window point
-    # points[i]: _log_derivs at window[points], with its bits.  The
-    # _deriv_terms row of a window point does not depend on the data, so the
-    # first row that needs it forms it alone, at the point's scalar lam, and
-    # spec.tables keeps it under (p, q, point): one (s, e) pair of penalized
-    # length per point touched, never a whole-window table.
+                   up: np.ndarray, rows=None) -> tuple:
+    # (d1, d2) of c at each row rows[i] of penalized u up (every row when
+    # rows is None) at its window point points[i]: _log_derivs at
+    # window[points], with its bits.  The _deriv_terms row of a window point
+    # does not depend on the data, so the first row that needs it forms it
+    # alone, at the point's scalar lam, and spec.tables keeps it under
+    # (p, q, point): one (s, e) pair of penalized length per point touched,
+    # never a whole-window table.  The rows are stacked and contracted in
+    # slices (_in_slices).
     tables, kp = spec.tables, spec.k[spec.null_dim:]
     terms = []
     for j in points.tolist():
@@ -253,9 +255,13 @@ def _window_derivs(c: Criterion, spec: DesignSpectrum, points: np.ndarray,
         if key not in tables:
             tables[key] = _deriv_terms(c, kp, spec.window[j])
         terms.append(tables[key])
-    s, e, s0, c0 = zip(*terms) if terms else ((), (), (), ())
-    s, e = (np.array(a).reshape(len(terms), len(kp)) for a in (s, e))
-    return _contract(c, s, e, np.array(s0), np.array(c0), up)
+
+    def contract(terms, rows):
+        s, e, s0, c0 = zip(*terms) if terms else ((), (), (), ())
+        s, e = (np.array(a).reshape(len(terms), len(kp)) for a in (s, e))
+        return _contract(c, s, e, np.array(s0), np.array(c0), up[rows])
+
+    return _in_slices(contract, len(kp), terms, np.arange(len(up)) if rows is None else rows)
 
 
 def select(c: Criterion, spec: DesignSpectrum, z) -> SelectionResult:
@@ -291,7 +297,7 @@ def _screen(c: Criterion, spec: DesignSpectrum, up: np.ndarray) -> np.ndarray:
     if len(up) == 1:
         kp = spec.k[spec.null_dim:]
         return _in_slices(lambda lams: product(_value_tables(c, _shrink(kp, lams)[1])),
-                          spec.window)
+                          len(kp), spec.window)
     return product(_criterion_table(c, spec))
 
 
@@ -307,13 +313,18 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
     # with those three values (at the winner where rounding leaves none
     # inside).  The pick is that root, or the winner where the pair
     # brackets none, flagged within 2 * REFINE_LOG_TOL of a window end.  df
-    # is summed row by row exactly as df() sums it.  A screen value that is
-    # not finite (u overflowed, or was nan or inf) raises NumericError.
+    # is summed row by row exactly as df() sums it.  Every sweep over the
+    # rows runs in slices (_in_slices); only the screen takes the block
+    # whole.  A screen value that is not finite (u overflowed, or was nan or
+    # inf) raises NumericError.
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 
     def derivs(lams, rows):
         return _log_derivs(c, kp, up[rows], lams)
+
+    def slope(lams, rows):
+        return _in_slices(derivs, len(kp), lams, rows)
 
     coarse = _screen(c, spec, up)
     finite = np.isfinite(coarse).all(axis=1)
@@ -330,21 +341,22 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
     g, h = _window_derivs(c, spec, best, up)
     side = np.where(g < 0, best + 1, best - 1)
     bracketed = rows[(g != 0) & (side >= 0) & (side < len(window))]
-    g_side = _window_derivs(c, spec, side[bracketed], up[bracketed])[0]
+    g_side = _window_derivs(c, spec, side[bracketed], up, bracketed)[0]
     crossed = g_side * g[bracketed] < 0
     bracketed, g_side = bracketed[crossed], g_side[crossed]
 
     x, x_side = logs[best[bracketed]], logs[side[bracketed]]
     start = _quadratic_root(x, x_side, g[bracketed], h[bracketed], g_side)
     lam[bracketed] = _log_lam_root(start, np.minimum(x, x_side), np.maximum(x, x_side),
-                                   derivs, bracketed)
+                                   slope, bracketed)
 
     log_lam = np.log(lam)
     low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL
     high = logs[-1] - log_lam <= 2.0 * REFINE_LOG_TOL
     flags = tuple("low-lambda" if at_low else "high-lambda" if at_high else "none"
                   for at_low, at_high in zip(low, high))
-    return lam, _shrink(spec.k, lam)[0].sum(axis=1), flags
+    df_hat = _in_slices(lambda lams: _shrink(spec.k, lams)[0].sum(axis=1), spec.n, lam)
+    return lam, df_hat, flags
 
 
 def _quadratic_root(x, x_side, g, h, g_side) -> np.ndarray:

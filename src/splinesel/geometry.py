@@ -9,6 +9,7 @@ away from the optimum.  Low curvature and rare reversals go together.
 """
 
 from dataclasses import dataclass
+from functools import partial
 import math
 
 import numpy as np
@@ -21,7 +22,7 @@ from ._rng import (
 from .criteria import Criterion, _deriv_terms
 from .errors import NumericError
 from .oracle import TruthSpectrum
-from .spectrum import DesignSpectrum, weights
+from .spectrum import DesignSpectrum, _in_slices, weights
 
 REVERSAL_MIN_REPLICATES = 1000  # the fewest draws reversal_probs_mc takes
 
@@ -150,6 +151,14 @@ def _reversal_moments_at(c: Criterion, spec: DesignSpectrum, lam0: float,
     )
 
 
+def _r0_values(q: float, forms, zp: np.ndarray) -> tuple:
+    # R0 of each row of penalized z under each affine form (coeff, base) of
+    # criteria that share q, on u = |z|^(2/q): one array per form.
+    u = np.abs(zp)
+    u **= 2.0 / q
+    return tuple(u @ coeff + base for coeff, base in forms)
+
+
 def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0: float,
                       replicates: int, seed: int) -> list[tuple[float, float]]:
     """Monte Carlo estimates of P(R0(z) < 0), with binomial standard errors,
@@ -159,8 +168,9 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
     every criterion is evaluated on the same draws (common random numbers).
     Draws are made a block at a time into one buffer (spectral_blocks), so
     the working set is one block whatever the replicate count; u = |z|^(2/q)
-    is formed once per distinct q on the penalized components, and each
-    criterion's affine R0 is evaluated on it.
+    is formed once per distinct q on the penalized components, a slice of
+    rows at a time (_in_slices), and each criterion's affine R0 is
+    evaluated on it.
     """
     if replicates < REVERSAL_MIN_REPLICATES:
         raise ValueError(f"reversal_probs_mc needs >= {REVERSAL_MIN_REPLICATES} replicates, "
@@ -173,11 +183,9 @@ def reversal_probs_mc(criteria, spec: DesignSpectrum, truth: TruthSpectrum, lam0
     hits = [0] * len(forms)
     for _, block in spectral_blocks(seed, spec.n, replicates, truth.g):
         for q, members in by_q.items():
-            u = np.abs(block[:, nd:])
-            u **= 2.0 / q
-            for i in members:
-                coeff, base = forms[i]
-                hits[i] += int(np.sum(u @ coeff + base < 0.0))
-            del u  # freed before the next q's u exists: one u per block at a time
+            r0 = _in_slices(partial(_r0_values, q, [forms[i] for i in members]),
+                            spec.n - nd, block[:, nd:])
+            for i, values in zip(members, r0):
+                hits[i] += int(np.count_nonzero(values < 0.0))
     probs = [h / replicates for h in hits]
     return [(p, math.sqrt(max(p * (1.0 - p), 0.0) / replicates)) for p in probs]

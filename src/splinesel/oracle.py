@@ -27,8 +27,8 @@ from .criteria import (
     selection_window,  # noqa: F401  bound here for perfbench/test_bench.py's tracer check
 )
 from .errors import NumericError
-from .spectrum import (DesignSpectrum, _shrink, build_design, cached_decompose, decompose,
-                       rotate, weights)
+from .spectrum import (BLOCK_ROWS, DesignSpectrum, _in_slices, _shrink, build_design,
+                       cached_decompose, decompose, rotate, weights)
 
 DECOMPOSITION_MIN_REPLICATES = 100  # the fewest draws decomposition_mc takes
 RATE_MIN_SIZES = 4  # the fewest sample sizes rate_probes fits slopes through
@@ -176,10 +176,12 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
 
     Per replicate r, z = g + eps with eps keyed by (seed, n, r) -- the same
     draws for every criterion, so cross-criterion comparisons use common
-    random numbers, drawn a block at a time (spectral_blocks).  The bias
-    term is computed exactly from the risk curve; covariance, variability,
-    and the total extra risk are averaged over replicates with standard
-    errors.  A term that is not finite raises NumericError.
+    random numbers, drawn a block at a time (spectral_blocks); a block's
+    u = |z|^(2/q) is written into one workspace, and its terms are summed
+    in slices of rows (_in_slices).  The bias term is computed exactly from
+    the risk curve; covariance, variability, and the total extra risk are
+    averaged over replicates with standard errors.  A term that is not
+    finite raises NumericError.
     """
     if replicates < DECOMPOSITION_MIN_REPLICATES:
         raise ValueError(f"decomposition_mc needs >= {DECOMPOSITION_MIN_REPLICATES} "
@@ -190,19 +192,27 @@ def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
     bias = risk(spec, truth, central.lam) - risk0
 
     a_c = weights(spec, central.lam)[0]
+
+    def terms(lam_hat, Z):
+        # Each row's covariance, variability and extra-risk terms.
+        ghat = _shrink(spec.k, lam_hat)[0] * Z
+        gcen = a_c * Z
+        return (((gcen - truth.g) * (ghat - gcen)).sum(axis=1),
+                ((ghat - gcen) ** 2).sum(axis=1),
+                ((ghat - truth.g) ** 2).sum(axis=1) - risk0)
+
     cov_s = np.empty(replicates)
     var_s = np.empty(replicates)
     extra_s = np.empty(replicates)
     boundary = 0
+    work = np.empty((min(BLOCK_ROWS, replicates), spec.n))  # u = |Z|^(2/q), block by block
     for start, Z in spectral_blocks(seed, spec.n, replicates, truth.g):
         block = slice(start, start + len(Z))
-        lam_hat, _, flags = _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q))
+        u = np.abs(Z, out=work[:len(Z)])
+        u **= 2.0 / c.q
+        lam_hat, _, flags = _select_rows(c, spec, u)
         boundary += sum(flag != "none" for flag in flags)
-        ghat = _shrink(spec.k, lam_hat)[0] * Z
-        gcen = a_c * Z
-        cov_s[block] = ((gcen - truth.g) * (ghat - gcen)).sum(axis=1)
-        var_s[block] = ((ghat - gcen) ** 2).sum(axis=1)
-        extra_s[block] = ((ghat - truth.g) ** 2).sum(axis=1) - risk0
+        cov_s[block], var_s[block], extra_s[block] = _in_slices(terms, spec.n, lam_hat, Z)
 
     cov, var, extra = (float(s.mean()) for s in (cov_s, var_s, extra_s))
     if not all(map(math.isfinite, (bias, cov, var, extra))):

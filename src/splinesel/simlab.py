@@ -41,7 +41,8 @@ from .criteria import (
     sigma_estimate,
 )
 from .errors import ConfigError, NumericError
-from .spectrum import MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _shrink, build_design
+from .spectrum import (BLOCK_ROWS, MIN_DESIGN_POINTS, DesignGrid, DesignSpectrum, _in_slices,
+                       _shrink, build_design)
 
 log = logging.getLogger("splinesel")
 
@@ -321,45 +322,65 @@ def spectra_cache_dir(cfg: SimConfig) -> Path:
 
 
 def _replicate_records(spec: DesignSpectrum, g: np.ndarray, criteria: list[Criterion],
-                       sigma: float, sigma_mode: tuple, start: int, z) -> list[RunRecord]:
+                       sigma: float, sigma_mode: tuple, start: int, z,
+                       work: np.ndarray) -> list[RunRecord]:
     """Records of one block of replicates, start onwards, from their
     spectral data z (rows of g + eps); sigma_mode is parse_sigma_mode's
     result.  Each criterion selects the whole block at once, on z with known
     sigma and with an estimated one on z / sqrt(sigma_estimate(z, M)), whose
     divisor is sigma_hat / sigma; sigma enters only sqerr_response.
-    u = |z|^(2/q) is formed once per distinct q (cp and gml share q = 1) for
-    the package's one minimizer, _select_rows, whose guard raises
-    NumericError on a block whose criterion is not finite.  A replicate
-    whose noise-scale estimate is not usable (usable_sigma_estimate) gets an
-    error record per criterion."""
+    u = |z|^(2/q) is written into work, the n's workspace of at least as
+    many rows as z, once per distinct q (cp and gml share q = 1) for the
+    package's one minimizer, _select_rows, whose guard raises NumericError
+    on a block whose criterion is not finite; squared errors are summed in
+    slices of rows (_in_slices), and one that is not finite, on either
+    scale, raises NumericError too.  A replicate whose noise-scale estimate
+    is not usable (usable_sigma_estimate) gets an error record per
+    criterion."""
     estimated, M, _ = sigma_mode
     ok = np.ones(len(z), dtype=bool)
-    Z = z
     if estimated:
         s2 = sigma_estimate(z, M)
         ok = usable_sigma_estimate(s2)
-        z = z[ok]
-        Z = z / np.sqrt(s2[ok])[:, None]
-    picks, sqerrs = [], []
+        if not ok.all():
+            z = z[ok]
+        scale = np.sqrt(s2[ok])[:, None]
+
+    def sqerr(lam_hat, z):
+        return ((_shrink(spec.k, lam_hat)[0] * z - g) ** 2).sum(axis=1)
+
+    picks = [None] * len(criteria)
     if ok.any():
-        powers = {}
-        for c in criteria:
-            if c.q not in powers:
-                powers[c.q] = np.abs(Z) ** (2.0 / c.q)
-            lam_hat, df_hat, flags = _select_rows(c, spec, powers[c.q])
-            ahat = _shrink(spec.k, lam_hat)[0]
-            picks.append((lam_hat, df_hat, flags))
-            sqerrs.append(((ahat * z - g) ** 2).sum(axis=1))
+        u = work[:len(z)]
+        for q in dict.fromkeys(c.q for c in criteria):
+            if estimated:
+                np.divide(z, scale, out=u)
+                np.abs(u, out=u)
+            else:
+                np.abs(z, out=u)
+            u **= 2.0 / q
+            for i, c in enumerate(criteria):
+                if c.q != q:
+                    continue
+                lam_hat, df_hat, flags = _select_rows(c, spec, u)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    err = _in_slices(sqerr, spec.n, lam_hat, z)
+                    response = sigma * sigma * err
+                finite = np.isfinite(err) & np.isfinite(response)
+                if not finite.all():
+                    raise NumericError(
+                        f"{c.name} squared error is not finite in "
+                        f"{len(finite) - np.count_nonzero(finite)} of {len(finite)} rows")
+                picks[i] = lam_hat, df_hat, err, response, flags
 
     index = np.cumsum(ok) - 1  # each good replicate's row among the selected ones
     out: list[RunRecord] = []
     for i, r in enumerate(range(start, start + len(ok))):
         for ci, c in enumerate(criteria):
             if ok[i]:
-                (lam_hat, df_hat, flags), j = picks[ci], index[i]
-                sqerr = float(sqerrs[ci][j])
+                (lam_hat, df_hat, err, response, flags), j = picks[ci], index[i]
                 values = (float(lam_hat[j]), float(df_hat[j]),
-                          sqerr, sigma * sigma * sqerr, flags[j])
+                          float(err[j]), float(response[j]), flags[j])
             else:
                 log.warning("replicate %d criterion %s failed: %s", r, c.name,
                             UNUSABLE_SIGMA_ESTIMATE)
@@ -397,10 +418,11 @@ def run_simulation(cfg: SimConfig):
             continue
         spec, truth = built
         sigma_mode = parse_sigma_mode(cfg.sigma_mode, n)
+        work = np.empty((min(BLOCK_ROWS, cfg.replicates), n))
         for start, z in spectral_blocks(cfg.seed, n, cfg.replicates, truth.g):
             yield from _replicate_records(spec, truth.g, criteria, cfg.sigma, sigma_mode,
-                                          start, z)
-        del built, spec, truth  # released once this n's records are out
+                                          start, z, work)
+        del built, spec, truth, work  # released once this n's records are out
 
 
 def _write_csv(path, header, rows) -> int:

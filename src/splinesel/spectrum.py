@@ -40,9 +40,19 @@ _NULL_CLAMP_EPS_MULT = 32.0
 # 0.  A block bounds the working set at any replicate count, and a fixed
 # block size fixes the shapes of the coarse screen's matrix products, whose
 # rounding depends on shape, so a run's records depend only on its config.
-# Window-wide work that serves one row runs in slices of as many window
-# points (_in_slices).
 BLOCK_ROWS = 64
+
+# The cache rule: a transient array that a block of rows or a sweep over the
+# window makes holds at most SLICE_ENTRIES float64 (128 KiB), or lives in a
+# workspace allocated once per n and filled in place.  128 KiB sits within
+# L2, and it is glibc malloc's default mmap threshold: a larger block is a
+# fresh mapping whose pages fault in on every use, and freeing one raises the
+# threshold and the heap's trim threshold with it, so the cost and the peak
+# memory of later allocations would depend on the ones before them.  Work
+# beyond the budget runs in slices of rows (_in_slices).  Two shapes fix
+# output bits and are kept whatever their size: the screen's BLOCK_ROWS-row
+# matrix product and the fold's BLOCK_ROWS-row blocks of U.
+SLICE_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -250,16 +260,23 @@ def _shrink(k: np.ndarray, lam) -> tuple[np.ndarray, np.ndarray]:
     return np.divide(1.0, denom, out=denom), b
 
 
-def _in_slices(fn, *args):
-    """fn(*args), evaluated on BLOCK_ROWS consecutive entries of every arg
-    at a time and joined along the last axis (each array of a tuple result
-    on its own), so fn's temporaries hold BLOCK_ROWS entries, not all.
+def _in_slices(fn, width: int, *args):
+    """fn(*args), evaluated on a slice of consecutive entries (leading-axis
+    rows) of every arg at a time and joined along the last axis (each array
+    of a tuple result on its own).  An entry stands for width float64 of
+    fn's temporaries, and a slice holds as many entries as SLICE_ENTRIES
+    allows, rounded down to a multiple of 8, and at least 8.
 
     fn must treat its entries independently: each entry's value then has
-    the bits of the whole evaluation's.
+    the bits of the whole evaluation's.  The matrix-vector products of the
+    one-row screen and of R0 keep their bits too in slices of a multiple of
+    8 rows (and not in slices of 1, 3 or 17).
     """
-    parts = [fn(*(a[i:i + BLOCK_ROWS] for a in args))
-             for i in range(0, len(args[0]) or 1, BLOCK_ROWS)]
+    step = max(8, SLICE_ENTRIES // width // 8 * 8)
+    if len(args[0]) <= step:
+        return fn(*args)
+    parts = [fn(*(a[i:i + step] for a in args))
+             for i in range(0, len(args[0]), step)]
     if isinstance(parts[0], tuple):
         return tuple(np.concatenate(p, axis=-1) for p in zip(*parts))
     return np.concatenate(parts, axis=-1)
@@ -365,7 +382,7 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
         return targets[rows] - a.sum(axis=1), (a * b).sum(axis=1)
 
     def slope(lams, rows):
-        return _in_slices(part, lams, rows)
+        return _in_slices(part, spec.n, lams, rows)
 
     return _log_lam_root(x, lo, hi, slope, np.arange(len(targets)))
 
@@ -496,7 +513,13 @@ def _read_basis(archive: zipfile.ZipFile, n: int, U: np.ndarray | None = None):
     reused buffer.  The member must hold an (n, n) row-major float64 array;
     each block must be whole and finite, and the member must end with the
     last block, where zipfile checks its CRC.  A failed check raises one of
-    _UNREADABLE."""
+    _UNREADABLE.
+
+    A zipfile member has no readinto of its own: io's fallback reads a
+    bytes object of the target's size and copies it.  So a block is filled
+    in pieces of half the slice budget (64 KiB), each piece's bytes and its
+    copy together within it."""
+    piece = 4 * max(8, SLICE_ENTRIES)
     with archive.open("U.npy") as fh:
         version = np.lib.format.read_magic(fh)
         header = {(1, 0): np.lib.format.read_array_header_1_0,
@@ -510,8 +533,11 @@ def _read_basis(archive: zipfile.ZipFile, n: int, U: np.ndarray | None = None):
         for start in range(0, n, BLOCK_ROWS):
             stop = min(start + BLOCK_ROWS, n)
             block = buf[:stop - start] if U is None else U[start:stop]
-            if fh.readinto(block) != block.nbytes:
-                raise EOFError(f"U ends within rows {start}..{stop - 1}")
+            view = memoryview(block).cast("B")
+            for at in range(0, len(view), piece):
+                part = view[at:at + piece]
+                if fh.readinto(part) != len(part):
+                    raise EOFError(f"U ends within rows {start}..{stop - 1}")
             if not np.isfinite(block).all():
                 raise ValueError(f"U holds non-finite values in rows {start}..{stop - 1}")
             yield block

@@ -4,6 +4,7 @@ independent cross-check."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,8 +25,8 @@ from splinesel.criteria import (
     select,
 )
 from splinesel.errors import NumericError
-from splinesel.spectrum import (BLOCK_ROWS, NEWTON_STEP_TOL, DesignSpectrum, _shrink, df,
-                                lambdas_for_df)
+from splinesel.spectrum import (BLOCK_ROWS, NEWTON_STEP_TOL, SLICE_ENTRIES, DesignSpectrum,
+                                _shrink, df, lambdas_for_df)
 
 from crosscheck import imhof_lower_tail, select_rows_reference, value_tables_reference
 from fresh import run_fresh
@@ -222,20 +223,66 @@ def _fresh(spec):
     return DesignSpectrum(n=spec.n, x=spec.x, U=spec.U, k=spec.k, null_dim=spec.null_dim)
 
 
-@pytest.mark.parametrize("n", [61, 241, 961])
+@pytest.fixture(scope="module")
+def spec1921(cache_dir):
+    return ss.cached_decompose(ss.build_design("equispaced", 1921, lo=-1.0, hi=1.0), cache_dir)
+
+
+@pytest.mark.parametrize("n", [61, 241, 961, 1921])
 @pytest.mark.parametrize("crit", [ss.CP, ss.GML, ss.EE, ss.criterion_by_name("p3q1")])
-def test_one_row_screen_is_the_table_product(spectra, n, crit):
-    # A block of one row is screened BLOCK_ROWS window points at a time, yet
-    # every screen value has the bits of the whole table product.  The
-    # window spans two slices at n = 61 and three at n = 241 and 961.
-    spec = _fresh(spectra[n])
-    assert len(spec.window) > BLOCK_ROWS
+def test_one_row_screen_is_the_table_product(monkeypatch, spectra, spec1921, n, crit):
+    # A block of one row is screened a slice of window points at a time, as
+    # many as the slice budget holds at penalized length, in a multiple of
+    # 8: the whole window at n = 61, 64 points at 241, 16 at 961 and 8 at
+    # 1921.  Every screen value has the bits of the whole table product.
+    points = {61: 272, 241: 64, 961: 16, 1921: 8}[n]
+    spec = _fresh(spec1921 if n == 1921 else spectra[n])
+    slices = []
+
+    def recording(c, b, real=criteria._value_tables):
+        slices.append(len(b))
+        return real(c, b)
+
+    monkeypatch.setattr(criteria, "_value_tables", recording)
     u = np.abs(np.random.default_rng(n).standard_normal(n) + 1.5) ** (2.0 / crit.q)
     up = u[None, spec.null_dim:]
     screen = criteria._screen(crit, spec, up)
     assert spec.tables == {}
+    assert sum(slices) == len(spec.window)
+    assert slices[:-1] == [points] * (len(slices) - 1) and slices[-1] <= points
+    assert points % 8 == 0 and points * (n - 2) <= max(SLICE_ENTRIES, 8 * (n - 2))
     T, offset = criteria._criterion_table(crit, spec)
     assert screen.tobytes() == (up @ T.T + offset).tobytes()
+
+
+def _traced_rise(fn) -> int:
+    """Bytes by which fn's traced allocations peak above those live before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("crit", [ss.CP, ss.GML, ss.EE])
+def test_block_work_holds_no_array_beyond_the_slice_budget(spec1921, crit):
+    # At n = 1921 one (64 rows x penalized length) float64 array is 983 KB.
+    # A warm 64-row block (its window, table and derivative rows already
+    # formed) and a one-row screen make their temporaries in slices of at
+    # most SLICE_ENTRIES float64 (128 KiB), a few at a time, and the block's
+    # one whole-block array is its (64 x window) screen.
+    spec = _fresh(spec1921)
+    grid = ss.build_design("equispaced", 1921, lo=-1.0, hi=1.0)
+    g = ss.make_truth(spec, ss.truth_curve("paper-fig3", grid), 1.0).g
+    U = np.abs(g + replicate_block(3, spec.n, 0, BLOCK_ROWS)) ** (2.0 / crit.q)
+    up = U[:1, spec.null_dim:]
+    budget = 8 * SLICE_ENTRIES
+    _select_rows(crit, spec, U)
+    criteria._screen(crit, spec, up)
+    assert _traced_rise(lambda: _select_rows(crit, spec, U)) <= 8 * budget
+    assert _traced_rise(lambda: criteria._screen(crit, spec, up)) <= 4 * budget
 
 
 _TIED_ROW = """
@@ -448,9 +495,9 @@ def test_window_memo_holds_one_row_pair_per_point_touched(monkeypatch, spectra, 
     m = spec.n - spec.null_dim
     touched = set()
 
-    def spy(c, spec, points, up, real=criteria._window_derivs):
+    def spy(c, spec, points, up, rows=None, real=criteria._window_derivs):
         touched.update((c.p, c.q, j) for j in points.tolist())
-        return real(c, spec, points, up)
+        return real(c, spec, points, up, rows)
 
     monkeypatch.setattr(criteria, "_window_derivs", spy)
     ss.decomposition_mc(ss.EE, spec, truths[961], 2000, 0)

@@ -153,7 +153,7 @@ print("scipy.linalg" in sys.modules)
 
 def _setting_peak_rise(cache, keep: str) -> int:
     """Bytes by which a warm n = 961 setting raises a fresh process's peak."""
-    out, peak = run_fresh(_SETTING_PEAK, str(cache), keep)
+    out, peak, _ = run_fresh(_SETTING_PEAK, str(cache), keep)
     before, rebuilt = out.split()
     assert rebuilt == "False"
     return 1024 * (peak - int(before))
@@ -350,7 +350,7 @@ def _traced_peak(fn) -> int:
     lambda spec, truth: central_lambda(EE, spec, truth),
 ], ids=["ideal", "central-gml", "central-ee"])
 def test_oracle_working_set_does_not_grow_with_window(spectra, truths, locate):
-    # The one-row screens run BLOCK_ROWS window points at a time, so a
+    # The one-row screens run a slice of window points at a time, so a
     # window of four times the points needs no more memory.
     spec, truth = spectra[961], truths[961]
     own = spec.window

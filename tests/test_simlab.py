@@ -590,7 +590,7 @@ def test_warm_simulate_never_holds_the_basis(tmp_path):
     cfg = tmp_path / "sim.json"
     cfg.write_text(base_config(tmp_path / "out", n_list=[n], replicates=1).to_json())
     run_fresh(_SIMULATE_PEAK, str(cfg))  # a cold build fills the cache
-    out, peak = run_fresh(_SIMULATE_PEAK, str(cfg))
+    out, peak, _ = run_fresh(_SIMULATE_PEAK, str(cfg))
     before, rebuilt = out.split()
     assert rebuilt == "False"
     assert 1024 * (peak - int(before)) < 8 * n * n / 2
@@ -691,14 +691,14 @@ def test_cold_campaign_peaks_at_one_build_of_its_largest_n(tmp_path):
     # The n = 1921 build runs first, on a fresh heap, so the smaller n ahead
     # of it in n_list adds nothing to the peak (both about 128.8 MiB), and
     # neither does a cache whose files must all be rebuilt.
-    _, alone = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "alone"), "1921")
-    _, both = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
+    _, alone, _ = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "alone"), "1921")
+    _, both, _ = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
     assert both - alone < 1024  # KiB
     cached = sorted((tmp_path / "both" / "spectra").glob("*.npz"))
     assert len(cached) == 2
     for path in cached:
         os.truncate(path, path.stat().st_size // 2)
-    _, damaged = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
+    _, damaged, _ = run_fresh(_CAMPAIGN_PEAK, str(tmp_path / "both"), "961,1921")
     assert damaged - alone < 1024  # KiB
 
 
@@ -1453,27 +1453,36 @@ def test_cli_decompose(tmp_path, capsys):
     ["decompose", "--n", "61", "--criterion", "ee", "--replicates", "100", "--sigma", "1e-300",
      "--out", "out.json"],
     ["simulate", "--config", "sim.json"],
+    ["simulate", "--config", "ee-tiny.json"],
+    ["simulate", "--config", "ee-huge.json"],
     ["select", "--input", "data.csv", "--criterion", "ee", "--sigma", "known:1e-300"],
     ["curvature", "--n", "61", "--sigma", "1e-160", "--out", "out.csv"],
     ["rates", "--n", "61,121,241,481", "--sigma", "1e-160", "--out", "out.csv"],
 ], ids=["reversal 1e-120", "reversal 1e-300", "decompose 1e-300", "simulate 1e-160",
-        "select 1e-300", "curvature 1e-160", "rates 1e-160"])
+        "simulate ee 1e-160", "simulate ee 1e200", "select 1e-300", "curvature 1e-160",
+        "rates 1e-160"])
 def test_cli_nonfinite_result_is_a_numeric_error(tmp_path, argv):
     # At so small a sigma the rotated truth g = U'f / sigma (or select's
     # data U'y / sigma) is huge: u = |z|^(2/q) overflows, and selection's
     # guard, or the reversal moments or decomposition terms, come out not
     # finite.  The command fails and writes no output file; simulate's
-    # config asks for 3 replicates at n = 61 with sigma = 1e-160.  It runs in
-    # a fresh process, since numpy's RuntimeWarnings on the way there are
-    # errors in this suite.
+    # config asks for 3 replicates at n = 61 with sigma = 1e-160.  With ee
+    # alone at that sigma u = |z|^(4/3) stays finite, but the squared error
+    # overflows; at sigma = 1e200 the squared error is finite and its
+    # response-scale twin sigma^2 sqerr is not.  It runs in a fresh
+    # process, since numpy's RuntimeWarnings on the way there are errors in
+    # this suite.
     (tmp_path / "sim.json").write_text(base_config(
         "run", replicates=3, sigma=1e-160).to_json())
+    for name, sigma in (("ee-tiny.json", 1e-160), ("ee-huge.json", 1e200)):
+        (tmp_path / name).write_text(base_config(
+            "run", criteria=["ee"], replicates=3, sigma=sigma).to_json())
     x = np.linspace(-1.0, 1.0, 200)
     y = truth_curve("paper-fig3", build_design("explicit", points=x))
     y += 0.3 * np.random.default_rng(0).standard_normal(200)
     (tmp_path / "data.csv").write_text(
         "x,y\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(x, y)))
-    inputs = {"sim.json", "data.csv"}
+    inputs = {"sim.json", "ee-tiny.json", "ee-huge.json", "data.csv"}
     cache = [] if argv[0] in ("simulate", "select") else ["--cache-dir", "spectra"]
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
            "PYTHONPATH": os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)}
@@ -1483,6 +1492,8 @@ def test_cli_nonfinite_result_is_a_numeric_error(tmp_path, argv):
     assert proc.stdout == ""
     error = json.loads(proc.stderr.splitlines()[-1])
     assert error["error"] == "NumericError" and "not finite" in error["message"]
+    if argv[-1].startswith("ee-"):  # the squared-error guard computes without warnings
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
     written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
                if p.is_file() and "spectra" not in p.parts}
     assert written == inputs

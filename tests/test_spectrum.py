@@ -1,6 +1,7 @@
 """Design grids, the roughness penalty, and its eigendecomposition."""
 
 from dataclasses import replace
+import functools
 import io
 import logging
 import math
@@ -214,7 +215,7 @@ for _ in range(calls):
 
 def _penalty_peak_rise(warm: int, calls: int) -> int:
     """Bytes by which `calls` builds raise the high-water mark."""
-    out, peak = run_fresh(_PENALTY_PEAK, str(warm), str(calls))
+    out, peak, _ = run_fresh(_PENALTY_PEAK, str(warm), str(calls))
     return 1024 * (peak - int(out.split()[-1]))
 
 
@@ -415,7 +416,8 @@ def test_lambdas_for_df_within_step_tol_of_strict_solve(monkeypatch, spectra, n)
 @pytest.mark.parametrize("n", [61, 961])
 def test_lambdas_for_df_window_targets_match_single_solves(spectra, n):
     # 201 df-equispaced targets cross slice boundaries of the df and slope
-    # evaluation; each lam still has the bits of its single-target solve.
+    # evaluation at n = 961 (16 targets a slice) and fill one slice at
+    # n = 61; each lam still has the bits of its single-target solve.
     spec = spectra[n]
     targets = np.linspace(n - DF_WINDOW_MARGIN, DF_WINDOW_LO, 201)
     assert len(targets) > 3 * BLOCK_ROWS
@@ -433,9 +435,10 @@ def _traced_peak(fn) -> int:
 
 
 def test_lambdas_for_df_working_set_does_not_grow_with_targets(spectra):
-    # The live targets' df and slope are evaluated BLOCK_ROWS targets at a
-    # time.  Ten times the targets then add only the solver's few scalars
-    # per target: under 5% of one (added targets x n) float64 table.
+    # The live targets' df and slope are evaluated a slice of targets at a
+    # time (16 at n = 961).  Ten times the targets then add only the
+    # solver's few scalars per target: under 5% of one (added targets x n)
+    # float64 table.
     spec = spectra[961]
     few, many = (np.linspace(960.5, 2.1, m) for m in (201, 2010))
     grown = (_traced_peak(lambda: lambdas_for_df(spec, many))
@@ -845,3 +848,66 @@ def test_load_spectrum_forms_no_whole_basis_array(tmp_path, monkeypatch, spectra
         tracemalloc.stop()
     assert max(math.prod(shape) for shape in shapes) <= BLOCK_ROWS * n
     assert peak < 8 * n * n / 4
+
+
+# --- the cache rule's slices ------------------------------------------------
+
+
+def _sliced_results(monkeypatch, budget, spec, truth, path) -> list:
+    """Every sliced route's output at one slice budget, as bytes or exact
+    values: the row engine, select, the Monte Carlo decomposition, a folded
+    cache load and the R0 values of every reversal block."""
+    from splinesel import geometry, oracle
+    from splinesel._rng import replicate_block
+
+    monkeypatch.setattr(spectrum, "SLICE_ENTRIES", budget)
+    spec = DesignSpectrum(n=spec.n, x=spec.x, U=spec.U, k=spec.k, null_dim=spec.null_dim)
+    n, out = spec.n, []
+    Z = truth.g + replicate_block(4, n, 0, BLOCK_ROWS)
+    for c in (CP, GML, criteria.EE):
+        lam, df_hat, flags = _select_rows(c, spec, np.abs(Z) ** (2.0 / c.q))
+        out += [lam.tobytes(), df_hat.tobytes(), flags, select(c, spec, Z[3])]
+    out.append(oracle.decomposition_mc(criteria.EE, spec, truth, 100, 5).to_json())
+    fold = np.empty(n)
+    load_spectrum(path, fold=(truth.f, fold))
+    out.append(fold.tobytes())
+    r0 = {}
+    real = geometry._r0_values
+
+    def recording(q, forms, zp):
+        values = real(q, forms, zp)
+        for i, v in enumerate(values):
+            r0.setdefault((q, i), []).append(v)
+        return values
+
+    monkeypatch.setattr(geometry, "_r0_values", recording)
+    lam0 = oracle.ideal_lambda(spec, truth).lam
+    out.append(geometry.reversal_probs_mc([CP, GML, criteria.EE], spec, truth, lam0, 1000, 2))
+    monkeypatch.setattr(geometry, "_r0_values", real)
+    assert sorted(r0) == [(1.0, 0), (1.0, 1), (1.5, 0)]
+    out += [np.concatenate(values).tobytes() for values in r0.values()]
+    return out
+
+
+@pytest.mark.parametrize("n", [61, 241, 961])
+def test_results_do_not_depend_on_the_slice_budget(monkeypatch, spectra, truths, cache_dir, n):
+    # The cache rule slices work, never changes it: with slices of 8 rows
+    # (a budget below one row), the default budget and no slicing at all,
+    # every route gives the same bits.
+    path = cache_dir / (cache_key(build_design("equispaced", n, lo=-1.0, hi=1.0)) + ".npz")
+    runs = [_sliced_results(monkeypatch, budget, spectra[n], truths[n], path)
+            for budget in (0, spectrum.SLICE_ENTRIES, 10**12)]
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_rate_probes_do_not_depend_on_the_slice_budget(monkeypatch, spectra, cache_dir):
+    from splinesel import oracle, simlab
+
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    truth = functools.partial(simlab.truth_curve, "paper-fig3")
+    runs = []
+    for budget in (0, spectrum.SLICE_ENTRIES, 10**12):
+        monkeypatch.setattr(spectrum, "SLICE_ENTRIES", budget)
+        runs.append(oracle.rate_probes([CP, GML, criteria.EE], design, [61, 121, 241, 961],
+                                       truth, 1.0, cache_dir))
+    assert runs[0] == runs[1] == runs[2]
