@@ -8,7 +8,6 @@ flags, malformed config).
 
 import argparse
 import csv
-from functools import partial
 import json
 import sys
 from pathlib import Path
@@ -115,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_spectrum(args) -> str:
     design = _parse_design(args.design, simlab.check_n_list([args.n], "--n"))
-    spec, _ = oracle.setting(design, args.n, partial(simlab.truth_curve, "zero"), 1.0,
-                             args.cache_dir)
+    spec, _ = oracle.setting(design, args.n, "zero", 1.0, args.cache_dir)
     return (f"spectrum n={spec.n} null_dim={spec.null_dim} "
             f"k_max={spec.k.max():.6g} cached in {args.cache_dir}")
 
@@ -184,16 +182,10 @@ def _model_inputs(args):
     return design, ns, simlab.check_criteria(ids, "--criteria")
 
 
-def _setting(args, design: dict, n: int):
-    return oracle.setting(design, n, partial(simlab.truth_curve, args.truth), args.sigma,
-                          args.cache_dir)
-
-
 def _cmd_curvature(args) -> str:
     design, ns, criteria = _model_inputs(args)
     names = [c.name for c in criteria]
-    simlab.write_curvature_table(args.out, names, design, ns,
-                                 partial(simlab.truth_curve, args.truth), args.sigma,
+    simlab.write_curvature_table(args.out, names, design, ns, args.truth, args.sigma,
                                  args.cache_dir)
     return f"curvature wrote {Path(args.out)} for n={ns} criteria={names}"
 
@@ -207,7 +199,7 @@ def _cmd_reversal(args) -> str:
     # per distinct q, shared by every criterion; rows stay grouped by criterion.
     rows = [[] for _ in criteria]
     for n in ns:
-        spec, truth = _setting(args, design, n)
+        spec, truth = oracle.setting(design, n, args.truth, args.sigma, args.cache_dir)
         lam0 = oracle.ideal_lambda(spec, truth).lam
         moments = geometry.reversal_moments(criteria, spec, truth, lam0)
         probs = geometry.reversal_probs_mc(criteria, spec, truth, lam0,
@@ -229,7 +221,7 @@ def _cmd_decompose(args) -> str:
     if args.replicates < oracle.DECOMPOSITION_MIN_REPLICATES:
         raise ConfigError(f"decompose needs --replicates >= {oracle.DECOMPOSITION_MIN_REPLICATES}")
     c = criterion_by_name(args.criterion)
-    spec, truth = _setting(args, design, args.n)
+    spec, truth = oracle.setting(design, args.n, args.truth, args.sigma, args.cache_dir)
     report = oracle.decomposition_mc(c, spec, truth, args.replicates, args.seed)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -242,8 +234,8 @@ def _cmd_rates(args) -> str:
     design, ns, criteria = _model_inputs(args)
     if len(ns) < oracle.RATE_MIN_SIZES or ns != sorted(ns):
         raise ConfigError(f"rates needs >= {oracle.RATE_MIN_SIZES} increasing --n values")
-    probes = oracle.rate_probes(criteria, design, ns, partial(simlab.truth_curve, args.truth),
-                                sigma=args.sigma, cache_dir=args.cache_dir)
+    probes = oracle.rate_probes(criteria, design, ns, args.truth, sigma=args.sigma,
+                                cache_dir=args.cache_dir)
     simlab._write_csv(args.out, ["criterion", "n", "lambda_c", "df_c",
                                  "slope_lambda", "slope_df"],
                       ([c.name, n, lam_c, df_c, probe.slope_lambda, probe.slope_df]
@@ -273,7 +265,10 @@ def cli(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help; pass both through.
         return int(exc.code or 0)
     try:
-        print(_COMMANDS[args.command](args))
+        # A non-finite result reaches the user as one NumericError from the
+        # package's guards, not as numpy's warnings ahead of it on stderr.
+        with np.errstate(all="ignore"):
+            print(_COMMANDS[args.command](args))
         return 0
     except ConfigError as exc:
         print(json.dumps({"error": "config", "message": str(exc)}), file=sys.stderr)

@@ -320,11 +320,8 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
     nd = spec.null_dim
     kp, up = spec.k[nd:], U[:, nd:]
 
-    def derivs(lams, rows):
-        return _log_derivs(c, kp, up[rows], lams)
-
     def slope(lams, rows):
-        return _in_slices(derivs, len(kp), lams, rows)
+        return _log_derivs(c, kp, up[rows], lams)
 
     coarse = _screen(c, spec, up)
     finite = np.isfinite(coarse).all(axis=1)
@@ -348,7 +345,7 @@ def _select_rows(c: Criterion, spec: DesignSpectrum, U: np.ndarray) -> tuple:
     x, x_side = logs[best[bracketed]], logs[side[bracketed]]
     start = _quadratic_root(x, x_side, g[bracketed], h[bracketed], g_side)
     lam[bracketed] = _log_lam_root(start, np.minimum(x, x_side), np.maximum(x, x_side),
-                                   slope, bracketed)
+                                   slope, bracketed, len(kp))
 
     log_lam = np.log(lam)
     low = log_lam - logs[0] <= 2.0 * REFINE_LOG_TOL

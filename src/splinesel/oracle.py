@@ -10,7 +10,7 @@ into a deterministic bias piece plus stochastic covariance and variability
 pieces, estimated here by Monte Carlo and approximated analytically.
 """
 
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 import json
 import math
 
@@ -28,7 +28,7 @@ from .criteria import (
 )
 from .errors import NumericError
 from .spectrum import (BLOCK_ROWS, DesignSpectrum, _in_slices, _shrink, build_design,
-                       cached_decompose, decompose, rotate, weights)
+                       cached_decompose, rotate, weights)
 
 DECOMPOSITION_MIN_REPLICATES = 100  # the fewest draws decomposition_mc takes
 RATE_MIN_SIZES = 4  # the fewest sample sizes rate_probes fits slopes through
@@ -57,24 +57,25 @@ def _checked_truth(n: int, f, sigma: float) -> np.ndarray:
     return f
 
 
-def setting(design: dict, n: int, truth_gen, sigma: float,
+def setting(design: dict, n: int, truth: str, sigma: float,
             cache_dir=None) -> tuple[DesignSpectrum, TruthSpectrum]:
     """Spectrum and truth of one setting: the n-point grid of a design dict
     ({"kind": ..., plus that kind's fields}), decomposed through the disk
-    cache when cache_dir is given, with truth_gen(grid) as the true curve.
+    cache (cached_decompose; cache_dir=None reads and writes no file), and
+    the true curve that simlab.truth_curve reads from the truth id (a
+    config's truth), evaluated before anything is decomposed.
 
     Once the truth is rotated, everything truth-known, Monte Carlo included
     (z = g + eps), reads only k and g, so the spectrum comes back without
     its basis (U is None).  A cached spectrum's U is folded into g as its
-    rows are read and is never held whole; a cold miss writes the whole
-    spectrum to the cache first.  g has the same bits either way (rotate's
-    blocked sum).
+    rows are read and is never held whole; a miss folds the U it built,
+    after writing it to the cache when there is one.  g has the same bits
+    either way (rotate's blocked sum).
     """
+    from .simlab import truth_curve  # simlab imports this module
+
     grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
-    if not cache_dir:
-        spec = decompose(grid)
-        return replace(spec, U=None), make_truth(spec, truth_gen(grid), sigma)
-    f = _checked_truth(grid.n, truth_gen(grid), sigma)
+    f = _checked_truth(grid.n, truth_curve(truth, grid), sigma)
     fU = np.empty(grid.n)
     spec = cached_decompose(grid, cache_dir, fold=(f, fU))
     return spec, TruthSpectrum(f=f, sigma=float(sigma), g=fU / sigma)
@@ -165,9 +166,7 @@ class DecompositionReport:
     boundary_count: int
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        payload["mc_standard_errors"] = list(self.mc_standard_errors)
-        return json.dumps(payload, indent=2)
+        return json.dumps(asdict(self), indent=2)
 
 
 def decomposition_mc(c: Criterion, spec: DesignSpectrum, truth: TruthSpectrum,
@@ -270,10 +269,9 @@ def decomposition_approx(c: Criterion, spec: DesignSpectrum,
     g = truth.g[nd:]
     p, q = c.p, c.q
     m = specfun.moment_set(g, q)
-    eu = np.concatenate((np.zeros(nd), m.m1))
-    central = _central_at(c, spec, eu)
+    central = central_lambda(c, spec, truth)
     a, b = (v[nd:] for v in weights(spec, central.lam))
-    Q = curvature_denominator(c, spec, central.lam, eu)
+    Q = curvature_denominator(c, spec, central.lam, _penalized_power(spec, truth, q))
     scale = float(np.sum(np.abs(a * b ** ((p - 1.0) / q))))
     if abs(Q) < 1e-12 * max(scale, 1e-300):
         raise NumericError(f"degenerate selection normalizer Q = {Q:.3e}")
@@ -298,7 +296,7 @@ class RateProbe:
     excluded: list[int]  # n values dropped for boundary-flagged lam_c
 
 
-def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
+def rate_probes(criteria, design: dict, n_list, truth: str, sigma: float = 1.0,
                 cache_dir=None) -> list[RateProbe]:
     """Track how each criterion's central smoothing parameter scales with n.
 
@@ -314,8 +312,8 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
     rows: list[list[tuple[int, float, float]]] = [[] for _ in criteria]
     excluded: list[list[int]] = [[] for _ in criteria]
     for n in n_list:
-        spec, truth = setting(design, n, truth_gen, sigma, cache_dir)
-        powers = {q: _penalized_power(spec, truth, q)
+        spec, known = setting(design, n, truth, sigma, cache_dir)
+        powers = {q: _penalized_power(spec, known, q)
                   for q in dict.fromkeys(c.q for c in criteria)}
         for c, fits, dropped in zip(criteria, rows, excluded):
             central = _central_at(c, spec, powers[c.q])
@@ -323,7 +321,7 @@ def rate_probes(criteria, design: dict, n_list, truth_gen, sigma: float = 1.0,
                 dropped.append(n)
             else:
                 fits.append((n, central.lam, central.df))
-        del spec, truth  # released before the next n's setting is built
+        del spec, known  # released before the next n's setting is built
     probes = []
     for c, fits, dropped in zip(criteria, rows, excluded):
         if len(fits) < 2:

@@ -16,7 +16,6 @@ replicate 0 (spectral_blocks), so a run's output depends only on its config.
 """
 
 from dataclasses import MISSING, asdict, dataclass, fields
-from functools import partial
 import ast
 import csv
 import itertools
@@ -238,6 +237,8 @@ _EXPR_BINARY = {
     ast.Div: operator.truediv, ast.FloorDiv: operator.floordiv,
     ast.Mod: operator.mod, ast.Pow: operator.pow,
 }
+# Truth ids that name an expression; "x - x" is +0.0 at every finite x.
+_NAMED_CURVES = {"paper-fig3": "sin(pi * (x + 1)) / (x / 2 + 1)", "zero": "x - x"}
 
 
 def _eval_expr(node, x):
@@ -265,23 +266,20 @@ def _eval_expr(node, x):
 
 
 def truth_curve(curve_id: str, grid: DesignGrid) -> np.ndarray:
-    """Evaluate a named true curve on the design points.
+    """Evaluate a true curve, named by its id, on the design points.
 
     Built-ins: "paper-fig3" = sin(pi(x+1))/(x/2+1), "zero", and
     "linear(a,b)" = a + b x.  Anything else is read as an arithmetic
     expression in x: numbers, the constants pi and e, + - * / // % **, and
-    the numpy functions sin/cos/tan/exp/log/sqrt/abs of one argument.
+    the numpy functions sin/cos/tan/exp/log/sqrt/abs of one argument.  The
+    two named curves are such expressions, read by the same evaluator.
     """
     x = grid.x
     m = re.fullmatch(r"linear\(\s*([^,]+)\s*,\s*([^)]+)\s*\)", curve_id)
     # Every curve goes through the one finiteness check below; numpy's
     # warnings on the way there would only precede the error on stderr.
     with np.errstate(all="ignore"):
-        if curve_id == "paper-fig3":
-            value = np.sin(np.pi * (x + 1.0)) / (x / 2.0 + 1.0)
-        elif curve_id == "zero":
-            value = np.zeros_like(x)
-        elif m:
+        if m:
             try:
                 a, b = float(m.group(1)), float(m.group(2))
             except ValueError as exc:
@@ -289,7 +287,8 @@ def truth_curve(curve_id: str, grid: DesignGrid) -> np.ndarray:
             value = a + b * x
         else:
             try:
-                value = _eval_expr(ast.parse(curve_id, mode="eval").body, x)
+                expr = _NAMED_CURVES.get(curve_id, curve_id)
+                value = _eval_expr(ast.parse(expr, mode="eval").body, x)
             except Exception as exc:  # ConfigError, SyntaxError, arithmetic errors
                 raise ConfigError(f"cannot interpret truth curve {curve_id!r}: {exc}") from exc
     value = np.asarray(value, dtype=float)
@@ -404,11 +403,10 @@ def run_simulation(cfg: SimConfig):
     cfg.validate()
     cache = spectra_cache_dir(cfg)
     criteria = [criterion_by_name(name) for name in cfg.criteria]
-    truth_gen = partial(truth_curve, cfg.truth)
     settings = {}
     for n in sorted(cfg.n_list, reverse=True):
         try:
-            settings[n] = oracle.setting(cfg.design, n, truth_gen, cfg.sigma, cache)
+            settings[n] = oracle.setting(cfg.design, n, cfg.truth, cfg.sigma, cache)
         except (ValueError, NumericError) as exc:
             settings[n] = str(exc)  # not the exception: its frames hold the build
     for n in cfg.n_list:
@@ -493,7 +491,7 @@ def read_runs_csv(path) -> list[RunRecord]:
 # --- summary tables ---------------------------------------------------------
 
 
-def write_curvature_table(path, names, design: dict, n_list, truth_gen, sigma: float,
+def write_curvature_table(path, names, design: dict, n_list, truth: str, sigma: float,
                           cache_dir) -> dict[int, oracle.LambdaPoint]:
     """Write the curvature table (table1.csv): the squared curvature of each
     named criterion at the ideal smoothing parameter, one row per n.
@@ -506,10 +504,10 @@ def write_curvature_table(path, names, design: dict, n_list, truth_gen, sigma: f
 
     def rows():
         for n in n_list:
-            spec, truth = oracle.setting(design, n, truth_gen, sigma, cache_dir)
-            ideal_points[n] = oracle.ideal_lambda(spec, truth)
+            spec, known = oracle.setting(design, n, truth, sigma, cache_dir)
+            ideal_points[n] = oracle.ideal_lambda(spec, known)
             yield [n] + [geometry.curvature_sq(c, spec, ideal_points[n].lam) for c in criteria]
-            del spec, truth  # released before the next n's setting is built
+            del spec, known  # released before the next n's setting is built
 
     _write_csv(path, ["n"] + [c.name for c in criteria], rows())
     return ideal_points
@@ -538,8 +536,7 @@ def emit_tables(records, cfg: SimConfig, out_dir=None) -> dict[str, Path]:
     for r in records:  # a record outside every cell is dropped
         cells.get((r.criterion, r.n), []).append(r)
     ideal_points = write_curvature_table(paths["table1"], names, cfg.design, cfg.n_list,
-                                         partial(truth_curve, cfg.truth), cfg.sigma,
-                                         spectra_cache_dir(cfg))
+                                         cfg.truth, cfg.sigma, spectra_cache_dir(cfg))
 
     def table2():
         for (name, n), cell in cells.items():

@@ -306,16 +306,18 @@ NEWTON_STEP_TOL = 1e-12
 _SHORT_STEP = math.sqrt(NEWTON_STEP_TOL)
 
 
-def _log_lam_root(x, lo, hi, slope, rows) -> np.ndarray:
+def _log_lam_root(x, lo, hi, slope, rows, width: int) -> np.ndarray:
     """The one safeguarded Newton solve in log lam, for many rows at once.
 
     Row i starts at x[i] inside its bracket [lo[i], hi[i]], across which its
     function g must rise through zero.  slope(lams, rows) evaluates g and
     its log-lam derivative h of rows rows[j] at lams[j], first at the
-    starts.  Rows drop out as they finish.  A Newton step that would leave
-    the row's bracket, or that does not halve its previous step, becomes a
-    bisection step.  A row stops once a step is below NEWTON_STEP_TOL, where
-    its g is exactly zero, or after two Newton steps d_prev, d with
+    starts; every evaluation runs in slices of rows (_in_slices), a row
+    standing for width float64 of slope's temporaries.  Rows drop out as
+    they finish.  A Newton step that would leave the row's bracket, or that
+    does not halve its previous step, becomes a bisection step.  A row
+    stops once a step is below NEWTON_STEP_TOL, where its g is exactly
+    zero, or after two Newton steps d_prev, d with
     |d| <= sqrt(NEWTON_STEP_TOL) and 10 |d|^3 < NEWTON_STEP_TOL d_prev^2.
     Newton's error squares from step to step, d ~ K d_prev^2, so the step
     after d would be about K d^2 = |d|^3 / d_prev^2, under a tenth of
@@ -328,7 +330,7 @@ def _log_lam_root(x, lo, hi, slope, rows) -> np.ndarray:
     newton_old = np.zeros(len(rows), dtype=bool)
     root = np.empty(len(rows))
     live = np.arange(len(rows))
-    g, h = slope(np.exp(x), rows)
+    g, h = _in_slices(slope, width, np.exp(x), rows)
     while len(live):
         lo = np.where(g < 0, x, lo)
         hi = np.where(g > 0, x, hi)
@@ -343,7 +345,7 @@ def _log_lam_root(x, lo, hi, slope, rows) -> np.ndarray:
         live, x, lo, hi, step_old, newton_old = (v[~done] for v in (live, x, lo, hi, step,
                                                                      newton))
         if len(live):
-            g, h = slope(np.exp(x), rows[live])
+            g, h = _in_slices(slope, width, np.exp(x), rows[live])
     return root
 
 
@@ -357,9 +359,9 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     roughly counts the penalized k below 1/lam, so each solve starts at
     -log of the floor(e)-th one, clipped into that bracket, and finds the
     root of t - df, whose log-lam slope is sum a b, by selection's
-    safeguarded Newton solve (_log_lam_root).  Targets are solved
-    independently, so an element does not depend on the other targets, and
-    the live targets' df and slope are evaluated in slices (_in_slices).
+    safeguarded Newton solve (_log_lam_root), which evaluates the live
+    targets' df and slope in slices.  Targets are solved independently, so
+    an element does not depend on the other targets.
     """
     targets = np.asarray(targets, dtype=float)
     if targets.ndim != 1:
@@ -377,14 +379,11 @@ def lambdas_for_df(spec: DesignSpectrum, targets) -> np.ndarray:
     hi = np.log((m - excess) / (excess * kpos[0]))
     x = np.clip(-np.log(kpos[excess.astype(int)]), lo, hi)
 
-    def part(lams, rows):
+    def slope(lams, rows):
         a, b = _shrink(spec.k, lams)
         return targets[rows] - a.sum(axis=1), (a * b).sum(axis=1)
 
-    def slope(lams, rows):
-        return _in_slices(part, spec.n, lams, rows)
-
-    return _log_lam_root(x, lo, hi, slope, np.arange(len(targets)))
+    return _log_lam_root(x, lo, hi, slope, np.arange(len(targets)), spec.n)
 
 
 def smooth(spec: DesignSpectrum, lam: float, y) -> np.ndarray:
@@ -594,13 +593,14 @@ def cached_decompose(grid: DesignGrid, cache_dir, *, fold=None) -> DesignSpectru
     A hit is validated against the requested design points; simulations at
     many replicates then reuse one O(n^3) decomposition.  A file that is
     unreadable, or that was written under another format_version or
-    numeric environment, is a miss (logged and rebuilt).  fold=(v, out)
-    fills out with v @ U and returns the spectrum without U, as
-    load_spectrum does; a miss folds the U it built, by the same blocked
-    sum, after writing the whole spectrum to the cache.
+    numeric environment, is a miss (logged and rebuilt).  cache_dir=None
+    (or "") is a miss that reads and writes no file.  fold=(v, out) fills
+    out with v @ U and returns the spectrum without U, as load_spectrum
+    does; a miss folds the U it built, by the same blocked sum, after
+    writing the whole spectrum to the cache, if there is one.
     """
-    path = Path(cache_dir) / (cache_key(grid) + ".npz")
-    if path.exists():
+    path = Path(cache_dir) / (cache_key(grid) + ".npz") if cache_dir else None
+    if path is not None and path.exists():
         try:
             spec = load_spectrum(path, fold=fold)
         except CacheFormatError as exc:
@@ -611,7 +611,8 @@ def cached_decompose(grid: DesignGrid, cache_dir, *, fold=None) -> DesignSpectru
             if spec.n == grid.n and np.array_equal(spec.x, grid.x):
                 return spec
     spec = decompose(grid)
-    save_spectrum(spec, path)
+    if path is not None:
+        save_spectrum(spec, path)
     if fold is None:
         return spec
     v, out = fold

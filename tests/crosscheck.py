@@ -240,10 +240,12 @@ def log_lam_root_strict(x, lo, hi, g, h, slope, rows) -> np.ndarray:
     return root
 
 
-def log_lam_root_strict_from_start(x, lo, hi, slope, rows) -> np.ndarray:
+def log_lam_root_strict_from_start(x, lo, hi, slope, rows, width) -> np.ndarray:
     """log_lam_root_strict with g and h evaluated at the start, in
     spectrum._log_lam_root's signature: lambdas_for_df with this solve in
-    place of the package's is the strict df inverse."""
+    place of the package's is the strict df inverse.  slope is evaluated
+    unsliced (width is unused), which gives each entry the bits of a
+    sliced evaluation."""
     return log_lam_root_strict(x, lo, hi, *slope(np.exp(x), rows), slope, rows)
 
 

@@ -188,8 +188,7 @@ def test_acceptance_5_spectral_sum_asymptotics(spec_unit961):
 def test_acceptance_6_rate_slopes(spectra, truths, lam0s, cache_dir):
     df_slopes = {}
     for name, c in CRITERIA:
-        (probe,) = ss.rate_probes([c], DESIGN, list(STANDARD_NS),
-                                  lambda grid: ss.truth_curve("paper-fig3", grid),
+        (probe,) = ss.rate_probes([c], DESIGN, list(STANDARD_NS), "paper-fig3",
                                   sigma=1.0, cache_dir=cache_dir)
         df_slopes[name] = probe.slope_df
 

@@ -346,8 +346,7 @@ def test_selection_computes_no_criterion_value(monkeypatch, tmp_path, spectra, t
         assert len(list(ss.run_simulation(cfg))) == 3 * 70
     ss.decomposition_mc(ss.EE, spectra[61], truths[61], 100, 0)
     ss.rate_probes([ss.CP, ss.GML, ss.EE], {"kind": "equispaced", "lo": -1.0, "hi": 1.0},
-                   [61, 121, 241, 481], lambda grid: ss.truth_curve("paper-fig3", grid),
-                   cache_dir=cache_dir)
+                   [61, 121, 241, 481], "paper-fig3", cache_dir=cache_dir)
     ss.ideal_lambda(spectra[241], truths[241])
     ss.central_lambda(ss.GML, spectra[241], truths[241])
     with pytest.raises(AssertionError, match="criterion value"):

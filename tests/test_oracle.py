@@ -35,7 +35,7 @@ from splinesel import (
     weights,
 )
 import splinesel
-from splinesel import criteria, oracle, simlab, specfun
+from splinesel import ConfigError, criteria, oracle, simlab, specfun, spectrum
 from splinesel.criteria import _select_rows
 from splinesel.oracle import curvature_denominator
 from splinesel.spectrum import DesignSpectrum
@@ -47,10 +47,6 @@ from fresh import run_fresh
 
 def section_curve(x):
     return np.sin(np.pi * (x + 1.0)) / (x / 2.0 + 1.0)
-
-
-def section_curve_gen(grid):
-    return section_curve(grid.x)
 
 
 # --- truth construction -----------------------------------------------------
@@ -87,7 +83,7 @@ def test_setting_matches_manual_construction(tmp_path, design, spec61):
     # The spectrum drops U once the truth is rotated.  With a cache, the
     # first call is the cold miss and the second the warm hit.
     for cache in (None, tmp_path, tmp_path):
-        got_spec, got_truth = setting(design, 61, section_curve_gen, 0.5, cache)
+        got_spec, got_truth = setting(design, 61, "paper-fig3", 0.5, cache)
         assert np.array_equal(got_spec.x, spec.x) and np.array_equal(got_spec.k, spec.k)
         assert got_spec.U is None
         assert np.array_equal(got_truth.f, truth.f)
@@ -116,10 +112,10 @@ def test_streamed_truth_rotation_matches_held_basis(tmp_path, kind, n):
     design = _design(kind, n)
     grid = build_design(design["kind"], n, **{k: v for k, v in design.items() if k != "kind"})
     expect = rotate(decompose(grid), section_curve(grid.x), 0.7)
-    cold_spec, cold = setting(design, n, section_curve_gen, 0.7, tmp_path)
-    warm_spec, warm = setting(design, n, section_curve_gen, 0.7, tmp_path)
+    cold_spec, cold = setting(design, n, "paper-fig3", 0.7, tmp_path)
+    warm_spec, warm = setting(design, n, "paper-fig3", 0.7, tmp_path)
     held_spec = cached_decompose(grid, tmp_path)
-    _, uncached = setting(design, n, section_curve_gen, 0.7)
+    _, uncached = setting(design, n, "paper-fig3", 0.7)
     assert cold_spec.U is None and warm_spec.U is None and held_spec.U is not None
     assert np.array_equal(rotate(held_spec, warm.f, 0.7), expect)
     for truth in (cold, warm, uncached):
@@ -128,24 +124,51 @@ def test_streamed_truth_rotation_matches_held_basis(tmp_path, kind, n):
     assert np.array_equal(cold_spec.k, warm_spec.k) and np.array_equal(warm_spec.k, held_spec.k)
 
 
+def test_one_setting_route_in_every_cache_state(tmp_path, monkeypatch):
+    # Without a cache directory, with a cold one and with the same one warm,
+    # a setting takes one route: cached_decompose, for which cache_dir=None
+    # is a miss that reads and writes no file.  g has the same bits in all
+    # three, and the truth is evaluated before anything is decomposed.
+    monkeypatch.chdir(tmp_path)
+    design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
+    cache = tmp_path / "spectra"
+    gs, files = [], []
+    for cache_dir in (None, cache, cache):
+        spec, truth = setting(design, 241, "paper-fig3", 0.7, cache_dir)
+        assert spec.U is None
+        gs.append(truth.g.tobytes())
+        files.append(sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")))
+    assert gs[0] == gs[1] == gs[2]
+    assert files[0] == []
+    assert files[1] == files[2] and len([f for f in files[1] if f.endswith(".npz")]) == 1
+
+    def refuse(grid):
+        raise AssertionError("a spectrum was decomposed before the truth was evaluated")
+
+    monkeypatch.setattr(spectrum, "decompose", refuse)
+    cold = tmp_path / "cold"
+    for cache_dir in (None, cold, cache):
+        with pytest.raises(ConfigError, match="finite"):
+            setting(design, 241, "log(x)", 0.7, cache_dir)
+    assert not cold.exists()
+
+
 # Prints ru_maxrss (KiB) once the package is imported, then builds the
 # n = 961 paper-fig3 setting through the cache in argv[1], or, when argv[2]
 # is "keep", loads the spectrum with U (cached_decompose) and rotates the
 # truth with it, and prints whether scipy.linalg (a rebuild) was loaded.
 _SETTING_PEAK = """
 import resource, sys
-from functools import partial
 from splinesel import build_design, cached_decompose, make_truth, oracle, simlab
 cache, keep = sys.argv[1], sys.argv[2] == "keep"
 design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
-truth_gen = partial(simlab.truth_curve, "paper-fig3")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 if keep:
     grid = build_design("equispaced", 961, lo=-1.0, hi=1.0)
     spec = cached_decompose(grid, cache)
-    truth = make_truth(spec, truth_gen(grid), 1.0)
+    truth = make_truth(spec, simlab.truth_curve("paper-fig3", grid), 1.0)
 else:
-    spec, truth = oracle.setting(design, 961, truth_gen, 1.0, cache)
+    spec, truth = oracle.setting(design, 961, "paper-fig3", 1.0, cache)
 assert (spec.U is not None) == keep
 print("scipy.linalg" in sys.modules)
 """
@@ -531,7 +554,7 @@ def test_asym_prediction_doubles_with_n():
 def test_rate_probe_slopes(cache_dir):
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     (probe,) = rate_probes(
-        [CP], design, [61, 121, 241, 481], section_curve_gen, cache_dir=cache_dir
+        [CP], design, [61, 121, 241, 481], "paper-fig3", cache_dir=cache_dir
     )
     assert len(probe.rows) == 4
     assert probe.excluded == []
@@ -545,9 +568,9 @@ def test_rate_probe_slopes(cache_dir):
 def test_rate_probe_validates():
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     with pytest.raises(ValueError):
-        rate_probes([CP], design, [61, 121, 241], section_curve_gen)
+        rate_probes([CP], design, [61, 121, 241], "paper-fig3")
     with pytest.raises(ValueError):
-        rate_probes([CP], design, [61, 121, 121, 241], section_curve_gen)
+        rate_probes([CP], design, [61, 121, 121, 241], "paper-fig3")
 
 
 def test_rate_probe_excludes_boundary_fits(cache_dir):
@@ -557,7 +580,7 @@ def test_rate_probe_excludes_boundary_fits(cache_dir):
             [CP],
             design,
             [61, 81, 101, 121],
-            lambda grid: np.zeros(grid.n),
+            "zero",
             cache_dir=cache_dir,
         )
 
@@ -568,13 +591,10 @@ def test_rate_probes_match_single_criterion_probes(cache_dir, amp, excluded_ee):
     # excluded there, while cp and gml keep every n.
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     ns = [31, 41, 51, 61]
-
-    def gen(grid):
-        return amp * np.sin(np.pi * grid.x)
-
+    truth = f"{amp} * sin(pi * x)"
     crits = [CP, GML, EE]
-    probes = rate_probes(crits, design, ns, gen, sigma=1.0, cache_dir=cache_dir)
-    assert probes == [rate_probes([c], design, ns, gen, sigma=1.0, cache_dir=cache_dir)[0]
+    probes = rate_probes(crits, design, ns, truth, sigma=1.0, cache_dir=cache_dir)
+    assert probes == [rate_probes([c], design, ns, truth, sigma=1.0, cache_dir=cache_dir)[0]
                       for c in crits]
     assert [p.excluded for p in probes] == [[], [], excluded_ee]
 
@@ -594,7 +614,7 @@ def test_rate_probes_builds_each_setting_and_window_once(cache_dir, monkeypatch)
     monkeypatch.setattr(oracle, "setting", counting_setting)
     monkeypatch.setattr(criteria, "selection_window", counting_window)
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
-    rate_probes([CP, GML, EE], design, [61, 81, 101, 121], section_curve_gen,
+    rate_probes([CP, GML, EE], design, [61, 81, 101, 121], "paper-fig3",
                 cache_dir=cache_dir)
     assert calls == [(kind, n) for n in (61, 81, 101, 121) for kind in ("setting", "window")]
 
@@ -613,13 +633,13 @@ def test_rate_probes_compute_each_power_once_per_q(cache_dir, monkeypatch):
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     ns = [61, 81, 101, 121]
     monkeypatch.setattr(specfun, "abs_moment", counting)
-    probes = rate_probes([CP, GML, EE], design, ns, section_curve_gen, cache_dir=cache_dir)
+    probes = rate_probes([CP, GML, EE], design, ns, "paper-fig3", cache_dir=cache_dir)
     assert calls == [1.0 / 1.5 for _ in ns]
     monkeypatch.undo()
     for c, probe in zip((CP, GML, EE), probes):
         expected = []
         for n in ns:
-            spec, truth = setting(design, n, section_curve_gen, 1.0, cache_dir)
+            spec, truth = setting(design, n, "paper-fig3", 1.0, cache_dir)
             central = central_lambda(c, spec, truth)
             expected.append((n, central.lam, central.df))
         assert probe.rows == expected
@@ -628,7 +648,7 @@ def test_rate_probes_compute_each_power_once_per_q(cache_dir, monkeypatch):
 def test_rate_probes_names_the_criterion_without_a_slope(cache_dir):
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
     with pytest.raises(NumericError, match=r"\(cp\).*interior"):
-        rate_probes([CP, GML], design, [61, 81, 101, 121], lambda grid: np.zeros(grid.n),
+        rate_probes([CP, GML], design, [61, 81, 101, 121], "zero",
                     cache_dir=cache_dir)
 
 

@@ -1,7 +1,6 @@
 """Simulation lab: configs, truth curves, campaign runs, tables, and the CLI."""
 
 from dataclasses import astuple
-from functools import partial
 import csv
 import io
 import json
@@ -336,8 +335,7 @@ def test_campaign_picks_are_select_rows_picks(tmp_path, sigma_mode):
     cfg = base_config(tmp_path, replicates=BLOCK_ROWS + 6, sigma=0.7, sigma_mode=sigma_mode,
                       criteria=["cp", "gml", "ee", "p1.2q2"])
     records = list(run_simulation(cfg))
-    spec, truth = oracle.setting(cfg.design, 61, partial(truth_curve, cfg.truth), cfg.sigma,
-                                 spectra_cache_dir(cfg))
+    spec, truth = oracle.setting(cfg.design, 61, cfg.truth, cfg.sigma, spectra_cache_dir(cfg))
     estimated, M, _ = parse_sigma_mode(sigma_mode, 61)
     for lo in range(0, cfg.replicates, BLOCK_ROWS):
         hi = min(lo + BLOCK_ROWS, cfg.replicates)
@@ -483,7 +481,6 @@ def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
     monkeypatch.setattr(oracle, "setting", tracking)
     ns = [31, 41, 51, 61]
     design = {"kind": "equispaced", "lo": -1.0, "hi": 1.0}
-    truth_gen = partial(truth_curve, "paper-fig3")
     if route == "simulate":
         order = [41, 61, 31, 51]
         cfg = base_config(tmp_path, n_list=order, replicates=BLOCK_ROWS + 1)
@@ -497,9 +494,9 @@ def test_one_setting_alive_at_a_time(tmp_path, monkeypatch, route):
         assert released(order)
     elif route == "curvature":
         simlab.write_curvature_table(tmp_path / "table1.csv", ["cp", "gml"], design, ns,
-                                     truth_gen, 1.0, tmp_path / "spectra")
+                                     "paper-fig3", 1.0, tmp_path / "spectra")
     elif route == "rates":
-        oracle.rate_probes([criterion_by_name("cp")], design, ns, truth_gen,
+        oracle.rate_probes([criterion_by_name("cp")], design, ns, "paper-fig3",
                            cache_dir=tmp_path / "spectra")
     else:
         assert cli(["reversal", "--n", "31,41,61", "--criteria", "cp", "--replicates", "1000",
@@ -1408,8 +1405,7 @@ def test_cli_reversal_rows_match_per_criterion_summaries(tmp_path, capsys):
     for name in ("cp", "gml", "ee"):
         c = criterion_by_name(name)
         for n in (31, 61):
-            spec, truth = oracle.setting(design, n, lambda grid: truth_curve("paper-fig3", grid),
-                                         1.0, cache)
+            spec, truth = oracle.setting(design, n, "paper-fig3", 1.0, cache)
             lam0 = oracle.ideal_lambda(spec, truth).lam
             (rs,) = geometry.reversal_moments([c], spec, truth, lam0)
             ((prob, se),) = geometry.reversal_probs_mc([c], spec, truth, lam0, 2500, 12)
@@ -1471,7 +1467,8 @@ def test_cli_nonfinite_result_is_a_numeric_error(tmp_path, argv):
     # overflows; at sigma = 1e200 the squared error is finite and its
     # response-scale twin sigma^2 sqerr is not.  It runs in a fresh
     # process, since numpy's RuntimeWarnings on the way there are errors in
-    # this suite.
+    # this suite; the command runs with numpy's warnings off, so the JSON
+    # error is the one line on stderr.
     (tmp_path / "sim.json").write_text(base_config(
         "run", replicates=3, sigma=1e-160).to_json())
     for name, sigma in (("ee-tiny.json", 1e-160), ("ee-huge.json", 1e200)):
@@ -1490,10 +1487,10 @@ def test_cli_nonfinite_result_is_a_numeric_error(tmp_path, argv):
                           cwd=tmp_path, capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 1, proc.stderr
     assert proc.stdout == ""
-    error = json.loads(proc.stderr.splitlines()[-1])
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    error = json.loads(lines[0])
     assert error["error"] == "NumericError" and "not finite" in error["message"]
-    if argv[-1].startswith("ee-"):  # the squared-error guard computes without warnings
-        assert len(proc.stderr.splitlines()) == 1, proc.stderr
     written = {str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
                if p.is_file() and "spectra" not in p.parts}
     assert written == inputs
@@ -1555,8 +1552,7 @@ def test_cli_rates_rows_match_per_criterion_central_lambda(tmp_path, capsys):
         c = criterion_by_name(name)
         fits = []
         for n in ns:
-            spec, truth = oracle.setting(design, n, lambda grid: truth_curve("paper-fig3", grid),
-                                         1.0, cache)
+            spec, truth = oracle.setting(design, n, "paper-fig3", 1.0, cache)
             central = oracle.central_lambda(c, spec, truth)
             assert central.at_boundary == "none"
             fits.append((n, central.lam, central.df))
